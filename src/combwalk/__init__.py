@@ -13,24 +13,20 @@ end to end.
 """
 
 from .comb_model import (CombSpec, GraftSpec, HazardFamily, PersistenceLaw,
-                         check_assumption1, constant_comb,
-                         envelope_transitions, power_comb,
-                         sample_persistence_time, tail, truncated_mean,
-                         truncated_second_moment)
+                         constant_comb, envelope_transitions, power_comb)
 from .scaling_laws import (NormalizerSet, RegimeReport, classify_regime,
                            cycle_tail, cycle_truncated_second_moment,
                            effective_drift, equivalence_checks, mean_drift,
                            skewness_beta, stable_scale, stable_sigma,
                            stable_skewness, tail_balance, total_mean_cycle)
-from .walk_sim import (Trajectory, age_process, counting, rescaled_path,
-                       simulate_prw, skeleton, walk_marginals)
+from .walk_sim import Trajectory, rescaled_path, simulate_prw, walk_marginals
 from .stable_proc import (brownian_path, default_jump_cut, levy_symbol,
                           sample_positive_stable, sample_stable,
                           stable_cdf_interp, stable_path, subordinator_level,
                           subordinator_path)
 from .lamperti_limit import (AnomalousPath, DensityEvaluator,
-                             LabelledSubordinatorPath, anomalous_path,
-                             cdf_f, density_f, double_gf_limit, flt_f,
+                             LabelledSubordinatorPath, cdf_f, density_f,
+                             double_gf_limit, flt_f,
                              labelled_subordinator, lamperti_recursion,
                              markov_kernel_check, ppf_f, renewal_state,
                              sample_anomalous_ensemble, sample_marginal,

@@ -17,7 +17,6 @@ import numpy as np
 
 from . import lamperti_limit
 from .comb_model import CombSpec
-from .scaling_laws import classify_regime
 from .stable_proc import sample_positive_stable, sample_stable
 from .stat_verify import (VerificationScenario, format_report, hill_estimate,
                           verify_regime)
@@ -152,38 +151,24 @@ def cmd_sample_limit(args):
     rng = np.random.default_rng(seed)
     n = args.n
     fh, close = _out_stream(args.out)
+    samples = None
     if args.kind == "marginal":
-        s = lamperti_limit.sample_marginal(args.alpha, args.m, args.t,
-                                           rng, size=n)
-        fh.write(f"# combwalk sample-limit marginal alpha={_fmt(args.alpha)}"
-                 f" m={_fmt(args.m)} t={_fmt(args.t)} seed={seed}\n")
-        fh.write("sample\n")
-        for v in s:
-            fh.write(_fmt(v) + "\n")
+        samples = lamperti_limit.sample_marginal(args.alpha, args.m, args.t,
+                                                 rng, size=n)
+        tag = (f"marginal alpha={_fmt(args.alpha)} m={_fmt(args.m)}"
+               f" t={_fmt(args.t)}")
     elif args.kind == "ratio":
-        s = lamperti_limit.sample_ratio(args.alpha, args.b, rng, size=n)
-        fh.write(f"# combwalk sample-limit ratio alpha={_fmt(args.alpha)}"
-                 f" b={_fmt(args.b)} seed={seed}\n")
-        fh.write("sample\n")
-        for v in s:
-            fh.write(_fmt(v) + "\n")
+        samples = lamperti_limit.sample_ratio(args.alpha, args.b, rng, size=n)
+        tag = f"ratio alpha={_fmt(args.alpha)} b={_fmt(args.b)}"
     elif args.kind == "stable":
-        s = sample_stable(args.alpha, args.beta, n, rng,
-                          scale=args.scale)
-        fh.write(f"# combwalk sample-limit stable alpha={_fmt(args.alpha)}"
-                 f" beta={_fmt(args.beta)} seed={seed}\n")
-        fh.write("sample\n")
-        for v in s:
-            fh.write(_fmt(v) + "\n")
+        samples = sample_stable(args.alpha, args.beta, n, rng,
+                                scale=args.scale)
+        tag = f"stable alpha={_fmt(args.alpha)} beta={_fmt(args.beta)}"
     elif args.kind == "positive-stable":
         if not 0.0 < args.alpha < 1.0:
             raise _CliError("positive-stable needs alpha in (0, 1)")
-        s = sample_positive_stable(args.alpha, n, rng)
-        fh.write(f"# combwalk sample-limit positive-stable "
-                 f"alpha={_fmt(args.alpha)} seed={seed}\n")
-        fh.write("sample\n")
-        for v in s:
-            fh.write(_fmt(v) + "\n")
+        samples = sample_positive_stable(args.alpha, n, rng)
+        tag = f"positive-stable alpha={_fmt(args.alpha)}"
     elif args.kind == "ensemble":
         S, A, H = lamperti_limit.sample_anomalous_ensemble(
             args.alpha, args.b, n, seed, level=args.t,
@@ -197,7 +182,7 @@ def cmd_sample_limit(args):
         t_max = args.t_max if args.t_max else 3.0
         path = lamperti_limit.labelled_subordinator(
             args.alpha, args.b, t_max, rng=rng)
-        ap = lamperti_limit.anomalous_path(path)
+        ap = lamperti_limit.AnomalousPath(path)
         total = path.total()
         ts = np.linspace(0.0, total, n)
         fh.write(f"# combwalk sample-limit path alpha={_fmt(args.alpha)}"
@@ -207,6 +192,10 @@ def cmd_sample_limit(args):
         for t in ts:
             S_t, lab, age = ap.evaluate(t)[:3]
             fh.write(f"{_fmt(t)},{_fmt(S_t)},{_fmt(lab)},{_fmt(age)}\n")
+    if samples is not None:
+        fh.write(f"# combwalk sample-limit {tag} seed={seed}\nsample\n")
+        for v in samples:
+            fh.write(_fmt(v) + "\n")
     if close:
         fh.close()
         print(f"wrote {args.out}")

@@ -271,6 +271,54 @@ class PersistenceLaw:
 
     # -- tails and moments --------------------------------------------------
 
+    def _splice(self, N, prefix, ext):
+        """Table law at integer N: prefix[N] up to L, ext(N) beyond it."""
+        out = np.empty_like(N)
+        L = self._L
+        inside = N <= L
+        out[inside] = prefix[N[inside].astype(int)]
+        if np.any(~inside):
+            out[~inside] = ext(N[~inside])
+        return out
+
+    def _tail_ext(self, M):
+        L = self._L
+        if self._ext[0] == "constant":
+            p = self._ext[1]
+            return self._prefix_tail[-1] * (1 - p) ** (M - L)
+        _, a, c = self._ext
+        return self._ext_scale * _pow_tail(M, a, c)
+
+    def _theta_ext(self, M):
+        L = self._L
+        base = self._prefix_theta[L]
+        if self._ext[0] == "constant":
+            p = self._ext[1]
+            TL = self._prefix_tail[-1]
+            if p == 0.0:
+                return base + TL * (M - L)
+            return base + TL * (1.0 - (1.0 - p) ** (M - L)) / p
+        _, a, c = self._ext
+        return base + self._ext_scale * (
+            _pow_theta(M, a, c) - _pow_theta(float(L), a, c))
+
+    def _dsum_ext(self, M):
+        L = self._L
+        base = self._prefix_dsum[L]
+        if self._ext[0] == "constant":
+            p = self._ext[1]
+            TL = self._prefix_tail[-1]
+            q = 1.0 - p
+            # sum_{j=L}^{M-1} j TL q^{j-L}, split j = (j-L) + L
+            if p == 0.0:
+                theta_part = M - L
+            else:
+                theta_part = (1.0 - q ** (M - L)) / p
+            return base + TL * (_geom_dsum(M - L, q) + L * theta_part)
+        _, a, c = self._ext
+        return base + self._ext_scale * (
+            _pow_dsum(M, a, c) - _pow_dsum(float(L), a, c))
+
     def tail(self, t):
         """T(t) = P(tau > t), a right-continuous step function of t."""
         scalar = np.isscalar(t)
@@ -284,18 +332,7 @@ class PersistenceLaw:
         elif fam.kind == "power":
             out = _pow_tail(n, fam.params["a"], fam.params["c"])
         else:
-            out = np.empty_like(n)
-            L = self._L
-            inside = n <= L
-            out[inside] = self._prefix_tail[n[inside].astype(int)]
-            if np.any(~inside):
-                m = n[~inside]
-                if self._ext[0] == "constant":
-                    p = self._ext[1]
-                    out[~inside] = self._prefix_tail[-1] * (1 - p) ** (m - L)
-                else:
-                    _, a, c = self._ext
-                    out[~inside] = self._ext_scale * _pow_tail(m, a, c)
+            out = self._splice(n, self._prefix_tail, self._tail_ext)
         return float(out[0]) if scalar else out
 
     def pmf(self, n):
@@ -318,24 +355,7 @@ class PersistenceLaw:
         elif fam.kind == "power":
             out = _pow_theta(N, fam.params["a"], fam.params["c"])
         else:
-            out = np.empty_like(N)
-            L = self._L
-            inside = N <= L
-            out[inside] = self._prefix_theta[N[inside].astype(int)]
-            if np.any(~inside):
-                M = N[~inside]
-                base = self._prefix_theta[L]
-                if self._ext[0] == "constant":
-                    p = self._ext[1]
-                    TL = self._prefix_tail[-1]
-                    if p == 0.0:
-                        out[~inside] = base + TL * (M - L)
-                    else:
-                        out[~inside] = base + TL * (1.0 - (1.0 - p) ** (M - L)) / p
-                else:
-                    _, a, c = self._ext
-                    out[~inside] = base + self._ext_scale * (
-                        _pow_theta(M, a, c) - _pow_theta(float(L), a, c))
+            out = self._splice(N, self._prefix_theta, self._theta_ext)
         return float(out[0]) if scalar else out
 
     def _dsum(self, t):
@@ -352,28 +372,7 @@ class PersistenceLaw:
         elif fam.kind == "power":
             out = _pow_dsum(N, fam.params["a"], fam.params["c"])
         else:
-            out = np.empty_like(N)
-            L = self._L
-            inside = N <= L
-            out[inside] = self._prefix_dsum[N[inside].astype(int)]
-            if np.any(~inside):
-                M = N[~inside]
-                base = self._prefix_dsum[L]
-                if self._ext[0] == "constant":
-                    p = self._ext[1]
-                    TL = self._prefix_tail[-1]
-                    q = 1.0 - p
-                    # sum_{j=L}^{M-1} j TL q^{j-L}, split j = (j-L) + L
-                    if p == 0.0:
-                        theta_part = M - L
-                    else:
-                        theta_part = (1.0 - q ** (M - L)) / p
-                    out[~inside] = base + TL * (_geom_dsum(M - L, q)
-                                                + L * theta_part)
-                else:
-                    _, a, c = self._ext
-                    out[~inside] = base + self._ext_scale * (
-                        _pow_dsum(M, a, c) - _pow_dsum(float(L), a, c))
+            out = self._splice(N, self._prefix_dsum, self._dsum_ext)
         return float(out[0]) if scalar else out
 
     def truncated_second_moment(self, t):
@@ -508,30 +507,6 @@ class PersistenceLaw:
             lo[gt] = mid[gt]
             hi[~gt] = mid[~gt]
         return hi
-
-
-# ---------------------------------------------------------------------------
-# module-level wrappers for the law operations
-
-
-def tail(law, t):
-    return law.tail(t)
-
-
-def truncated_mean(law, t):
-    return law.truncated_mean(t)
-
-
-def truncated_second_moment(law, t):
-    return law.truncated_second_moment(t)
-
-
-def sample_persistence_time(law, rng, size=None):
-    return law.sample(rng, size=size)
-
-
-def check_assumption1(family):
-    return family.assumption1()
 
 
 # ---------------------------------------------------------------------------

@@ -21,14 +21,12 @@ coordinates y = (1 +- x)^a where the density is tame.
 import functools
 
 import numpy as np
-from scipy.special import gammaln
 
-from .comb_model import CombSpec
 from .scaling_laws import classify_regime
-from .stable_proc import (default_jump_cut, sample_positive_stable,
-                          subordinator_path)
+from .stable_proc import sample_positive_stable, subordinator_path
+from .walk_sim import _replicate
 
-import concurrent.futures
+_PATHS_PER_CHUNK = 64
 
 
 def _ks_uniform(u):
@@ -154,17 +152,13 @@ class AnomalousPath:
         return S_t, x_val, age, exc, lag, lead, G, H, N
 
 
-def anomalous_path(path):
-    return AnomalousPath(path)
-
-
 def default_t_max(alpha, level=1.0):
     """Horizon making P(T(t_max) < level) negligible (~exp(-30c))."""
     return float(level ** alpha * 30.0 ** (1.0 - alpha))
 
 
 def sample_anomalous_ensemble(alpha, b, n_rep, seed, level=1.0, t_max=None,
-                              epsilon=None, threads=1, chunk=64):
+                              epsilon=None, threads=1):
     """(S(level), age, excess) over n_rep independent labelled paths.
 
     Deterministically chunked like walk_marginals: identical output for
@@ -172,26 +166,12 @@ def sample_anomalous_ensemble(alpha, b, n_rep, seed, level=1.0, t_max=None,
     """
     if t_max is None:
         t_max = default_t_max(alpha, level)
-    if epsilon is None:
-        epsilon = default_jump_cut(alpha, t_max)
-    lam = t_max * epsilon ** (-alpha)
-    if lam > 50_000_000 / max(1, n_rep // 1000):
-        pass  # per-path cap enforced inside subordinator sampling
-    drift = alpha * epsilon ** (1.0 - alpha) / (1.0 - alpha)
-    n_chunks = (n_rep + chunk - 1) // chunk
-    kids = np.random.SeedSequence(seed).spawn(n_chunks)
-    S = np.empty(n_rep)
-    A = np.empty(n_rep)
-    H = np.empty(n_rep)
 
-    def work(i):
-        rng = np.random.default_rng(kids[i])
-        m = min(chunk, n_rep - i * chunk)
+    def work(rng, m):
         out = np.empty((m, 3))
         for r in range(m):
-            n = rng.poisson(lam)
-            s = np.sort(rng.random(n)) * t_max
-            J = epsilon * rng.random(n) ** (-1.0 / alpha)
+            s, J, drift = subordinator_path(alpha, t_max, rng, eps=epsilon)
+            n = len(J)
             lab = np.where(rng.random(n) < (1.0 + b) / 2.0, 1.0, -1.0)
             cum = np.cumsum(J)
             total = drift * t_max + (cum[-1] if n else 0.0)
@@ -212,22 +192,10 @@ def sample_anomalous_ensemble(alpha, b, n_rep, seed, level=1.0, t_max=None,
                 out[r, 0] = full_lj + b * (level - full_j)
                 out[r, 1] = 0.0
                 out[r, 2] = 0.0
-        return i, out
+        return out
 
-    if threads <= 1:
-        results = map(work, range(n_chunks))
-        for i, out in results:
-            lo = i * chunk
-            S[lo:lo + len(out)] = out[:, 0]
-            A[lo:lo + len(out)] = out[:, 1]
-            H[lo:lo + len(out)] = out[:, 2]
-    else:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as ex:
-            for i, out in ex.map(work, range(n_chunks)):
-                lo = i * chunk
-                S[lo:lo + len(out)] = out[:, 0]
-                A[lo:lo + len(out)] = out[:, 1]
-                H[lo:lo + len(out)] = out[:, 2]
+    S, A, H = np.ascontiguousarray(
+        _replicate(n_rep, _PATHS_PER_CHUNK, seed, threads, work).T)
     return S, A, H
 
 

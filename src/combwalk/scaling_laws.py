@@ -23,8 +23,6 @@ moment of tau_c, which is what the attraction arguments use.
 import numpy as np
 from scipy.special import gamma as gamma_fn
 
-from .comb_model import CombSpec
-
 
 def mean_drift(comb):
     """(E tau_u - E tau_d) / (E tau_u + E tau_d), extended to +-1 when

@@ -12,7 +12,6 @@ stable_sigma(alpha) by default.
 
 import numpy as np
 from scipy import stats
-from scipy.special import gamma as gamma_fn
 
 from .scaling_laws import stable_scale, stable_sigma
 

@@ -7,6 +7,7 @@ import json
 import time
 
 import numpy as np
+from scipy.special import ndtr
 
 from .comb_model import CombSpec
 from .scaling_laws import NormalizerSet, classify_regime, stable_sigma
@@ -166,11 +167,6 @@ class VerificationScenario:
         return cls.from_dict(d)
 
 
-def _normal_cdf(x):
-    from scipy.special import ndtr
-    return ndtr(x)
-
-
 def verify_regime(scenario, seed=None, threads=1):
     """Simulate the scenario's walk ensemble, rescale the marginals with
     the module-computed normalizers, and KS-test against the regime's
@@ -206,57 +202,7 @@ def verify_regime(scenario, seed=None, threads=1):
         checks.append({"name": name, "ks": float(stat), "tol": float(tol),
                        "pass": bool(stat < tol)})
 
-    if regime == "gaussian":
-        lam = ns.walk(u)
-        for j, t in enumerate(scenario.times):
-            z = (S[:, j] - m * targets[j]) / lam
-            add(f"marginal t={t:g}",
-                ks_distance(z, lambda x, t=t: _normal_cdf(x / np.sqrt(t))),
-                scenario.tol_ks)
-        for j in range(len(targets) - 1):
-            dn = targets[j + 1] - targets[j]
-            if dn < 1:
-                continue
-            dt = dn / u
-            z = (S[:, j + 1] - S[:, j] - m * dn) / lam
-            add(f"increment t={scenario.times[j]:g}->{scenario.times[j+1]:g}",
-                ks_distance(z, lambda x, dt=dt: _normal_cdf(x / np.sqrt(dt))),
-                scenario.tol_increment)
-    elif regime == "generic":
-        lam = ns.walk(u)
-        for j, t in enumerate(scenario.times):
-            z = (S[:, j] - m * targets[j]) / lam
-            cdf = stable_cdf_interp(alpha, beta, sigma * t ** (1.0 / alpha))
-            add(f"marginal t={t:g}", ks_distance(z, cdf), scenario.tol_ks)
-        for j in range(len(targets) - 1):
-            dn = targets[j + 1] - targets[j]
-            if dn < 1:
-                continue
-            dt = dn / u
-            z = (S[:, j + 1] - S[:, j] - m * dn) / lam
-            cdf = stable_cdf_interp(alpha, beta, sigma * dt ** (1.0 / alpha))
-            add(f"increment t={scenario.times[j]:g}->{scenario.times[j+1]:g}",
-                ks_distance(z, cdf), scenario.tol_increment)
-    elif regime == "cauchy":
-        norm = ns.cauchy_norm(u)
-        c0 = float(ref.get("scale", np.pi / 2.0))
-        for j, t in enumerate(scenario.times):
-            z = (S[:, j] - m * targets[j]) / norm
-            add(f"marginal t={t:g}",
-                ks_distance(z, lambda x, t=t:
-                            0.5 + np.arctan(x / (c0 * t)) / np.pi),
-                scenario.tol_ks)
-        for j in range(len(targets) - 1):
-            dn = targets[j + 1] - targets[j]
-            if dn < 1:
-                continue
-            dt = dn / u
-            z = (S[:, j + 1] - S[:, j] - m * dn) / norm
-            add(f"increment t={scenario.times[j]:g}->{scenario.times[j+1]:g}",
-                ks_distance(z, lambda x, dt=dt:
-                            0.5 + np.arctan(x / (c0 * dt)) / np.pi),
-                scenario.tol_increment)
-    elif regime == "anomalous":
+    if regime == "anomalous":
         for j, t in enumerate(scenario.times):
             z = S[:, j] / u
             add(f"marginal t={t:g}",
@@ -275,7 +221,28 @@ def verify_regime(scenario, seed=None, threads=1):
                            "ks": mod, "tol": 1.0 + 1e-12,
                            "pass": bool(mod <= 1.0 + 1e-12)})
     else:
-        raise ValueError(f"unknown regime '{regime}'")
+        # limit law of the rescaled walk: (normalizer, CDF at time s)
+        c0 = float(ref.get("scale", np.pi / 2.0))
+        laws = {
+            "gaussian": (ns.walk, lambda s: lambda x: ndtr(x / np.sqrt(s))),
+            "generic": (ns.walk, lambda s: stable_cdf_interp(
+                alpha, beta, sigma * s ** (1.0 / alpha))),
+            "cauchy": (ns.cauchy_norm, lambda s: lambda x:
+                       0.5 + np.arctan(x / (c0 * s)) / np.pi),
+        }
+        normalizer, law_at = laws[regime]
+        lam = normalizer(u)
+        for j, t in enumerate(scenario.times):
+            z = (S[:, j] - m * targets[j]) / lam
+            add(f"marginal t={t:g}", ks_distance(z, law_at(t)),
+                scenario.tol_ks)
+        for j in range(len(targets) - 1):
+            dn = targets[j + 1] - targets[j]
+            if dn < 1:
+                continue
+            z = (S[:, j + 1] - S[:, j] - m * dn) / lam
+            add(f"increment t={scenario.times[j]:g}->{scenario.times[j+1]:g}",
+                ks_distance(z, law_at(dn / u)), scenario.tol_increment)
 
     return {"name": scenario.name, "regime": regime, "u": u,
             "replicas": scenario.replicas, "times": scenario.times,

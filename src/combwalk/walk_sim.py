@@ -19,6 +19,7 @@ import numpy as np
 
 _STEP_CAP = 10_000
 _TABLE_CAP = 50_000_000
+_LANES = 4096
 
 
 class Trajectory:
@@ -108,18 +109,6 @@ def simulate_prw(comb, horizon, seed=None, rng=None, step_detail=False):
     return Trajectory(np.array(dirs), np.array(lens), horizon)
 
 
-def skeleton(traj):
-    return traj.skeleton()
-
-
-def counting(traj, t):
-    return traj.counting(t)
-
-
-def age_process(traj):
-    return traj.ages()
-
-
 def rescaled_path(traj, u, space, drift):
     """t -> (S_{floor(u t)} - drift * u * t) / space on [0, horizon/u]."""
 
@@ -133,6 +122,28 @@ def rescaled_path(traj, u, space, drift):
 
 # ---------------------------------------------------------------------------
 # replicated marginals
+
+
+def _replicate(n_rep, chunk, seed, threads, work):
+    """Rows of work(rng, m) for n_rep replicas, in chunk order.
+
+    Each chunk of `chunk` replicas gets its own child seed of `seed`;
+    work may return more than m rows (only the first m are kept), so
+    the output is identical for any `threads` value.
+    """
+    if n_rep < 0:
+        raise ValueError("n_rep must be >= 0")
+    # n_rep = 0 still runs one empty chunk, which fixes the row shape
+    n_chunks = max(1, (n_rep + chunk - 1) // chunk)
+    kids = np.random.SeedSequence(seed).spawn(n_chunks)
+
+    def run(i):
+        m = min(chunk, n_rep - i * chunk)
+        return work(np.random.default_rng(kids[i]), m)[:m]
+
+    workers = max(1, threads)
+    with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as ex:
+        return np.concatenate(list(ex.map(run, range(n_chunks))))
 
 
 def _chunk_marginals(cdf_d, cdf_u, targets, rng, batch):
@@ -156,7 +167,7 @@ def _chunk_marginals(cdf_d, cdf_u, targets, rng, batch):
     return rec
 
 
-def walk_marginals(comb, targets, n_rep, seed, threads=1, batch=4096):
+def walk_marginals(comb, targets, n_rep, seed, threads=1):
     """S at the given integer times for n_rep independent walks.
 
     Replicas are generated in fixed 4096-lane chunks, each with its own
@@ -172,24 +183,10 @@ def walk_marginals(comb, targets, n_rep, seed, threads=1, batch=4096):
                          "use simulate_prw run records instead")
     cdf_d = comb.down_law.cdf_table(tmax + 1)
     cdf_u = comb.up_law.cdf_table(tmax + 1)
-    n_chunks = (n_rep + batch - 1) // batch
-    kids = np.random.SeedSequence(seed).spawn(n_chunks)
-    out = np.empty((n_rep, len(targets)))
 
-    def work(i):
-        rng = np.random.default_rng(kids[i])
-        return i, _chunk_marginals(cdf_d, cdf_u, targets, rng, batch)
+    def work(rng, m):
+        # all lanes are simulated even in a short last chunk, so the
+        # random stream does not depend on n_rep
+        return _chunk_marginals(cdf_d, cdf_u, targets, rng, _LANES)
 
-    if threads <= 1:
-        results = map(work, range(n_chunks))
-        for i, rec in results:
-            lo = i * batch
-            hi = min(lo + batch, n_rep)
-            out[lo:hi] = rec[: hi - lo]
-    else:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as ex:
-            for i, rec in ex.map(work, range(n_chunks)):
-                lo = i * batch
-                hi = min(lo + batch, n_rep)
-                out[lo:hi] = rec[: hi - lo]
-    return out
+    return _replicate(n_rep, _LANES, seed, threads, work)

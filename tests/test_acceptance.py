@@ -15,8 +15,8 @@ from scipy.special import ndtr
 from combwalk import (
     DensityEvaluator,
     NormalizerSet,
+    AnomalousPath,
     VerificationScenario,
-    anomalous_path,
     cdf_f,
     constant_comb,
     default_jump_cut,
@@ -189,7 +189,7 @@ def test_10_limit_process_invariants():
     worst = 0.0
     for _ in range(20):
         p = labelled_subordinator(0.5, 0.3, 3.0, rng=rng)
-        ap = anomalous_path(p)
+        ap = AnomalousPath(p)
         ts = np.linspace(0.0, p.total(), 1500)
         worst = max(worst, float(np.max(np.abs(np.diff(ap.S(ts)))
                                         / np.diff(ts))))

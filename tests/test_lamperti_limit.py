@@ -6,7 +6,6 @@ from combwalk import (
     AnomalousPath,
     DensityEvaluator,
     LabelledSubordinatorPath,
-    anomalous_path,
     cdf_f,
     constant_comb,
     density_f,
@@ -327,7 +326,7 @@ def test_hand_path_levels_and_positions():
 
 
 def test_hand_path_evaluate_decorations():
-    ap = anomalous_path(hand_path())
+    ap = AnomalousPath(hand_path())
     S, x_val, age, exc, lag, lead, G, H, N = ap.evaluate(1.0)
     assert S == pytest.approx(-0.935)
     assert x_val == -1.0
@@ -449,6 +448,12 @@ def test_ensemble_level_too_deep_raises():
     with pytest.raises(RuntimeError):
         sample_anomalous_ensemble(0.5, 0.0, 64, seed=1, level=1.0,
                                   t_max=0.05)
+
+
+def test_ensemble_enforces_the_jump_cap():
+    # ~1.7e8 expected jumps per path, above the 5e7 cap: refused up front
+    with pytest.raises(ValueError, match="exceeds the cap"):
+        sample_anomalous_ensemble(0.5, 0.0, 64, seed=1, epsilon=1e-15)
 
 
 def test_default_horizon_formula():

@@ -4,14 +4,11 @@ import pytest
 from combwalk import (
     CombSpec,
     HazardFamily,
-    age_process,
     constant_comb,
-    counting,
     ks_distance,
     power_comb,
     rescaled_path,
     simulate_prw,
-    skeleton,
     walk_marginals,
 )
 
@@ -52,7 +49,7 @@ def test_ages_track_run_boundaries():
     assert np.array_equal(ages == 1, fresh)
     # within a run the age increases by exactly one
     assert np.all(np.diff(ages)[~fresh[1:]] == 1)
-    assert np.array_equal(age_process(traj), ages)
+    assert np.array_equal(traj.ages(), ages)
 
 
 def test_skeleton_marks_completed_up_runs():
@@ -67,7 +64,7 @@ def test_skeleton_marks_completed_up_runs():
     inner = T[T < 4000]
     assert np.all(steps[inner] == -1)
     assert np.all(np.diff(T) >= 2)
-    sk = skeleton(traj)
+    sk = traj.skeleton()
     assert np.array_equal(sk[0], T) and np.array_equal(sk[1], M)
 
 
@@ -78,7 +75,7 @@ def test_counting_process():
     assert traj.counting(float(T[0]) - 0.5) == 0
     assert traj.counting(float(T[0])) == 1
     assert traj.counting(float(T[4]) + 0.2) == 5
-    assert counting(traj, 4000.0) == len(T)
+    assert traj.counting(4000.0) == len(T)
 
 
 def test_simulation_determinism_and_rng_paths():
