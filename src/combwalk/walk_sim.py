@@ -7,7 +7,7 @@ step at a time but vastly faster.
 
 Two simulators:
 
-  simulate_prw      one trajectory, run-resolved, optional step arrays
+  simulate_prw      one trajectory, run-resolved; per-step arrays on demand
   walk_marginals    many replicas, recording S only at target times;
                     cycle-vectorized and deterministically chunked so
                     results are identical for any thread count
@@ -17,7 +17,6 @@ import concurrent.futures
 
 import numpy as np
 
-_STEP_CAP = 10_000
 _TABLE_CAP = 50_000_000
 _LANES = 4096
 
@@ -75,17 +74,14 @@ class Trajectory:
         return int(np.searchsorted(T, np.floor(t), side="right"))
 
 
-def simulate_prw(comb, horizon, seed=None, rng=None, step_detail=False):
-    """One trajectory out to `horizon` steps.
+def simulate_prw(comb, horizon, seed=None, rng=None):
+    """One trajectory out to `horizon` steps, held as its exact run record.
 
-    step_detail=True asks Trajectory.steps()/ages() callers for per-step
-    arrays; it is refused for horizons above 10^4 to keep memory flat.
-    The run-level record is always exact at any horizon.
+    Trajectory.steps()/positions()/ages() expand it into per-step arrays
+    of length `horizon` when asked.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    if step_detail and horizon > _STEP_CAP:
-        raise ValueError(f"step detail capped at horizon {_STEP_CAP}")
     if rng is None:
         rng = np.random.default_rng(seed)
     dirs = []

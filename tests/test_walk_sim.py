@@ -94,8 +94,6 @@ def test_simulation_validation():
     comb = constant_comb(0.3, 0.5)
     with pytest.raises(ValueError):
         simulate_prw(comb, 0, seed=1)
-    with pytest.raises(ValueError):
-        simulate_prw(comb, 20000, seed=1, step_detail=True)
     traj = simulate_prw(comb, 20000, seed=1)
     assert traj.horizon == 20000
 
