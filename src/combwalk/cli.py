@@ -78,33 +78,28 @@ def cmd_simulate(args):
     runs_path = args.runs or (args.out + "_runs.csv")
     comb_json = json.dumps(comb.to_dict())
 
-    header = [f"# combwalk trajectory", f"# seed: {seed}",
-              f"# comb: {comb_json}"]
-    if args.horizon == 0:
-        with open(traj_path, "w") as fh:
-            fh.write("\n".join(header) + "\nn,position,step,age\n")
-        with open(runs_path, "w") as fh:
-            fh.write(f"# combwalk runs\n# seed: {seed}\n# comb: {comb_json}\n"
-                     "index,direction,length\n")
-        print("steps: 0")
-        return 0
-
-    traj = simulate_prw(comb, args.horizon, seed=seed)
-    steps = traj.steps()
-    pos = traj.positions()[1:]          # S_1..S_horizon
-    ages = traj.ages()
+    header = f"# seed: {seed}\n# comb: {comb_json}\n"
+    if args.horizon:
+        traj = simulate_prw(comb, args.horizon, seed=seed)
+        steps = traj.steps()
+        pos = traj.positions()[1:]          # S_1..S_horizon
+        ages = traj.ages()
+        runs = zip(traj.directions, traj.lengths)
+    else:
+        steps = pos = ages = runs = ()      # --horizon 0: headers only
     with open(traj_path, "w") as fh:
-        fh.write("\n".join(header) + "\nn,position,step,age\n")
+        fh.write("# combwalk trajectory\n" + header + "n,position,step,age\n")
         for i in range(len(steps)):
             fh.write(f"{i + 1},{int(pos[i])},{int(steps[i])},"
                      f"{int(ages[i])}\n")
     with open(runs_path, "w") as fh:
-        fh.write(f"# combwalk runs\n# seed: {seed}\n# comb: {comb_json}\n"
-                 "index,direction,length\n")
-        for i, (d, l) in enumerate(zip(traj.directions, traj.lengths)):
+        fh.write("# combwalk runs\n" + header + "index,direction,length\n")
+        for i, (d, l) in enumerate(runs):
             fh.write(f"{i},{d},{int(l)}\n")
     n = len(steps)
     print(f"steps: {n}")
+    if n == 0:
+        return 0
     print(f"final position: {int(pos[-1])}")
     print(f"empirical drift: {_fmt(pos[-1] / n)}")
     print(f"wrote {traj_path}, {runs_path}")

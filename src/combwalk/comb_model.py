@@ -17,11 +17,15 @@ against 50-digit arithmetic, about 2e-5 at n = 1e10, 3e-3 at 1e12 and
 """
 
 import json
+import threading
 
 import numpy as np
 from scipy.special import digamma, gammaln
 
 TAIL_FLOOR = 1e-18
+_TABLE_MIN = 4096           # cached cdf entries while no cap is asked for
+_TABLE_MAX = 1 << 22        # cached cdf entries at most (32 MB per law)
+_BUILD_BLOCK = 1 << 16      # cdf entries computed at a time
 
 
 # ---------------------------------------------------------------------------
@@ -139,9 +143,12 @@ class HazardFamily:
 
     @property
     def tail_index(self):
-        """Regular-variation index of the tail, None for light tails."""
+        """Regular-variation index of the tail, None for light tails and
+        for runs that always end inside the prefix (some alpha_k = 1)."""
         rule = self.rule
-        return rule[1] if rule[0] == "power" else None
+        if rule[0] != "power" or np.any(self.values == 1.0):
+            return None
+        return rule[1]
 
     @property
     def integrable(self):
@@ -197,8 +204,6 @@ def _geom_dsum(N, q):
 
 class _Geometric:
     """Constant hazard p from age L + 1 on: T'(m) = (1 - p)^m."""
-
-    tail_constant = None
 
     def __init__(self, p, L):
         self.p, self.q, self.L = p, 1.0 - p, L
@@ -305,6 +310,8 @@ class PersistenceLaw:
         rule = family.rule
         self._base = (_Geometric(rule[1], L) if rule[0] == "constant"
                       else _Power(rule[1], rule[2], L))
+        self._cdf = np.zeros(1)            # cdf_table(0), grown by invert
+        self._grow = threading.Lock()
 
     # -- tails and moments --------------------------------------------------
 
@@ -391,20 +398,24 @@ class PersistenceLaw:
     @property
     def tail_constant(self):
         """C with T(n) ~ C n^{-a} for regularly varying families."""
-        C = self._base.tail_constant
-        return None if C is None else float(self._TL * C)
+        if self.tail_index is None:
+            return None
+        return float(self._TL * self._base.tail_constant)
 
     # -- sampling ------------------------------------------------------------
 
     def cdf_table(self, max_len):
-        """cdf[n] = P(tau <= n) for n = 0..max_len (clipped sampling support)."""
-        n = np.arange(0, max_len + 1)
-        cdf = 1.0 - self.tail(n.astype(float))
-        # truncate where the tail has underflowed for light-tailed laws
-        done = np.nonzero(cdf >= 1.0 - TAIL_FLOOR)[0]
-        if len(done) > 0:
-            cdf = cdf[: done[0] + 1].copy()
-            cdf[-1] = 1.0
+        """cdf[n] = P(tau <= n) for n = 0..max_len (clipped sampling support),
+        built a block at a time and cut where the tail has underflowed."""
+        cdf = np.empty(max_len + 1)
+        for lo in range(0, max_len + 1, _BUILD_BLOCK):
+            block = cdf[lo:lo + _BUILD_BLOCK]
+            n = np.arange(lo, lo + len(block), dtype=float)
+            block[:] = 1.0 - self.tail(n)
+            done = np.nonzero(block >= 1.0 - TAIL_FLOOR)[0]
+            if len(done) > 0:
+                # 1 - 1e-18 rounds to 1, so the table ends in exactly 1
+                return cdf[: lo + done[0] + 1].copy()
         return cdf
 
     def sample(self, rng, size=None):
@@ -412,33 +423,41 @@ class PersistenceLaw:
         fam = self.family
         if fam.kind == "constant":
             return rng.geometric(fam.params["p"], size=size)
-        scalar = size is None
-        m = 1 if scalar else int(size)
-        cdf = self.cdf_table(4096)
-        u = rng.random(m)
-        out = np.searchsorted(cdf, u, side="left").astype(np.int64)
-        L = len(cdf) - 1
-        over = out > L
-        if np.any(over):
-            out[over] = self._invert_tail(1.0 - u[over])
-        return int(out[0]) if scalar else out
+        out = self.invert(rng.random(1 if size is None else int(size)))
+        return int(out[0]) if size is None else out
 
-    def _invert_tail(self, s):
-        # smallest n with T(n) <= s, vectorized bisection on the closed form
-        lo = np.full(len(s), 1, dtype=np.int64)
-        hi = np.full(len(s), 2, dtype=np.int64)
-        while True:
-            need = self.tail(hi.astype(float)) > s
-            if not np.any(need):
-                break
-            lo[need] = hi[need]
-            hi[need] *= 2
-        while np.any(hi - lo > 1):
-            mid = (lo + hi) // 2
-            gt = self.tail(mid.astype(float)) > s
-            lo[gt] = mid[gt]
-            hi[~gt] = mid[~gt]
-        return hi
+    def invert(self, u, cap=None):
+        """min(cap, smallest n >= 0 with 1 - T(n) >= u), elementwise: a
+        lookup in the law's cached cdf table, grown to cover cap (up to
+        _TABLE_MAX entries), then one bisection on the same predicate up
+        to cap, or up to 2^53 when there is no cap."""
+        top = 1 << 53 if cap is None else int(cap)
+        size = _TABLE_MIN if cap is None else min(top, _TABLE_MAX)
+        with self._grow:
+            # grow-only; a table ending in 1 already covers every u < 1
+            if len(self._cdf) < size and self._cdf[-1] < 1.0:
+                self._cdf = self.cdf_table(size - 1)
+            cdf = self._cdf
+        u = np.asarray(u, dtype=float)
+        out = np.searchsorted(cdf, u, side="left")
+        if len(cdf) >= top or cdf[-1] == 1.0:
+            # nothing gets past a table ending in 1; clip a longer one
+            return np.minimum(out, top) if len(cdf) > top else out
+        past = out == len(cdf)
+        if past.any():
+            s = u[past]
+            lo = np.full(len(s), len(cdf) - 1, dtype=np.int64)
+            hi = np.full(len(s), top, dtype=np.int64)
+            while np.any(hi - lo > 1):
+                # powers of two, then halves: the computed power tail has flat
+                # steps past ~1e7, where draws must not follow the table size
+                mid = np.minimum(np.int64(1) << np.frexp(lo)[1],
+                                 (lo + hi) // 2)
+                ok = 1.0 - self.tail(mid.astype(float)) >= s
+                hi = np.where(ok, mid, hi)
+                lo = np.where(ok, lo, mid)
+            out[past] = hi
+        return out
 
 
 # ---------------------------------------------------------------------------

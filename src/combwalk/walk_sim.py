@@ -1,11 +1,10 @@
 """Exact simulation of comb walks.
 
 The walk starts just after an up-to-down turn, so runs alternate
-d, u, d, u, ...  Run lengths are drawn from the persistence laws, which
-is equivalent to stepping the age-dependent switch probabilities one
-step at a time but vastly faster.
-
-Two simulators:
+d, u, d, u, ...  Run lengths are drawn from the persistence laws'
+inverter, which is equivalent to stepping the age-dependent switch
+probabilities one step at a time but vastly faster.  Two simulators,
+both in memory bounded whatever the horizon:
 
   simulate_prw      one trajectory, run-resolved; per-step arrays on demand
   walk_marginals    many replicas, recording S only at target times;
@@ -17,20 +16,23 @@ import concurrent.futures
 
 import numpy as np
 
-_TABLE_CAP = 50_000_000
 _LANES = 4096
+_BLOCK = 64                 # down-runs and up-runs drawn per block
 
 
 class Trajectory:
-    """A single walk realisation held as alternating runs."""
+    """A single walk realisation held as its run lengths (d, u, d, ...)."""
 
-    def __init__(self, directions, lengths, horizon):
-        self.directions = np.asarray(directions)     # 'd'/'u' per run
+    def __init__(self, lengths, horizon):
         self.lengths = np.asarray(lengths, dtype=np.int64)
         self.horizon = int(horizon)
-        self._ends = np.cumsum(self.lengths)         # step index ending each run
-        signs = np.where(self.directions == "u", 1, -1)
-        self._disp = np.concatenate([[0], np.cumsum(signs * self.lengths)])
+        self._signs = np.resize([-1, 1], len(self.lengths))   # d -1, u +1
+        self.directions = np.where(self._signs > 0, "u", "d")
+        self._ends = np.cumsum(self.lengths)        # step ending each run
+        self._reps = self.lengths.copy()            # last run cut at horizon
+        self._reps[-1] -= self._ends[-1] - self.horizon
+        self._disp = np.concatenate(
+            [[0], np.cumsum(self._signs * self.lengths)])
 
     @property
     def n_runs(self):
@@ -43,14 +45,11 @@ class Trajectory:
             raise ValueError("step outside simulated horizon")
         r = np.searchsorted(self._ends, n, side="left")
         start = self._ends[r] - self.lengths[r]
-        sgn = np.where(self.directions[r] == "u", 1, -1)
-        return self._disp[r] + sgn * (n - start)
+        return self._disp[r] + self._signs[r] * (n - start)
 
     def steps(self):
         """X_1..X_horizon."""
-        reps = self.lengths.copy()
-        reps[-1] -= self._ends[-1] - self.horizon
-        return np.repeat(np.where(self.directions == "u", 1, -1), reps)
+        return np.repeat(self._signs, self._reps)
 
     def positions(self):
         """S_0..S_horizon."""
@@ -58,13 +57,12 @@ class Trajectory:
 
     def ages(self):
         """Age of the active run after each of steps 1..horizon."""
-        reps = self.lengths.copy()
-        reps[-1] -= self._ends[-1] - self.horizon
-        return np.concatenate([np.arange(1, r + 1) for r in reps])
+        starts = self._ends - self.lengths
+        return np.arange(1, self.horizon + 1) - np.repeat(starts, self._reps)
 
     def skeleton(self):
         """(T, M): times and positions at the ends of completed up-runs."""
-        up = np.nonzero(self.directions == "u")[0]
+        up = np.arange(1, self.n_runs, 2)
         up = up[self._ends[up] <= self.horizon]
         return self._ends[up], self._disp[up + 1]
 
@@ -77,6 +75,7 @@ class Trajectory:
 def simulate_prw(comb, horizon, seed=None, rng=None):
     """One trajectory out to `horizon` steps, held as its exact run record.
 
+    Runs are drawn 64 down-runs then 64 up-runs at a time.
     Trajectory.steps()/positions()/ages() expand it into per-step arrays
     of length `horizon` when asked.
     """
@@ -84,25 +83,16 @@ def simulate_prw(comb, horizon, seed=None, rng=None):
         raise ValueError("horizon must be >= 1")
     if rng is None:
         rng = np.random.default_rng(seed)
-    dirs = []
-    lens = []
+    blocks = []
     total = 0
-    block = 64
     while total < horizon:
-        d = comb.down_law.sample(rng, block)
-        u = comb.up_law.sample(rng, block)
-        for k in range(block):
-            dirs.append("d")
-            lens.append(d[k])
-            total += d[k]
-            if total >= horizon:
-                break
-            dirs.append("u")
-            lens.append(u[k])
-            total += u[k]
-            if total >= horizon:
-                break
-    return Trajectory(np.array(dirs), np.array(lens), horizon)
+        runs = np.empty(2 * _BLOCK, dtype=np.int64)
+        runs[0::2] = comb.down_law.sample(rng, _BLOCK)
+        runs[1::2] = comb.up_law.sample(rng, _BLOCK)
+        ends = total + np.cumsum(runs)
+        blocks.append(runs[:np.searchsorted(ends, horizon) + 1])
+        total = ends[-1]
+    return Trajectory(np.concatenate(blocks), horizon)
 
 
 def rescaled_path(traj, u, space, drift):
@@ -142,14 +132,15 @@ def _replicate(n_rep, chunk, seed, threads, work):
         return np.concatenate(list(ex.map(run, range(n_chunks))))
 
 
-def _chunk_marginals(cdf_d, cdf_u, targets, rng, batch):
+def _chunk_marginals(comb, targets, rng, batch):
     tmax = targets[-1]
+    cap = int(tmax) + 2         # any run this long passes every target
     pos = np.zeros(batch)
     tnow = np.zeros(batch)
     rec = np.full((batch, len(targets)), np.nan)
     while np.any(tnow <= tmax):
-        td = np.searchsorted(cdf_d, rng.random(batch), side="left").astype(float)
-        tu = np.searchsorted(cdf_u, rng.random(batch), side="left").astype(float)
+        td = comb.down_law.invert(rng.random(batch), cap).astype(float)
+        tu = comb.up_law.invert(rng.random(batch), cap).astype(float)
         tot = td + tu
         for j, tj in enumerate(targets):
             o = tj - tnow
@@ -173,16 +164,10 @@ def walk_marginals(comb, targets, n_rep, seed, threads=1):
     targets = np.asarray(sorted(int(t) for t in targets), dtype=np.int64)
     if len(targets) == 0 or targets[0] < 1:
         raise ValueError("targets must be integers >= 1")
-    tmax = int(targets[-1])
-    if tmax + 2 > _TABLE_CAP:
-        raise ValueError("target horizon too large for table sampling; "
-                         "use simulate_prw run records instead")
-    cdf_d = comb.down_law.cdf_table(tmax + 1)
-    cdf_u = comb.up_law.cdf_table(tmax + 1)
 
     def work(rng, m):
         # all lanes are simulated even in a short last chunk, so the
         # random stream does not depend on n_rep
-        return _chunk_marginals(cdf_d, cdf_u, targets, rng, _LANES)
+        return _chunk_marginals(comb, targets, rng, _LANES)
 
     return _replicate(n_rep, _LANES, seed, threads, work)

@@ -1,13 +1,19 @@
+import concurrent.futures
+import sys
+import time
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from combwalk import (
     CombSpec,
     GraftSpec,
     HazardFamily,
     PersistenceLaw,
+    comb_model,
     constant_comb,
     envelope_transitions,
     power_comb,
@@ -235,7 +241,8 @@ def test_power_a2_second_moment_digamma_branch():
 def test_table_moments_match_series():
     for fam in (HazardFamily.table([0.9, 0.05, 0.4], ("constant", 0.3)),
                 # T(L) = 0: runs end in the prefix, the extension adds nothing
-                HazardFamily.table([0.5, 1.0, 0.25], ("constant", 0.0))):
+                HazardFamily.table([0.5, 1.0, 0.25], ("constant", 0.0)),
+                HazardFamily.table([0.5, 1.0], ("power", 0.5, 0.0))):
         law = PersistenceLaw(fam)
         T = brute_tail(fam, 3000)          # tail < 1e-400 long before the end
         assert law.mean() == pytest.approx(np.sum(T[:-1]), rel=1e-12)
@@ -266,6 +273,10 @@ def test_tail_constant_matches_asymptote():
     tab = PersistenceLaw(HazardFamily.table([0.5], tail_rule=("power", 0.5, 0.5)))
     assert tab.tail(n) * n ** 0.5 == pytest.approx(tab.tail_constant, rel=1e-6)
     assert PersistenceLaw(HazardFamily.constant(0.2)).tail_constant is None
+    # runs of length 1 or 2 only: no heavy tail, whatever the rule says
+    ends = HazardFamily.table([0.5, 1.0], ("power", 0.5, 0.0))
+    assert ends.tail_index is None
+    assert PersistenceLaw(ends).tail_constant is None
 
 
 def brute_moments(fam, n_max):
@@ -401,8 +412,101 @@ def test_heavy_tail_sampling_frequencies():
         p = law.tail(float(n))
         se = np.sqrt(p * (1 - p) / 200000)
         assert abs(np.mean(draws > n) - p) < 5 * se + 1e-9
-    # 5000 > the 4096-entry cdf table, so the closed-form inverter ran
+    # 5000 is past the 4096-entry cached cdf table, so the bisection ran
     assert draws.max() > 4096
+
+
+class _UniformNextToOne:
+    """A generator whose uniforms are all 1 - 2^-53, the largest below 1."""
+
+    def random(self, size):
+        return np.full(size, 1.0 - 2.0 ** -53)
+
+
+def test_uniform_next_to_one_gives_a_positive_draw():
+    # T(n) never falls to 2^-53 below n = 2^53 here; the bracket once
+    # doubled past int64 and the tail raised on a negative time
+    law = PersistenceLaw(HazardFamily.power(0.3))
+    draws = law.sample(_UniformNextToOne(), 3)
+    assert np.all((draws > 0) & (draws <= 2 ** 53))
+
+
+_INVERT_FAMILIES = st.one_of(
+    st.floats(1e-3, 1.0).map(HazardFamily.constant),
+    st.tuples(st.floats(0.05, 3.0), st.floats(0.0, 5.0))
+    .filter(lambda ac: ac[1] > ac[0] - 1.0)
+    .map(lambda ac: HazardFamily.power(*ac)),
+    st.tuples(_PREFIX,
+              st.sampled_from([("constant", 0.05), ("power", 0.4, 1.0)]))
+    .map(lambda vr: HazardFamily.table(*vr)))
+_SMALL_TABLE_MAX = 1 << 13
+# caps below the 4096-entry default table, up to the (patched) table
+# limit, and past it
+_CAPS = st.one_of(st.integers(1, 4096), st.integers(4096, _SMALL_TABLE_MAX),
+                  st.integers(_SMALL_TABLE_MAX, 30_000))
+
+
+def _full_table_inverse(law, u, cap):
+    return np.minimum(cap, np.searchsorted(law.cdf_table(cap - 1), u))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_INVERT_FAMILIES, _CAPS, _CAPS,
+       st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=20),
+       st.lists(st.integers(0, 30_000), max_size=10))
+def test_invert_matches_a_full_table(fam, cap, first_cap, us, at):
+    law = PersistenceLaw(fam)
+    # table entries themselves and their neighbours test the boundary
+    cdf = law.cdf_table(30_000)
+    edges = cdf[[i for i in at if i < len(cdf)]]
+    u = np.concatenate([us, edges, np.nextafter(edges, 0.0),
+                        np.nextafter(edges, 1.0)])
+    u = u[u < 1.0]
+    with mock.patch.object(comb_model, "_TABLE_MAX", _SMALL_TABLE_MAX):
+        # the table a first cap grew must not change later answers
+        assert_array_equal(law.invert(u, first_cap),
+                           _full_table_inverse(law, u, first_cap))
+        assert_array_equal(law.invert(u, cap),
+                           _full_table_inverse(law, u, cap))
+        assert_array_equal(np.minimum(law.invert(u), 30_000),
+                           _full_table_inverse(law, u, 30_000))
+
+
+def test_draws_do_not_depend_on_the_cached_table():
+    # past ~1e7 the computed power tail has flat steps, so a bisection
+    # whose brackets followed the table size would move these draws
+    law = PersistenceLaw(HazardFamily.power(0.5))
+    u = 1.0 - 1e-4 * np.random.default_rng(1).random(2000)
+    before = law.invert(u)
+    law.invert(u, 30_000)
+    assert_array_equal(law.invert(u), before)
+
+
+def test_cdf_table_growth_is_thread_safe():
+    law = PersistenceLaw(HazardFamily.power(0.6))
+    build = law.cdf_table
+
+    def slow_small_build(max_len):
+        # small tables finish last, so an unguarded check-then-build
+        # would replace a larger table with a smaller one
+        if max_len < 10_000:
+            time.sleep(0.02)
+        return build(max_len)
+
+    law.cdf_table = slow_small_build
+    u = np.random.default_rng(0).random(2000)
+    caps = [10, 5000, 300, 20_000, 4096, 12_000, 7, 15_000] * 2
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with concurrent.futures.ThreadPoolExecutor(max_workers=8) as ex:
+            got = list(ex.map(lambda c: law.invert(u, c), caps, timeout=60))
+    finally:
+        sys.setswitchinterval(old)
+    for cap, out in zip(caps, got):
+        assert_array_equal(out, _full_table_inverse(law, u, cap))
+    # grow-only: the table holds the largest cap asked for
+    assert len(law._cdf) == 20_000
 
 
 def test_sampling_scalar_and_wrapper():

@@ -125,6 +125,10 @@ def test_classify_gaussian_light_tails():
     assert rep.balance is None
     assert rep.beta == 0.0
     assert rep.mean_cycle == pytest.approx(10.0 / 3.0 + 2.0)
+    # up-runs of length 1 or 2 only: light-tailed whatever the rule says
+    ends = HazardFamily.table([0.5, 1.0], ("power", 0.5, 0.0))
+    rep = classify_regime(CombSpec(ends, HazardFamily.constant(0.3)))
+    assert rep.regime == "gaussian"
 
 
 def test_classify_gaussian_heavy_but_square_integrable():

@@ -167,5 +167,10 @@ def test_marginals_validation():
         walk_marginals(comb, [], 100, seed=0)
     with pytest.raises(ValueError):
         walk_marginals(comb, [0, 5], 100, seed=0)
-    with pytest.raises(ValueError):
-        walk_marginals(comb, [10 ** 9], 100, seed=0)
+    # u = 10^9 needs no 10^9-entry table: draws past the cached table
+    # are bisected on the closed-form tail
+    t = 10 ** 9
+    S = walk_marginals(power_comb(0.2), [t], 100, seed=0)
+    assert S.shape == (100, 1)
+    assert np.all(np.abs(S) <= t)
+    assert np.all((S - t) % 2 == 0)
