@@ -26,6 +26,7 @@ TAIL_FLOOR = 1e-18
 _TABLE_MIN = 4096           # cached cdf entries while no cap is asked for
 _TABLE_MAX = 1 << 22        # cached cdf entries at most (32 MB per law)
 _BUILD_BLOCK = 1 << 16      # cdf entries computed at a time
+_GUIDE = 1 << 14            # guide cells over [0, 1), a power of two
 
 
 # ---------------------------------------------------------------------------
@@ -311,6 +312,7 @@ class PersistenceLaw:
         self._base = (_Geometric(rule[1], L) if rule[0] == "constant"
                       else _Power(rule[1], rule[2], L))
         self._cdf = np.zeros(1)            # cdf_table(0), grown by invert
+        self._guide = None                 # guide of _cdf, built by invert
         self._grow = threading.Lock()
 
     # -- tails and moments --------------------------------------------------
@@ -406,12 +408,20 @@ class PersistenceLaw:
 
     def cdf_table(self, max_len):
         """cdf[n] = P(tau <= n) for n = 0..max_len (clipped sampling support),
-        built a block at a time and cut where the tail has underflowed."""
+        built a block at a time and cut where the tail has underflowed.
+
+        The computed power tail wobbles by an ulp where T changes by less
+        than its rounding (a <= 0.05 past ~1.5e6); the table takes the
+        running maximum, so it is sorted and a search in it does not
+        depend on the other keys searched with it."""
         cdf = np.empty(max_len + 1)
         for lo in range(0, max_len + 1, _BUILD_BLOCK):
             block = cdf[lo:lo + _BUILD_BLOCK]
             n = np.arange(lo, lo + len(block), dtype=float)
             block[:] = 1.0 - self.tail(n)
+            if lo:
+                block[0] = max(block[0], cdf[lo - 1])
+            np.maximum.accumulate(block, out=block)
             done = np.nonzero(block >= 1.0 - TAIL_FLOOR)[0]
             if len(done) > 0:
                 # 1 - 1e-18 rounds to 1, so the table ends in exactly 1
@@ -430,34 +440,75 @@ class PersistenceLaw:
         """min(cap, smallest n >= 0 with 1 - T(n) >= u), elementwise: a
         lookup in the law's cached cdf table, grown to cover cap (up to
         _TABLE_MAX entries), then one bisection on the same predicate up
-        to cap, or up to 2^53 when there is no cap."""
+        to cap, or up to 2^53 when there is no cap.
+
+        The table lookup goes through a guide of _GUIDE cells (Chen and
+        Asau 1974): every u in cell k = floor(u _GUIDE) has one answer
+        unless a table entry falls inside the cell, and only u in such
+        cells are searched in the table (all of them when some u is
+        outside [0, 1) or NaN).  With a cap, a draw the predicate fails
+        at cap - 1 is cap without a bisection.
+        """
         top = 1 << 53 if cap is None else int(cap)
         size = _TABLE_MIN if cap is None else min(top, _TABLE_MAX)
         with self._grow:
             # grow-only; a table ending in 1 already covers every u < 1
             if len(self._cdf) < size and self._cdf[-1] < 1.0:
                 self._cdf = self.cdf_table(size - 1)
-            cdf = self._cdf
+                self._guide = None
+            if self._guide is None:
+                self._guide = _guide_table(self._cdf)
+            cdf, guide = self._cdf, self._guide
         u = np.asarray(u, dtype=float)
-        out = np.searchsorted(cdf, u, side="left")
+        if u.ndim == 0:
+            return self.invert(u[None], cap)[0]
+        if u.size and 0.0 <= u.min() and u.max() < 1.0:
+            # u _GUIDE is exact and below _GUIDE, so the cast floors it
+            k = np.multiply(u, _GUIDE, out=np.empty(u.shape, np.int32),
+                            casting="unsafe")
+            out = guide.take(k).astype(np.int64)
+            open_cell = out < 0
+            if open_cell.any():
+                out[open_cell] = np.searchsorted(cdf, u[open_cell])
+        else:
+            out = np.searchsorted(cdf, u, side="left")
         if len(cdf) >= top or cdf[-1] == 1.0:
             # nothing gets past a table ending in 1; clip a longer one
             return np.minimum(out, top) if len(cdf) > top else out
         past = out == len(cdf)
         if past.any():
             s = u[past]
-            lo = np.full(len(s), len(cdf) - 1, dtype=np.int64)
-            hi = np.full(len(s), top, dtype=np.int64)
-            while np.any(hi - lo > 1):
-                # powers of two, then halves: the computed power tail has flat
-                # steps past ~1e7, where draws must not follow the table size
-                mid = np.minimum(np.int64(1) << np.frexp(lo)[1],
-                                 (lo + hi) // 2)
-                ok = 1.0 - self.tail(mid.astype(float)) >= s
-                hi = np.where(ok, mid, hi)
-                lo = np.where(ok, lo, mid)
-            out[past] = hi
+            ends = np.full(len(s), top, dtype=np.int64)
+            # T is nonincreasing (up to rounding wobbles), so a draw that
+            # fails the predicate at cap - 1 fails it below and ends at cap
+            go = (1.0 - self.tail(top - 1.0) >= s if cap is not None
+                  else slice(None))
+            ends[go] = self._bisect(s[go], len(cdf) - 1, top)
+            out[past] = ends
         return out
+
+    def _bisect(self, s, start, top):
+        """Smallest n in (start, top] with 1 - T(n) >= s, else top, where
+        1 - T(start) < s."""
+        lo = np.full(len(s), start, dtype=np.int64)
+        hi = np.full(len(s), top, dtype=np.int64)
+        while np.any(hi - lo > 1):
+            # powers of two, then halves: the computed power tail has flat
+            # steps past ~1e7, where draws must not follow the table size
+            mid = np.minimum(np.int64(1) << np.frexp(lo)[1], (lo + hi) // 2)
+            ok = 1.0 - self.tail(mid.astype(float)) >= s
+            hi = np.where(ok, mid, hi)
+            lo = np.where(ok, lo, mid)
+        return hi
+
+
+def _guide_table(cdf):
+    """guide[k] = searchsorted(cdf, u) for every u in [k, k + 1) / _GUIDE,
+    or -1 where a cdf entry falls inside that cell."""
+    edges = np.searchsorted(cdf, np.arange(_GUIDE + 1) / _GUIDE)
+    guide = edges[:-1].astype(np.int32)
+    guide[edges[:-1] != edges[1:]] = -1
+    return guide
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,16 @@ both in memory bounded whatever the horizon:
 
   simulate_prw      one trajectory, run-resolved; per-step arrays on demand
   walk_marginals    many replicas, recording S only at target times;
-                    cycle-vectorized and deterministically chunked so
-                    results are identical for any thread count
+                    deterministically chunked so results are identical
+                    for any thread count
+
+walk_marginals runs 4096 lanes per chunk and draws their run lengths 8
+cycles at a time, each block one inverter call per direction through
+the laws' guide tables.  Each target is located by counting the cycle
+ends below it.  Lanes past the last target still draw their uniforms,
+so the random stream is that of one cycle at a time, but are dropped
+from inversion and arithmetic.  Times and positions are integers below
+2^53, so the output does not depend on the block size.
 """
 
 import concurrent.futures
@@ -17,6 +25,7 @@ import concurrent.futures
 import numpy as np
 
 _LANES = 4096
+_CYCLES = 8                 # run cycles per block of walk_marginals
 _BLOCK = 64                 # down-runs and up-runs drawn per block
 
 
@@ -132,25 +141,52 @@ def _replicate(n_rep, chunk, seed, threads, work):
         return np.concatenate(list(ex.map(run, range(n_chunks))))
 
 
+def _running(start, steps):
+    """Rows start, start + steps[0], start + steps[0] + steps[1], ..."""
+    out = np.empty((len(steps) + 1, len(start)), dtype=np.int64)
+    out[0] = start
+    for c, step in enumerate(steps):
+        # row by row: cumsum along axis 0 strides across rows, ~5x slower
+        np.add(out[c], step, out=out[c + 1])
+    return out
+
+
 def _chunk_marginals(comb, targets, rng, batch):
     tmax = targets[-1]
     cap = int(tmax) + 2         # any run this long passes every target
-    pos = np.zeros(batch)
-    tnow = np.zeros(batch)
     rec = np.full((batch, len(targets)), np.nan)
-    while np.any(tnow <= tmax):
-        td = comb.down_law.invert(rng.random(batch), cap).astype(float)
-        tu = comb.up_law.invert(rng.random(batch), cap).astype(float)
-        tot = td + tu
-        for j, tj in enumerate(targets):
-            o = tj - tnow
-            hit = (o >= 1) & (o <= tot)
-            if hit.any():
-                oo = o[hit]
-                rec[hit, j] = (pos[hit] - np.minimum(oo, td[hit])
-                               + np.maximum(0.0, oo - td[hit]))
-        pos += tu - td
-        tnow += tot
+    lane = np.arange(batch)     # lanes not yet past tmax, with their
+    tnow = np.zeros(batch, dtype=np.int64)   # time and position at the
+    pos = np.zeros(batch, dtype=np.int64)    # start of the block
+    while len(lane):
+        # _CYCLES (down, up) rows are the bytes of _CYCLES per-cycle
+        # draws; finished lanes draw theirs too, but skip the rest
+        u = rng.random((_CYCLES, 2, batch))
+        live = slice(None) if len(lane) == batch else lane
+        td = comb.down_law.invert(u[:, 0, live], cap)
+        tu = comb.up_law.invert(u[:, 1, live], cap)
+        del u
+        # cycle c runs from ends[c] to ends[c + 1] and starts at position
+        # walk[c]; S is an integer below 2^53, so it is exact as a float
+        ends = _running(tnow, td + tu)
+        tu -= td
+        walk = _running(pos, tu)
+        # targets that some lane reaches in this block
+        first, last = np.searchsorted(targets, [tnow.min(), ends[-1].max()],
+                                      side="right")
+        for j in range(first, last):
+            tj = targets[j]
+            hit = np.flatnonzero((tnow < tj) & (ends[-1] >= tj))
+            # the cycle that reaches tj follows every cycle ending before it
+            c = np.count_nonzero(ends[1:, hit] < tj, axis=0)
+            o = tj - ends[c, hit]
+            d = td[c, hit]
+            rec[lane[hit], j] = (walk[c, hit] - np.minimum(o, d)
+                                 + np.maximum(0, o - d))
+        tnow, pos = ends[-1], walk[-1]
+        keep = np.flatnonzero(tnow <= tmax)
+        if len(keep) < len(lane):
+            lane, tnow, pos = lane[keep], tnow[keep], pos[keep]
     return rec
 
 

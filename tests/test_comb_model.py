@@ -453,15 +453,21 @@ def _full_table_inverse(law, u, cap):
 @settings(max_examples=200, deadline=None)
 @given(_INVERT_FAMILIES, _CAPS, _CAPS,
        st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=20),
-       st.lists(st.integers(0, 30_000), max_size=10))
-def test_invert_matches_a_full_table(fam, cap, first_cap, us, at):
+       st.lists(st.integers(0, 30_000), max_size=10),
+       st.lists(st.integers(0, comb_model._GUIDE - 1), max_size=10))
+def test_invert_matches_a_full_table(fam, cap, first_cap, us, at, cells):
     law = PersistenceLaw(fam)
-    # table entries themselves and their neighbours test the boundary
+    # table entries (those just below each cap too), the edges of guide
+    # cells and the neighbours of both test the boundaries; 0 and
+    # 1 - 2^-53 are the extreme uniforms
     cdf = law.cdf_table(30_000)
-    edges = cdf[[i for i in at if i < len(cdf)]]
-    u = np.concatenate([us, edges, np.nextafter(edges, 0.0),
-                        np.nextafter(edges, 1.0)])
-    u = u[u < 1.0]
+    at = at + [c - d for c in (cap, first_cap) for d in (1, 2) if c >= d]
+    edges = np.concatenate([cdf[[i for i in at if i < len(cdf)]],
+                            np.array(cells) / comb_model._GUIDE])
+    u = np.concatenate([us, [0.0, 1.0 - 2.0 ** -53], edges,
+                        np.nextafter(edges, 0.0), np.nextafter(edges, 1.0)])
+    # only uniforms in [0, 1) take the guide
+    u = u[(u >= 0.0) & (u < 1.0)]
     with mock.patch.object(comb_model, "_TABLE_MAX", _SMALL_TABLE_MAX):
         # the table a first cap grew must not change later answers
         assert_array_equal(law.invert(u, first_cap),
@@ -470,6 +476,44 @@ def test_invert_matches_a_full_table(fam, cap, first_cap, us, at):
                            _full_table_inverse(law, u, cap))
         assert_array_equal(np.minimum(law.invert(u), 30_000),
                            _full_table_inverse(law, u, 30_000))
+
+
+@pytest.mark.parametrize("fam", [
+    HazardFamily.constant(0.3),
+    HazardFamily.power(0.5),
+    HazardFamily.power(1.5, 1.0),
+    HazardFamily.table([0.5, 1.0], ("power", 0.5, 0.0)),
+], ids=["constant", "power0.5", "power1.5", "hazard1"])
+def test_invert_outside_the_unit_interval(fam):
+    # a generator never returns these; they must not index the guide
+    # (u < 0 would wrap around it), but get the plain table search
+    odd = np.array([-0.5, -np.inf, -0.0, 1.0, 1.5, np.inf, np.nan])
+    u = np.concatenate([odd, np.random.default_rng(2).random(50)])
+    law = PersistenceLaw(fam)
+    for cap in (1, 50, 5000, 30_000):
+        assert_array_equal(law.invert(u, cap), _full_table_inverse(law, u, cap))
+    # no n satisfies 1 - T(n) >= u for u > 1 or NaN: the search stops at
+    # cap, at 2^53 with no cap, or at the end of a table ending in 1
+    none = len(law._cdf) if law._cdf[-1] == 1.0 else 2 ** 53
+    assert law.invert(odd[[0, 1, 2]]).tolist() == [0, 0, 0]
+    assert law.invert(odd[[4, 5, 6]]).tolist() == [none] * 3
+    assert law.invert(odd[4:], 50).tolist() == [min(50, none)] * 3
+
+
+def test_cdf_table_is_sorted_where_the_tail_wobbles():
+    # for a = 0.01 the computed tail changes by less than its rounding
+    # past ~1.5e6 and moves up and down by an ulp; an unsorted table made
+    # each draw there depend on the keys searched before it
+    law = PersistenceLaw(HazardFamily.power(0.01))
+    cap = 1_600_000
+    cdf = law.cdf_table(cap - 1)
+    assert np.all(cdf[1:] >= cdf[:-1])
+    raw = 1.0 - law.tail(np.arange(cap, dtype=float))
+    assert np.any(raw[1:] < raw[:-1])
+    assert_array_equal(cdf, np.maximum.accumulate(raw))
+    u = np.random.default_rng(4).uniform(raw[1_400_000], cdf[-1], 2000)
+    assert_array_equal(law.invert(u, cap),
+                       [law.invert(x, cap) for x in u])
 
 
 def test_draws_do_not_depend_on_the_cached_table():

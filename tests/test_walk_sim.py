@@ -11,6 +11,7 @@ from combwalk import (
     simulate_prw,
     walk_marginals,
 )
+from combwalk import walk_sim
 
 
 def test_runs_alternate_and_start_down():
@@ -159,6 +160,61 @@ def test_marginals_threads_and_batch_layout_are_invisible():
         assert np.array_equal(base, again)
     assert np.array_equal(
         base, walk_marginals(comb, [100, 10], 9000, seed=77, threads=3))
+
+
+def _cycle_by_cycle(comb, targets, rng, batch):
+    """The marginals kernel one run cycle at a time over every lane, with
+    a search of the full cdf table per draw: the reference for the
+    blocked kernel and the guide."""
+    tmax = targets[-1]
+    cap = int(tmax) + 2
+    down, up = (law.cdf_table(cap - 1) for law in (comb.down_law, comb.up_law))
+
+    def draw(cdf):
+        return np.minimum(cap, np.searchsorted(cdf, rng.random(batch)))
+
+    pos = np.zeros(batch)
+    tnow = np.zeros(batch)
+    rec = np.full((batch, len(targets)), np.nan)
+    while np.any(tnow <= tmax):
+        td = draw(down).astype(float)
+        tu = draw(up).astype(float)
+        tot = td + tu
+        for j, tj in enumerate(targets):
+            o = tj - tnow
+            hit = (o >= 1) & (o <= tot)
+            if hit.any():
+                oo = o[hit]
+                rec[hit, j] = (pos[hit] - np.minimum(oo, td[hit])
+                               + np.maximum(0.0, oo - td[hit]))
+        pos += tu - td
+        tnow += tot
+    return rec
+
+
+@pytest.mark.parametrize("comb", [
+    constant_comb(0.3, 0.5),
+    power_comb(0.5),
+    power_comb(1.5, c=1.0),
+    power_comb(1.0, c=0.01),
+    CombSpec(HazardFamily.table([0.2, 0.6, 0.1], ("power", 0.8, 2.0)),
+             HazardFamily.constant(0.4)),
+    CombSpec(HazardFamily.table([0.5, 1.0], ("power", 0.5, 0.0)),
+             HazardFamily.constant(0.3)),
+], ids=["constant", "power0.5", "power1.5", "cauchy", "table", "hazard1"])
+def test_blocked_marginals_match_the_cycle_by_cycle_kernel(comb):
+    # 1, adjacent and repeated targets; the kernel sorts them
+    targets = np.array([1, 2, 2, 3, 700, 1999, 2000, 2000])
+    lanes = walk_sim._LANES
+
+    for n_rep in (1, lanes - 1, lanes + 1):
+        want = walk_sim._replicate(
+            n_rep, lanes, 11, 1,
+            lambda rng, m: _cycle_by_cycle(comb, targets, rng, lanes))
+        for threads in (1, 2):
+            got = walk_marginals(comb, targets[::-1], n_rep, seed=11,
+                                 threads=threads)
+            assert got.tobytes() == want.tobytes()
 
 
 def test_marginals_validation():
