@@ -2,7 +2,7 @@
 
 With run-length tail index below 1 the walk has no mean run length; the
 rescaled process S_{ut}/u converges to a 1-Lipschitz, non-Markovian
-limit built from a labelled stable subordordinator.  This demo touches
+limit built from a labelled stable subordinator.  This demo touches
 the three descriptions the package keeps of that limit:
 
   1. the closed-form marginal density f_t(x),

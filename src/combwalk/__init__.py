@@ -17,22 +17,20 @@ from .comb_model import (CombSpec, GraftSpec, HazardFamily, PersistenceLaw,
 from .scaling_laws import (NormalizerSet, RegimeReport, classify_regime,
                            cycle_tail, cycle_truncated_second_moment,
                            effective_drift, equivalence_checks, mean_drift,
-                           skewness_beta, stable_scale, stable_sigma,
-                           stable_skewness, tail_balance, total_mean_cycle)
+                           stable_scale, stable_sigma, stable_skewness,
+                           tail_balance, total_mean_cycle)
 from .walk_sim import Trajectory, rescaled_path, simulate_prw, walk_marginals
 from .stable_proc import (brownian_path, default_jump_cut, levy_symbol,
                           sample_positive_stable, sample_stable,
-                          stable_cdf_interp, stable_path, subordinator_level,
-                          subordinator_path)
+                          stable_cdf_interp, stable_path, subordinator_path)
 from .lamperti_limit import (AnomalousPath, DensityEvaluator,
                              LabelledSubordinatorPath, cdf_f, density_f,
                              double_gf_limit, flt_f,
                              labelled_subordinator, lamperti_recursion,
-                             markov_kernel_check, ppf_f, renewal_state,
-                             sample_anomalous_ensemble, sample_marginal,
-                             sample_ratio)
+                             ppf_f, renewal_state, sample_anomalous_ensemble,
+                             sample_marginal, sample_ratio)
 from .stat_verify import (HillResult, VerificationScenario, drift_l1,
                           empirical_char_fn, format_report, hill_estimate,
-                          ks_distance, verify_regime)
+                          ks_distance, markov_kernel_check, verify_regime)
 
 __version__ = "0.1.0"

@@ -177,16 +177,15 @@ def cmd_sample_limit(args):
         t_max = args.t_max if args.t_max else 3.0
         path = lamperti_limit.labelled_subordinator(
             args.alpha, args.b, t_max, rng=rng)
-        ap = lamperti_limit.AnomalousPath(path)
         total = path.total()
         ts = np.linspace(0.0, total, n)
+        S_t, lab, age = lamperti_limit.AnomalousPath(path).evaluate(ts)[:3]
         fh.write(f"# combwalk sample-limit path alpha={_fmt(args.alpha)}"
                  f" b={_fmt(args.b)} t_max={_fmt(t_max)} seed={seed}"
                  f" T={_fmt(total)}\n")
         fh.write("t,S,label,age\n")
-        for t in ts:
-            S_t, lab, age = ap.evaluate(t)[:3]
-            fh.write(f"{_fmt(t)},{_fmt(S_t)},{_fmt(lab)},{_fmt(age)}\n")
+        for row in zip(ts, S_t, lab, age):
+            fh.write(",".join(map(_fmt, row)) + "\n")
     if samples is not None:
         fh.write(f"# combwalk sample-limit {tag} seed={seed}\nsample\n")
         for v in samples:

@@ -445,10 +445,15 @@ class PersistenceLaw:
         The table lookup goes through a guide of _GUIDE cells (Chen and
         Asau 1974): every u in cell k = floor(u _GUIDE) has one answer
         unless a table entry falls inside the cell, and only u in such
-        cells are searched in the table (all of them when some u is
-        outside [0, 1) or NaN).  With a cap, a draw the predicate fails
-        at cap - 1 is cap without a bisection.
+        cells are searched in the table.  With a cap, a draw the
+        predicate fails at cap - 1 is cap without a bisection.  Every u
+        must lie in [0, 1) (ValueError otherwise, NaN included).
         """
+        u = np.asarray(u, dtype=float)
+        if u.ndim == 0:
+            return self.invert(u[None], cap)[0]
+        if u.size and not (0.0 <= u.min() and u.max() < 1.0):
+            raise ValueError("uniforms must lie in [0, 1)")
         top = 1 << 53 if cap is None else int(cap)
         size = _TABLE_MIN if cap is None else min(top, _TABLE_MAX)
         with self._grow:
@@ -459,19 +464,13 @@ class PersistenceLaw:
             if self._guide is None:
                 self._guide = _guide_table(self._cdf)
             cdf, guide = self._cdf, self._guide
-        u = np.asarray(u, dtype=float)
-        if u.ndim == 0:
-            return self.invert(u[None], cap)[0]
-        if u.size and 0.0 <= u.min() and u.max() < 1.0:
-            # u _GUIDE is exact and below _GUIDE, so the cast floors it
-            k = np.multiply(u, _GUIDE, out=np.empty(u.shape, np.int32),
-                            casting="unsafe")
-            out = guide.take(k).astype(np.int64)
-            open_cell = out < 0
-            if open_cell.any():
-                out[open_cell] = np.searchsorted(cdf, u[open_cell])
-        else:
-            out = np.searchsorted(cdf, u, side="left")
+        # u _GUIDE is exact and below _GUIDE, so the cast floors it
+        k = np.multiply(u, _GUIDE, out=np.empty(u.shape, np.int32),
+                        casting="unsafe")
+        out = guide.take(k).astype(np.int64)
+        open_cell = out < 0
+        if open_cell.any():
+            out[open_cell] = np.searchsorted(cdf, u[open_cell])
         if len(cdf) >= top or cdf[-1] == 1.0:
             # nothing gets past a table ending in 1; clip a longer one
             return np.minimum(out, top) if len(cdf) > top else out

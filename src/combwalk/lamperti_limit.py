@@ -29,23 +29,13 @@ from .walk_sim import _replicate
 _PATHS_PER_CHUNK = 64
 
 
-def _ks_uniform(u):
-    u = np.sort(u)
-    n = len(u)
-    return max(np.max(np.arange(1, n + 1) / n - u),
-               np.max(u - np.arange(0, n) / n))
-
-
 # ---------------------------------------------------------------------------
 # labelled subordinator and the limit path
 
 
 class LabelledSubordinatorPath:
-    """Subordinator jumps with i.i.d. +-1 labels.
-
-    residual_slope is the slope given to drift (sub-epsilon) time when
-    the path is integrated; it defaults to the label mean b.
-    """
+    """Subordinator jumps with i.i.d. +-1 labels; drift (sub-epsilon)
+    time is integrated with slope b, the label mean."""
 
     def __init__(self, alpha, b, t_max, times, jumps, drift, labels):
         if len(labels) != len(jumps):
@@ -57,7 +47,6 @@ class LabelledSubordinatorPath:
         self.jumps = jumps
         self.drift = drift
         self.labels = labels
-        self.residual_slope = b
         cum = np.concatenate([[0.0], np.cumsum(jumps)])
         self.T_before = drift * times + cum[:-1]   # T(s_i-)
         self.T_after = self.T_before + jumps       # T(s_i)
@@ -96,21 +85,25 @@ def labelled_subordinator(alpha, b, t_max, epsilon=None, rng=None):
 
 
 def renewal_state(path, t):
-    """(G, H, N, A, excess) of the subordinator range at level t.
+    """(G, H, N, A, excess) of the subordinator range at level t, for a
+    scalar t or elementwise over an array.
 
     G/H are the last/first range points around t, N the number of jump
     intervals closed by t.  On the (epsilon-approximate) range
     G = H = t and the age/excess vanish.
     """
-    total = path.total()
-    if not 0.0 <= t <= total:
+    scalar = np.ndim(t) == 0
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    if not np.all((0.0 <= t) & (t <= path.total())):
         raise ValueError("level beyond the simulated path")
-    idx = int(np.searchsorted(path.T_after, t, side="right"))
-    if idx >= path.n_jumps or t <= path.T_before[idx]:
-        return t, t, idx, 0.0, 0.0
-    G = float(path.T_before[idx])
-    H = float(path.T_after[idx])
-    return G, H, idx, t - G, H - t
+    N = np.searchsorted(path.T_after, t, side="right")
+    G, H = t.copy(), t.copy()
+    inside = N < path.n_jumps
+    inside[inside] = path.T_before[N[inside]] < t[inside]
+    G[inside] = path.T_before[N[inside]]
+    H[inside] = path.T_after[N[inside]]
+    out = (G, H, N, t - G, H - t)
+    return tuple(v.item() for v in out) if scalar else out
 
 
 class AnomalousPath:
@@ -121,35 +114,27 @@ class AnomalousPath:
         self.path = path
 
     def S(self, t):
-        """Integral of the label process up to t (vectorized)."""
-        p = self.path
-        t = np.asarray(t, dtype=float)
-        if np.any(t < 0) or np.any(t > p.total()):
-            raise ValueError("level beyond the simulated path")
-        idx = np.searchsorted(p.T_after, t, side="right")
-        full_lj = p._cum_lj[idx]
-        full_j = p._cum_j[idx]
-        inside = (idx < p.n_jumps)
-        tb = np.where(inside, p.T_before[np.minimum(idx, p.n_jumps - 1)], np.inf)
-        st = np.where(inside & (tb < t), t - tb, 0.0)
-        lab = np.where(inside, p.labels[np.minimum(idx, p.n_jumps - 1)], 0.0)
-        return (full_lj + lab * st
-                + p.residual_slope * (t - full_j - st))
+        """Integral of the label process up to t."""
+        return self.evaluate(t)[0]
 
     def evaluate(self, t):
-        """Full decoration at scalar t:
-        (S, label_value, age, excess, lag, lead, G, H, N)."""
+        """Full decoration at a scalar t or elementwise over an array:
+        (S, label_value, age, excess, lag, lead, G, H, N).
+
+        The label value is b on the range; lag/lead are S at G/H."""
         p = self.path
+        scalar = np.ndim(t) == 0
+        t = np.atleast_1d(np.asarray(t, dtype=float))
         G, H, N, age, exc = renewal_state(p, t)
-        S_t = float(self.S(t))
-        if age == 0.0 and exc == 0.0:
-            x_val = p.residual_slope
-            lag = lead = S_t
-        else:
-            x_val = float(p.labels[N])
-            lag = float(self.S(G))
-            lead = lag + float(p.labels[N] * p.jumps[N])
-        return S_t, x_val, age, exc, lag, lead, G, H, N
+        inside = age > 0.0
+        x_val = np.full(t.shape, float(p.b))
+        x_val[inside] = p.labels[N[inside]]
+        S_t = p._cum_lj[N] + x_val * age + p.b * (t - p._cum_j[N] - age)
+        lag = p._cum_lj[N] + p.b * (G - p._cum_j[N])
+        lead = lag.copy()
+        lead[inside] += x_val[inside] * p.jumps[N[inside]]
+        out = (S_t, x_val, age, exc, lag, lead, G, H, N)
+        return tuple(v.item() for v in out) if scalar else out
 
 
 def default_t_max(alpha, level=1.0):
@@ -462,47 +447,3 @@ def double_gf_limit(comb, x, lam):
     f_u = 1.0 - (1.0 - x * y) * t_u
     value = (1.0 - x) * (t_d + y * f_d * t_u) / (1.0 - f_d * f_u)
     return value, target
-
-
-# ---------------------------------------------------------------------------
-# kernel diagnostics
-
-
-def markov_kernel_check(paths, t, a_bin, alpha=None):
-    """Conditional law of the excess given the age at level t against
-    the closed-form kernel CDF 1 - (a/(a+h))^alpha.
-
-    `paths` is either an iterable of LabelledSubordinatorPath or a
-    pre-collected (age, excess) array pair.  Applying each sample's own
-    age to the kernel CDF gives an exact uniform pivot; the KS of that
-    pivot is reported, alongside the cruder bin-midpoint comparison.
-    """
-    lo, hi = float(a_bin[0]), float(a_bin[1])
-    if isinstance(paths, tuple) and len(paths) == 2:
-        A, H = np.asarray(paths[0]), np.asarray(paths[1])
-        if alpha is None:
-            raise ValueError("alpha required with raw (age, excess) arrays")
-    else:
-        ages, excs = [], []
-        for p in paths:
-            if not isinstance(p, LabelledSubordinatorPath):
-                raise ValueError("paths must hold LabelledSubordinatorPath "
-                                 "objects or be an (age, excess) pair")
-            if alpha is None:
-                alpha = p.alpha
-            _, _, _, a, h = renewal_state(p, t)
-            ages.append(a)
-            excs.append(h)
-        A, H = np.array(ages), np.array(excs)
-    sel = (A >= lo) & (A <= hi) & (A > 0.0)
-    n = int(sel.sum())
-    if n < 200:
-        raise ValueError(f"age bin holds {n} samples (< 200); "
-                         "widen the bin or add replicas")
-    a, h = A[sel], H[sel]
-    pit = 1.0 - (a / (a + h)) ** alpha
-    ks = _ks_uniform(pit)
-    amid = 0.5 * (lo + hi)
-    um = 1.0 - (amid / (amid + h)) ** alpha
-    ks_mid = _ks_uniform(um)
-    return {"n": n, "ks": float(ks), "ks_midpoint": float(ks_mid)}

@@ -96,13 +96,6 @@ def stable_skewness(alpha, m, b):
     return (wp - wn) / (wp + wn)
 
 
-def skewness_beta(comb):
-    rep = classify_regime(comb)
-    if rep.regime == "gaussian":
-        return 0.0
-    return stable_skewness(rep.alpha, rep.drift, rep.balance)
-
-
 class RegimeReport:
     def __init__(self, regime, alpha, drift, balance, beta, mean_cycle, notes):
         self.regime = regime

@@ -103,12 +103,6 @@ def subordinator_path(alpha, t_max, rng, eps=None):
     return s, J, drift
 
 
-def subordinator_level(alpha, t_max, rng, eps=None):
-    """T(t_max) for one path (drift included)."""
-    s, J, drift = subordinator_path(alpha, t_max, rng, eps=eps)
-    return float(J.sum() + drift * t_max)
-
-
 def brownian_path(times, rng):
     """Standard Brownian motion on the given increasing times."""
     times = np.asarray(times, dtype=float)

@@ -100,6 +100,34 @@ def drift_l1(comb, n, replicas, seed, threads=1):
     return float(np.mean(np.abs(S[:, 0] / n - m)))
 
 
+def markov_kernel_check(pair, t, a_bin, alpha):
+    """Conditional law of the excess given the age at level t against
+    the closed-form kernel CDF 1 - (a/(a+h))^alpha.
+
+    `pair` holds the (age, excess) arrays at level t, as returned by
+    lamperti_limit.renewal_state or sample_anomalous_ensemble; every
+    age must lie in [0, t].  Applying each sample's own age to the
+    kernel CDF gives an exact uniform pivot; the KS of that pivot is
+    reported, alongside the cruder bin-midpoint comparison.
+    """
+    if len(pair) != 2:
+        raise ValueError("expected an (age, excess) pair")
+    A, H = np.asarray(pair[0]), np.asarray(pair[1])
+    if not np.all((0.0 <= A) & (A <= t)):
+        raise ValueError(f"ages at level {t:g} must lie in [0, {t:g}]")
+    lo, hi = float(a_bin[0]), float(a_bin[1])
+    sel = (A >= lo) & (A <= hi) & (A > 0.0)
+    n = int(sel.sum())
+    if n < 200:
+        raise ValueError(f"age bin holds {n} samples (< 200); "
+                         "widen the bin or add replicas")
+    a, h = A[sel], H[sel]
+    ks = ks_distance(1.0 - (a / (a + h)) ** alpha, lambda u: u)
+    amid = 0.5 * (lo + hi)
+    ks_mid = ks_distance(1.0 - (amid / (amid + h)) ** alpha, lambda u: u)
+    return {"n": n, "ks": ks, "ks_midpoint": ks_mid}
+
+
 # ---------------------------------------------------------------------------
 # verification scenarios
 

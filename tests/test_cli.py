@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from combwalk import cli, constant_comb, power_comb
+from combwalk import cli, constant_comb, lamperti_limit, power_comb
 
 
 @pytest.fixture(autouse=True)
@@ -226,6 +226,23 @@ def test_sample_limit_path(capsys):
     assert t[0] == 0.0 and np.all(np.diff(t) > 0)
     assert np.all(np.abs(S) <= t + 1e-12)
     assert set(np.unique(lab)) <= {-1.0, 0.0, 1.0}
+
+
+def test_sample_limit_path_rows_match_scalar_evaluation(capsys):
+    # the command evaluates its grid in one call; a point-by-point
+    # rendering of the same path must give the same text
+    _, rows = run_sample(capsys, ["--kind", "path", "--alpha", "0.4",
+                                  "--b", "0.3", "--n", "300", "--seed", "7"])
+    path = lamperti_limit.labelled_subordinator(
+        0.4, 0.3, 3.0, rng=np.random.default_rng(7))
+    ap = lamperti_limit.AnomalousPath(path)
+    expect = []
+    for t in np.linspace(0.0, path.total(), 300):
+        S_t, lab, age = ap.evaluate(float(t))[:3]
+        expect.append([cli._fmt(v) for v in (t, S_t, lab, age)])
+    assert rows == expect
+    # t = 0 is a range point: zero age, label value b
+    assert rows[0] == ["0", "0", cli._fmt(0.3), "0"]
 
 
 def test_sample_limit_validation(capsys):

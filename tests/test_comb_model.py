@@ -485,19 +485,23 @@ def test_invert_matches_a_full_table(fam, cap, first_cap, us, at, cells):
     HazardFamily.table([0.5, 1.0], ("power", 0.5, 0.0)),
 ], ids=["constant", "power0.5", "power1.5", "hazard1"])
 def test_invert_outside_the_unit_interval(fam):
-    # a generator never returns these; they must not index the guide
-    # (u < 0 would wrap around it), but get the plain table search
-    odd = np.array([-0.5, -np.inf, -0.0, 1.0, 1.5, np.inf, np.nan])
-    u = np.concatenate([odd, np.random.default_rng(2).random(50)])
+    # a generator never returns these; no n satisfies 1 - T(n) >= u for
+    # u >= 1 or NaN, and u < 0 would wrap around the guide
     law = PersistenceLaw(fam)
-    for cap in (1, 50, 5000, 30_000):
-        assert_array_equal(law.invert(u, cap), _full_table_inverse(law, u, cap))
-    # no n satisfies 1 - T(n) >= u for u > 1 or NaN: the search stops at
-    # cap, at 2^53 with no cap, or at the end of a table ending in 1
-    none = len(law._cdf) if law._cdf[-1] == 1.0 else 2 ** 53
-    assert law.invert(odd[[0, 1, 2]]).tolist() == [0, 0, 0]
-    assert law.invert(odd[[4, 5, 6]]).tolist() == [none] * 3
-    assert law.invert(odd[4:], 50).tolist() == [min(50, none)] * 3
+    ok = np.random.default_rng(2).random(50)
+    for bad in (-0.5, -np.inf, 1.0, 1.5, np.inf, np.nan):
+        u = np.append(ok, bad)
+        for cap in (None, 1, 50, 5000, 30_000):
+            with pytest.raises(ValueError, match=r"\[0, 1\)"):
+                law.invert(u, cap)
+            with pytest.raises(ValueError, match=r"\[0, 1\)"):
+                law.invert(bad, cap)
+    # -0.0 is a uniform in [0, 1); an empty u gives an empty answer
+    for cap in (None, 50):
+        u = np.append(ok, -0.0)
+        assert_array_equal(law.invert(u, cap), law.invert(np.abs(u), cap))
+        assert law.invert(-0.0, cap) == 0
+        assert law.invert(np.empty(0), cap).shape == (0,)
 
 
 def test_cdf_table_is_sorted_where_the_tail_wobbles():

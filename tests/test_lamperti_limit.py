@@ -350,10 +350,48 @@ def test_renewal_state_range_points_and_errors():
     G, H, N, a, e = renewal_state(p, 0.06)
     assert (G, H, N) == (pytest.approx(0.05), pytest.approx(2.05), 0)
     assert a == pytest.approx(0.01) and e == pytest.approx(1.99)
-    with pytest.raises(ValueError):
-        renewal_state(p, 2.2)
-    with pytest.raises(ValueError):
-        renewal_state(p, -0.1)
+    for bad in (2.2, -0.1, np.nan, [0.0, 2.2], [1.0, np.nan]):
+        with pytest.raises(ValueError):
+            renewal_state(p, bad)
+        with pytest.raises(ValueError):
+            AnomalousPath(p).evaluate(bad)
+    empty = AnomalousPath(p).evaluate(np.empty(0))
+    assert len(empty) == 9 and all(v.shape == (0,) for v in empty)
+
+
+@pytest.mark.parametrize("make", [
+    hand_path,
+    lambda: labelled_subordinator(0.5, 0.3, 3.0, rng=np.random.default_rng(5)),
+], ids=["hand", "simulated"])
+def test_array_forms_equal_stacked_scalar_calls(make):
+    p = make()
+    # an even grid, random levels, both ends and every T_before/T_after
+    tot = p.total()
+    ts = np.concatenate([np.linspace(0.0, tot, 400),
+                         np.random.default_rng(0).random(400) * tot,
+                         p.T_before, p.T_after, [tot]])
+    ts = ts[ts <= tot]
+    ap = AnomalousPath(p)
+    state = renewal_state(p, ts)
+    scalar = [renewal_state(p, float(t)) for t in ts]
+    assert all(isinstance(v, float) for row in scalar for v in row[:2] + row[3:])
+    assert all(type(row[2]) is int for row in scalar)
+    for k, col in enumerate(state):
+        assert col.shape == ts.shape
+        assert col.tobytes() == np.array([row[k] for row in scalar],
+                                         dtype=col.dtype).tobytes()
+    full = ap.evaluate(ts)
+    scalar = [ap.evaluate(float(t)) for t in ts]
+    for k, col in enumerate(full):
+        assert col.shape == ts.shape
+        assert col.tobytes() == np.array([row[k] for row in scalar],
+                                         dtype=col.dtype).tobytes()
+    assert ap.S(ts).tobytes() == full[0].tobytes()
+    # the grid holds range points and excursion points alike; G, H, N,
+    # age and excess are the renewal state's
+    assert np.any(full[2] == 0.0) and np.any(full[2] > 0.0)
+    for k, col in zip((6, 7, 8, 2, 3), state):
+        assert full[k].tobytes() == col.tobytes()
 
 
 def test_thinned_sums_split_the_path():
@@ -482,7 +520,7 @@ def test_kernel_check_on_exact_conditional_draws():
     alpha = 0.6
     A = 0.5 + rng.random(6000)
     H = A * (rng.random(6000) ** (-1.0 / alpha) - 1.0)
-    out = markov_kernel_check((A, H), 1.0, (0.5, 1.5), alpha=alpha)
+    out = markov_kernel_check((A, H), 1.5, (0.5, 1.5), alpha=alpha)
     assert out["n"] == 6000
     assert out["ks"] < 0.02
     assert out["ks_midpoint"] < 0.25  # midpoint approximation is crude
@@ -492,7 +530,10 @@ def test_kernel_check_from_path_objects():
     rng = np.random.default_rng(31)
     paths = [labelled_subordinator(0.5, 0.0, 3.0, rng=rng) for _ in range(900)]
     t = 1.0
-    out = markov_kernel_check(paths, t, (0.0, 2.0))
+    states = [renewal_state(p, t) for p in paths]
+    A = np.array([s[3] for s in states])
+    H = np.array([s[4] for s in states])
+    out = markov_kernel_check((A, H), t, (0.0, 2.0), alpha=0.5)
     assert out["n"] >= 800
     assert out["ks"] < 0.06
 
@@ -501,7 +542,12 @@ def test_kernel_check_needs_enough_samples():
     rng = np.random.default_rng(0)
     A = 0.5 + rng.random(100)
     H = A.copy()
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="holds 100 samples"):
+        markov_kernel_check((A, H), 1.5, (0.5, 1.5), alpha=0.5)
+    with pytest.raises(ValueError, match="pair"):
+        markov_kernel_check((A, H, A), 1.5, (0.5, 1.5), alpha=0.5)
+    # an age at level t lies in [0, t]
+    with pytest.raises(ValueError, match="lie in"):
         markov_kernel_check((A, H), 1.0, (0.5, 1.5), alpha=0.5)
-    with pytest.raises(ValueError):
-        markov_kernel_check((A, H, A), 1.0, (0.5, 1.5))
+    with pytest.raises(ValueError, match="lie in"):
+        markov_kernel_check((-A, H), 1.5, (0.5, 1.5), alpha=0.5)

@@ -13,7 +13,6 @@ from combwalk import (
     equivalence_checks,
     mean_drift,
     power_comb,
-    skewness_beta,
     stable_scale,
     stable_sigma,
     stable_skewness,
@@ -106,11 +105,11 @@ def test_stable_skewness_formula():
 
 
 def test_skewness_beta_of_combs():
-    assert skewness_beta(constant_comb(0.3, 0.5)) == 0.0
-    assert skewness_beta(power_comb(0.5)) == 0.0
-    assert skewness_beta(power_comb(1.0, c=0.01)) == 0.0
-    assert skewness_beta(asym_comb()) == pytest.approx(0.20871215252208014,
-                                                       rel=1e-12)
+    assert classify_regime(constant_comb(0.3, 0.5)).beta == 0.0
+    assert classify_regime(power_comb(0.5)).beta == 0.0
+    assert classify_regime(power_comb(1.0, c=0.01)).beta == 0.0
+    assert classify_regime(asym_comb()).beta == pytest.approx(
+        0.20871215252208014, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@ from combwalk import (
     stable_cdf_interp,
     stable_path,
     stable_sigma,
-    subordinator_level,
     subordinator_path,
 )
 
@@ -137,8 +136,12 @@ def test_subordinator_jump_sizes_are_pareto():
 
 def test_subordinator_level_law():
     # T(1) is Gamma(1-a)^(1/a) times a standard positive stable variable
-    draws = np.array([subordinator_level(0.5, 1.0, np.random.default_rng(100000 + i))
-                      for i in range(20000)])
+    draws = []
+    for i in range(20000):
+        _, J, drift = subordinator_path(0.5, 1.0,
+                                        np.random.default_rng(100000 + i))
+        draws.append(J.sum() + drift * 1.0)
+    draws = np.array(draws)
     ref = gamma_fn(0.5) ** 2 * sample_positive_stable(0.5, 20000,
                                                       np.random.default_rng(13))
     assert ks_distance(draws, ref) < 0.02
