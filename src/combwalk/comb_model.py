@@ -20,7 +20,7 @@ import json
 import threading
 
 import numpy as np
-from scipy.special import digamma, gammaln
+from scipy.special import digamma, exprel, gammaln, zeta
 
 TAIL_FLOOR = 1e-18
 _TABLE_MIN = 4096           # cached cdf entries while no cap is asked for
@@ -227,6 +227,58 @@ class _Geometric:
         return (2.0 - self.p) / self.p ** 2 + 2.0 * self.L / self.p
 
 
+_NEAR = 0.5         # shifts |e| below this get _RatioSum, not (X - Y) / e
+_DIRECT = 64        # leading terms of _RatioSum summed one by one
+_ORDERS = 8         # series orders kept; |e| / (x + _DIRECT) < 1/128
+
+
+class _RatioSum:
+    """R(m) = sum_{i<m} G(x+i) / G(x+i+e+1) = (X - Y(m)) / e for small |e|.
+
+    With X = G(x)/G(x+e) and Y(m) = G(x+m)/G(x+m+e), dividing X - Y by e
+    loses about eps |log G| / |e| relatively near e = 0.  Instead
+    Y/X = exp(-S), S = sum_{i<m} log1p(e/(x+i)), and
+    R = X (S/e) (1 - exp(-S)) / S.  The first _DIRECT terms of S/e are
+    summed one by one; the rest is the series
+    sum_k (-e)^(k-1)/k sum_i (x+i)^-k, through digamma for k = 1 and the
+    Hurwitz zeta for k >= 2.  e = 0 gives R = psi(x+m) - psi(x).
+    """
+
+    def __init__(self, x, e):
+        self.e = e
+        self.X = np.exp(gammaln(x) - gammaln(x + e))
+        t = 1.0 / (x + np.arange(_DIRECT))
+        head = t if e == 0 else np.log1p(e * t) / e
+        self._head = np.concatenate([[0.0], np.cumsum(head)])
+        self._x = x + _DIRECT
+        k = np.arange(2.0, _ORDERS + 1.0)
+        self._k, self._coef = k[:, None], (-e) ** (k - 1) / k
+        self._zeta0 = zeta(self._k, self._x)
+        self._psi0 = digamma(self._x)
+
+    def _far(self, m):
+        """S/e for m > _DIRECT."""
+        y = self._x + (m - _DIRECT)
+        return (self._head[-1] + digamma(y) - self._psi0
+                + self._coef @ (self._zeta0 - zeta(self._k, y)))
+
+    def __call__(self, m):
+        m = np.asarray(m, dtype=float)
+        if m.size and m.min() > _DIRECT:
+            s = self._far(m)
+        else:
+            s = self._head[np.minimum(m, _DIRECT).astype(np.int64)]
+            far = m > _DIRECT
+            if np.any(far):
+                s[far] = self._far(m[far])
+        return self.X * s * exprel(-self.e * s)
+
+
+def _near_ratio_sum(x, e):
+    # x + 2e <= 0 leaves X < Y(m)/2 (X = 0 at x + e = 0): no cancellation
+    return _RatioSum(x, e) if abs(e) < _NEAR and x + 2.0 * e > 0 else None
+
+
 class _Power:
     """Hazard a/(k + c) from age L + 1 on, i.e. power(a, c + L) at age
     k - L: T'(m) = K G(m+1+c'-a) / G(m+1+c') with c' = c + L and
@@ -239,6 +291,9 @@ class _Power:
         self.p = 1 + c - a
         self._g1, self._g2 = gammaln(1 + c), gammaln(1 + c - a)
         self.tail_constant = np.exp(self._g1 - self._g2)     # K
+        # Theta' = K R(m) with e = a - 1; dsum's first sum is K R(m), e = a - 2
+        self._theta_near = _near_ratio_sum(self.p, a - 1.0)
+        self._dsum_near = _near_ratio_sum(self.p + 1.0, a - 2.0)
 
     def tail(self, m):
         a, c = self.a, self.c
@@ -246,9 +301,9 @@ class _Power:
                       - self._g2 - gammaln(m + 1 + c))
 
     def theta(self, m):
-        a, c, p = self.a, self.c, self.p
-        if abs(a - 1.0) < 1e-12:
-            return c * (digamma(m + c) - digamma(c))
+        a, p = self.a, self.p
+        if self._theta_near is not None:
+            return self.tail_constant * self._theta_near(m)
         s = (np.exp(gammaln(p) - gammaln(p + a - 1))
              - np.exp(gammaln(m + p) - gammaln(m + p + a - 1))) / (a - 1)
         return self.tail_constant * s
@@ -256,9 +311,8 @@ class _Power:
     def dsum(self, m):
         # sum (i+p) T'(i) = K sum G(i+p+1)/G(i+p+a-1), then i+L = (i+p)-(p-L)
         a, p = self.a, self.p
-        if abs(a - 2.0) < 1e-12:
-            # summand degenerates to 1/(i+p+1)
-            s = digamma(m + p + 1) - digamma(p + 1)
+        if self._dsum_near is not None:
+            s = self._dsum_near(m)
         else:
             s = (np.exp(gammaln(p + 1) - gammaln(p + a - 1))
                  - np.exp(gammaln(m + p + 1) - gammaln(m + p + a - 1))) / (a - 2)
