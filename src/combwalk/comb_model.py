@@ -17,6 +17,7 @@ against 50-digit arithmetic, about 2e-5 at n = 1e10, 3e-3 at 1e12 and
 """
 
 import json
+import math
 import threading
 
 import numpy as np
@@ -192,6 +193,15 @@ class HazardFamily:
 # D'(m) = sum_{i<m} (i + L) T'(i), and their limits m -> inf
 
 
+_SMALL_P = 1e-2     # constant hazards 0 < p below this use the expm1 forms
+
+# 1 - (1 + x) e^-x = sum_{n >= 2} (-1)^n (n - 1) x^n / n!, summed for x < 1
+_G_SERIES = np.array([0.0, 0.0] + [(-1) ** n * (n - 1) / math.factorial(n)
+                                   for n in range(2, 21)])
+# (p/(1-p) + log1p(-p)) / p^2 = sum_{k>=2} (k-1)/k p^(k-2), to p^9
+_C_SERIES = np.array([(k - 1) / k for k in range(2, 12)])
+
+
 def _geom_dsum(N, q):
     # sum_{j=0}^{N-1} j * q^j
     N = np.asarray(N, dtype=float)
@@ -201,6 +211,21 @@ def _geom_dsum(N, q):
         return 0.5 * N * (N - 1.0)
     qn1 = q ** (N - 1.0)
     return q * (1.0 - N * qn1 + (N - 1.0) * qn1 * q) / (1.0 - q) ** 2
+
+
+def _geom_dsum_small_p(N, p):
+    """sum_{j<N} j (1-p)^j for 0 < p < _SMALL_P.
+
+    The closed form above keeps only ~eps / (N p)^2 relative accuracy.
+    With x = -N log1p(-p) the sum is q (g(x) / p^2 - N e^-x c / p^2), where
+    g(x) = 1 - (1 + x) e^-x and c = p/q + log1p(-p); both are summed as
+    series where they would cancel, so neither part loses digits."""
+    N = np.asarray(N, dtype=float)
+    x = -N * np.log1p(-p)
+    g = np.where(x < 1.0, np.polynomial.polynomial.polyval(x, _G_SERIES),
+                 -np.expm1(-x) - x * np.exp(-x))
+    c = np.polynomial.polynomial.polyval(p, _C_SERIES)
+    return (1.0 - p) * (g / p ** 2 - N * np.exp(-x) * c)
 
 
 class _Geometric:
@@ -213,10 +238,17 @@ class _Geometric:
         return self.q ** m
 
     def theta(self, m):
-        return m if self.p == 0.0 else (1.0 - self.q ** m) / self.p
+        if self.p == 0.0:
+            return m
+        if self.p < _SMALL_P:
+            return -np.expm1(m * np.log1p(-self.p)) / self.p
+        return (1.0 - self.q ** m) / self.p
 
     def dsum(self, m):
-        d = _geom_dsum(m, self.q)
+        if 0.0 < self.p < _SMALL_P:
+            d = _geom_dsum_small_p(m, self.p)
+        else:
+            d = _geom_dsum(m, self.q)
         return d + self.L * self.theta(m) if self.L else d
 
     def mean(self):

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import combwalk
 from combwalk import cli, constant_comb, lamperti_limit, power_comb
 
 
@@ -21,6 +25,19 @@ def read_rows(path_or_text, from_file=True):
     text = open(path_or_text).read() if from_file else path_or_text
     lines = [ln for ln in text.splitlines() if ln and not ln.startswith("#")]
     return lines[0].split(","), [ln.split(",") for ln in lines[1:]]
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # scipy.stats costs ~0.7 s and ~46 MB per process; the package
+    # computes its stable CDF itself and keeps scipy.stats to the tests
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(combwalk.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = "import sys, combwalk.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
 
 
 # ---------------------------------------------------------------------------

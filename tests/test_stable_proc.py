@@ -1,5 +1,7 @@
+import mpmath as mp
 import numpy as np
 import pytest
+from numpy.testing import assert_allclose
 from scipy import stats
 from scipy.special import gamma as gamma_fn, ndtr
 
@@ -197,6 +199,13 @@ def test_stable_path_alpha_one_marginal():
 # the gridded reference CDF
 
 
+def test_cdf_interp_validation():
+    for bad in ((0.0, 0.0, 1.0), (2.2, 0.0, 1.0), (1.5, 1.2, 1.0),
+                (1.5, 0.0, 0.0), (1.5, 0.0, np.nan)):
+        with pytest.raises(ValueError):
+            stable_cdf_interp(*bad)
+
+
 def test_cdf_interp_grid_quality():
     cdf = stable_cdf_interp(1.0, 0.5, np.pi / 2)
     assert np.all(np.diff(cdf.values) >= 0)
@@ -207,3 +216,90 @@ def test_cdf_interp_grid_quality():
     dist = stats.levy_stable(1.0, 0.5, loc=0.0, scale=np.pi / 2)
     for x in (-30.0, -2.0, 0.0, 3.0, 55.0):
         assert float(cdf(x)) == pytest.approx(dist.cdf(x), abs=5e-4)
+
+
+def _nolan_mp(z, alpha, beta):
+    """CDF of the standard S1 law at z: Nolan's integral in 20-digit
+    mpmath, over t = theta - theta_lo in (0, L), split where h = 1."""
+    with mp.workdps(20):
+        z, a, b, pi = mp.mpf(z), mp.mpf(alpha), mp.mpf(beta), mp.pi
+        if a == 1:
+            if b < 0:
+                return 1 - _nolan_mp(-z, alpha, -beta)
+            L, rising = pi, True
+
+            def log_h(t):
+                c = mp.sin(min(t, L - t))               # cos theta
+                w = pi / 2 * (1 - b) + b * t            # pi/2 + beta theta
+                return (-pi * z / (2 * b) + mp.log(2 / pi * w / c)
+                        + w * mp.sin(t - pi / 2) / (c * b))
+
+            def cdf(I):
+                return I / pi
+        else:
+            if z < 0:
+                return 1 - _nolan_mp(-z, alpha, -beta)
+            th0 = mp.atan(b * mp.tan(pi * a / 2)) / a
+            L, rising = pi / 2 + th0, a < 1
+            c0 = pi - a * L
+
+            def log_h(t):
+                s = L - t
+                sat = mp.sin(a * t) if t < s else mp.sin(c0 + a * s)
+                return (a / (a - 1) * (mp.log(z) + mp.log(mp.sin(s) / sat))
+                        + mp.log(mp.cos(a * th0)) / (a - 1)
+                        + mp.log(mp.sin(c0 + (a - 1) * s) / mp.sin(s)))
+
+            def cdf(I):
+                return 1 - L / pi + I / pi if a < 1 else 1 - I / pi
+        lo, hi = mp.mpf(0), L
+        for _ in range(70):
+            mid = (lo + hi) / 2
+            if (log_h(mid) > 0) == rising:
+                hi = mid
+            else:
+                lo = mid
+
+        def integrand(t):
+            if not 0 < t < L:
+                return mp.mpf(0)
+            v = log_h(t)
+            return mp.mpf(0) if v > 60 else mp.exp(-mp.exp(v))
+
+        return float(cdf(mp.quad(integrand, [0, lo, L])))
+
+
+# both sides of alpha = 1, alpha near 2, and |beta| = 1 (a light tail)
+_LAWS = [(1.5, 0.0), (1.9, 0.0), (1.99, 0.2), (1.2, -0.3), (1.05, 0.5),
+         (1.5, 1.0), (1.5, -1.0), (1.0, 0.5), (1.0, 0.7)]
+
+
+def _law_grid(alpha, beta):
+    scale = np.pi / 2 if alpha == 1.0 else stable_sigma(alpha)
+    cdf = stable_cdf_interp(alpha, beta, scale)
+    shift = 2 / np.pi * beta * scale * np.log(scale) if alpha == 1.0 else 0.0
+    return cdf, (cdf.grid - shift) / scale, scale
+
+
+@pytest.mark.parametrize("alpha,beta", _LAWS)
+def test_cdf_grid_matches_mpmath(alpha, beta):
+    cdf, z, _ = _law_grid(alpha, beta)
+    # the outermost nodes (x = -+1e4 scale), the nodes next to x = 0 and
+    # two in between
+    for i in (0, 800, 1499, 1501, 2200, 3000):
+        assert abs(cdf.values[i] - _nolan_mp(z[i], alpha, beta)) < 1e-9, i
+
+
+@pytest.mark.parametrize("alpha,beta", _LAWS + [(0.7, 0.4)])
+def test_cdf_grid_matches_scipy_away_from_its_rounding(alpha, beta):
+    cdf, z, scale = _law_grid(alpha, beta)
+    x, F = cdf.grid[::20], cdf.values[::20]
+    ref = stats.levy_stable.cdf(x, alpha, beta, scale=scale)
+    # scipy rounds x/scale to zeta (0 in S1 terms) when within
+    # 0.005 alpha^(1/alpha) of it (its x_tol_near_zeta), which puts it off
+    # by up to 1.8e-3 there at alpha = 1.5; next to alpha = 1 its
+    # quadrature errs further out (5e-4 at x/scale = -0.047 for
+    # alpha = 1.05); past |x/scale| ~ 1e3 it returns exactly 0 or 1
+    keep = (np.abs(z[::20]) > 0.05) & (ref > 0.0) & (ref < 1.0)
+    assert keep.sum() > 100
+    assert_allclose(F[keep], ref[keep], rtol=0, atol=1e-9)
