@@ -34,61 +34,54 @@ _GUIDE = 1 << 14            # guide cells over [0, 1), a power of two
 # hazard families
 
 
+_RULE_PARAMS = {"constant": ("p",), "power": ("a", "c")}   # names of rule[1:]
+
+
 class HazardFamily:
     """One direction's switch-probability sequence alpha_k, k = 1, 2, ...
 
-    Every family is an explicit prefix alpha_1..alpha_L (`values`)
-    followed by a base `rule` for ages k > L:
-      ("constant", p)      alpha_k = p
-      ("power", a, c)      alpha_k = min(1, a / (k + c)), tail index a
+    Every family is an explicit prefix alpha_1..alpha_L (the array
+    `values`, empty for constant and power) followed by a base `rule`
+    for ages k > L, both set once from the kind.  One check covers the
+    rule of every kind:
+      ("constant", p)      alpha_k = p; p in [0, 1]
+      ("power", a, c)      alpha_k = min(1, a / (k + c)), tail index a;
+                           a > 0, c >= 0 and a / (L + 1 + c) < 1, so
+                           alpha_{L+1} < 1 (c > a - 1 for power(a, c))
 
-    Kinds (the serialized form):
+    Kinds (the serialized form, kept in `kind` and `params`):
       constant(p)          no prefix, rule ("constant", p)
       power(a, c)          no prefix, rule ("power", a, c)
       table(values, rule)  the listed prefix, then 'rule'
     """
 
     def __init__(self, kind, **params):
-        self.kind = kind
-        self.params = params
-        if kind == "constant":
-            p = params["p"]
-            if not 0.0 <= p <= 1.0:
-                raise ValueError("constant hazard must lie in [0, 1]")
-        elif kind == "power":
-            a, c = params["a"], params["c"]
-            if a <= 0:
-                raise ValueError("power hazard needs a > 0")
-            if c < 0:
-                raise ValueError("power hazard needs c >= 0")
-            if c <= a - 1:
-                # would force alpha_1 = 1 and degenerate runs
-                raise ValueError("power hazard needs c > a - 1")
-        elif kind == "table":
-            vals = np.asarray(params["values"], dtype=float)
-            if vals.ndim != 1 or len(vals) == 0:
+        if kind == "table":
+            values = np.asarray(params["values"], dtype=float)
+            if values.ndim != 1 or len(values) == 0:
                 raise ValueError("table needs a nonempty 1-d value list")
-            if np.any((vals < 0) | (vals > 1)):
+            if np.any((values < 0) | (values > 1)):
                 raise ValueError("table hazards must lie in [0, 1]")
             rule = tuple(params["tail_rule"])
-            if rule[0] == "constant":
-                p = rule[1]
-                if not 0.0 <= p <= 1.0:
-                    raise ValueError("extension hazard must lie in [0, 1]")
-            elif rule[0] == "power":
-                _, a, c = rule
-                if a <= 0 or c < 0:
-                    raise ValueError("power extension needs a > 0, c >= 0")
-                if a / (len(vals) + 1 + c) >= 1.0:
-                    raise ValueError("power extension capped at 1 beyond the "
-                                     "table; raise c or shorten the table")
-            else:
-                raise ValueError("tail_rule must be ('constant', p) or "
-                                 "('power', a, c)")
-            self.params["values"] = vals
-            self.params["tail_rule"] = rule
+            params.update(values=values, tail_rule=rule)
+        elif kind in _RULE_PARAMS:
+            values = np.empty(0)
+            rule = (kind,) + tuple(params[k] for k in _RULE_PARAMS[kind])
         else:
             raise ValueError(f"unknown hazard kind {kind!r}")
+        if rule[0] == "constant":
+            if not 0.0 <= rule[1] <= 1.0:
+                raise ValueError("constant hazard must lie in [0, 1]")
+        elif rule[0] == "power":
+            _, a, c = rule
+            if not (a > 0 and c >= 0 and a / (len(values) + 1 + c) < 1.0):
+                raise ValueError("power hazard needs a > 0, c >= 0 and "
+                                 "a / (L + 1 + c) < 1, L the prefix length")
+        else:
+            raise ValueError("rule must be ('constant', p) or "
+                             "('power', a, c)")
+        self.kind, self.params = kind, params
+        self.values, self.rule = values, rule
 
     @classmethod
     def constant(cls, p):
@@ -106,20 +99,6 @@ class HazardFamily:
         return cls("table", values=values, tail_rule=tuple(tail_rule))
 
     # -- structure ---------------------------------------------------------
-
-    @property
-    def values(self):
-        """The explicit prefix alpha_1..alpha_L (empty for constant/power)."""
-        return self.params.get("values", np.empty(0))
-
-    @property
-    def rule(self):
-        """("constant", p) or ("power", a, c): the hazards past the prefix."""
-        if self.kind == "constant":
-            return ("constant", self.params["p"])
-        if self.kind == "power":
-            return ("power", self.params["a"], self.params["c"])
-        return self.params["tail_rule"]
 
     def hazard(self, k):
         """alpha_k for integer ages k >= 1 (vectorized)."""
@@ -152,29 +131,23 @@ class HazardFamily:
             return None
         return rule[1]
 
+    def _finite_moment(self, order):
+        idx = self.tail_index
+        return self.assumption1() if idx is None else idx > order
+
     @property
     def integrable(self):
-        idx = self.tail_index
-        if idx is None:
-            return self.assumption1()
-        return idx > 1.0
+        return self._finite_moment(1.0)
 
     @property
     def square_integrable(self):
-        idx = self.tail_index
-        if idx is None:
-            return self.assumption1()
-        return idx > 2.0
+        return self._finite_moment(2.0)
 
     def to_dict(self):
-        if self.kind == "constant":
-            return {"kind": "constant", "p": self.params["p"]}
-        if self.kind == "power":
-            return {"kind": "power", "a": self.params["a"],
-                    "c": self.params["c"]}
-        return {"kind": "table",
-                "values": [float(v) for v in self.params["values"]],
-                "tail_rule": list(self.params["tail_rule"])}
+        if self.kind == "table":
+            return {"kind": "table", "values": [float(v) for v in self.values],
+                    "tail_rule": list(self.rule)}
+        return dict(zip(("kind",) + _RULE_PARAMS[self.kind], self.rule))
 
     @classmethod
     def from_dict(cls, d):
@@ -235,6 +208,9 @@ class _Geometric:
         self.p, self.q, self.L = p, 1.0 - p, L
 
     def tail(self, m):
+        # q = 1 - p is rounded, so q ** m is off by ~m eps for small p
+        if self.p < _SMALL_P:
+            return np.exp(m * np.log1p(-self.p))
         return self.q ** m
 
     def theta(self, m):
@@ -480,13 +456,9 @@ class PersistenceLaw:
         return s2 - m * m
 
     @property
-    def tail_index(self):
-        return self.family.tail_index
-
-    @property
     def tail_constant(self):
         """C with T(n) ~ C n^{-a} for regularly varying families."""
-        if self.tail_index is None:
+        if self.family.tail_index is None:
             return None
         return float(self._TL * self._base.tail_constant)
 
@@ -516,14 +488,11 @@ class PersistenceLaw:
 
     def sample(self, rng, size=None):
         """Exact draws of tau (unclipped), heavy tails included."""
-        fam = self.family
-        if fam.kind == "constant":
-            return rng.geometric(fam.params["p"], size=size)
         out = self.invert(rng.random(1 if size is None else int(size)))
         return int(out[0]) if size is None else out
 
     def invert(self, u, cap=None):
-        """min(cap, smallest n >= 0 with 1 - T(n) >= u), elementwise: a
+        """min(cap, smallest n >= 1 with 1 - T(n) >= u), elementwise: a
         lookup in the law's cached cdf table, grown to cover cap (up to
         _TABLE_MAX entries), then one bisection on the same predicate up
         to cap, or up to 2^53 when there is no cap.
@@ -556,7 +525,9 @@ class PersistenceLaw:
         out = guide.take(k).astype(np.int64)
         open_cell = out < 0
         if open_cell.any():
-            out[open_cell] = np.searchsorted(cdf, u[open_cell])
+            # u = 0 falls in the open cell 0 (cdf[0] = 0 is its edge), and
+            # every other u is above cdf[0]: runs last at least one step
+            out[open_cell] = np.searchsorted(cdf[1:], u[open_cell]) + 1
         if len(cdf) >= top or cdf[-1] == 1.0:
             # nothing gets past a table ending in 1; clip a longer one
             return np.minimum(out, top) if len(cdf) > top else out
@@ -611,9 +582,7 @@ class CombSpec:
     """
 
     def __init__(self, up, down):
-        self.up = up if isinstance(up, HazardFamily) else HazardFamily.from_dict(up)
-        self.down = (down if isinstance(down, HazardFamily)
-                     else HazardFamily.from_dict(down))
+        self.up, self.down = up, down
         self.up_law = PersistenceLaw(self.up)
         self.down_law = PersistenceLaw(self.down)
 

@@ -27,6 +27,8 @@ from .stable_proc import sample_positive_stable, subordinator_path
 from .walk_sim import _replicate
 
 _PATHS_PER_CHUNK = 64
+_GF_TOL = 1e-14             # remainder of the generating-function series
+_GF_BUDGET = 2_000_000      # its terms at most
 
 
 # ---------------------------------------------------------------------------
@@ -404,12 +406,12 @@ def lamperti_recursion(comb, n_max):
     return p_rev[::-1].copy()
 
 
-def _gf_series(law, z, tol=1e-14, budget=2_000_000):
+def _gf_series(law, z):
     # sum_{n>=0} T(n) z^n; remainder <= z^(M+1)/(1-z)
     if not 0.0 < z < 1.0:
         raise ValueError("series argument must lie in (0, 1)")
-    M = int(np.ceil(np.log(tol * (1.0 - z)) / np.log(z)))
-    if M > budget:
+    M = int(np.ceil(np.log(_GF_TOL * (1.0 - z)) / np.log(z)))
+    if M > _GF_BUDGET:
         raise ValueError(f"series needs ~{M} terms at argument {z}; "
                          "move x away from 1")
     n = np.arange(0, M + 1, dtype=float)
@@ -429,8 +431,8 @@ def double_gf_limit(comb, x, lam):
     if rep.regime != "anomalous":
         raise ValueError("generating-function limit requires the anomalous "
                          "regime (tail index < 1)")
-    au = comb.up_law.tail_index
-    ad = comb.down_law.tail_index
+    au = comb.up.tail_index
+    ad = comb.down.tail_index
     if au is None or ad is None or abs(au - ad) > 1e-12:
         raise ValueError("generating-function limit needs equal tail indices")
     if not 0.0 < x < 1.0:

@@ -44,8 +44,8 @@ def total_mean_cycle(comb):
 
 def tail_balance(comb):
     """Limit of (T_u - T_d)/(T_u + T_d); +-1 when one tail dominates."""
-    au = comb.up_law.tail_index
-    ad = comb.down_law.tail_index
+    au = comb.up.tail_index
+    ad = comb.down.tail_index
     if au is None and ad is None:
         raise ValueError("tail balance undefined: both run laws are "
                          "light-tailed")
@@ -125,7 +125,7 @@ def classify_regime(comb):
     heavy = []
     for law in (up, dn):
         if not law.family.square_integrable:
-            idx = law.tail_index
+            idx = law.family.tail_index
             if idx is None:
                 raise ValueError("non-square-integrable law without a tail "
                                  "index; cannot classify")
@@ -270,13 +270,13 @@ class NormalizerSet:
 # cycle-variable checks
 
 
-def cycle_tail(comb, t, j_max=None):
-    """P(|tau_c| > t) by conditioning each sign on the opposite run,
-    with a rigorous truncation bound.  Returns (value, error_bound)."""
+def cycle_tail(comb, t):
+    """P(|tau_c| > t) by conditioning each sign on the opposite run of
+    length j <= 4t + 10^4, with a rigorous truncation bound.  Returns
+    (value, error_bound)."""
     m = effective_drift(comb)
     up, dn = comb.up_law, comb.down_law
-    if j_max is None:
-        j_max = int(4 * t) + 10_000
+    j_max = int(4 * t) + 10_000
     j = np.arange(1, j_max + 1, dtype=float)
     pmf_d = dn.tail(j - 1) - dn.tail(j)
     pos = np.sum(pmf_d * up.tail((t + (1.0 + m) * j) / (1.0 - m)))
@@ -287,12 +287,12 @@ def cycle_tail(comb, t, j_max=None):
     return float(pos + neg), float(err)
 
 
-def cycle_truncated_second_moment(comb, t, j_max=None):
-    """E[tau_c^2 1{|tau_c| <= t}], conditioning on the down run."""
+def cycle_truncated_second_moment(comb, t):
+    """E[tau_c^2 1{|tau_c| <= t}], conditioning on the down run of length
+    j <= 4t + 10^4.  Returns (value, error_bound)."""
     m = effective_drift(comb)
     up, dn = comb.up_law, comb.down_law
-    if j_max is None:
-        j_max = int(4 * t) + 10_000
+    j_max = int(4 * t) + 10_000
     j = np.arange(1, j_max + 1, dtype=float)
     pmf_d = dn.tail(j - 1) - dn.tail(j)
     lo = ((1.0 + m) * j - t) / (1.0 - m)

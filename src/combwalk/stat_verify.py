@@ -49,7 +49,11 @@ class HillResult:
                 f"ci=({self.ci[0]:.4f}, {self.ci[1]:.4f}), k={self.k})")
 
 
-def hill_estimate(samples, k_frac, n_boot=200, seed=0):
+_HILL_BOOT = 200            # bootstrap resamples of the Hill CI
+_HILL_SEED = 0              # their seed, so the CI is a function of the data
+
+
+def hill_estimate(samples, k_frac):
     """Hill tail-index estimator on the top k = k_frac*n order
     statistics, with a percentile bootstrap CI over the log-spacings.
     Scale-free: built from log-ratios against the k-th largest value.
@@ -69,8 +73,8 @@ def hill_estimate(samples, k_frac, n_boot=200, seed=0):
         raise ValueError("degenerate tail: top order statistics are equal, "
                          "heavy-tail estimation declined")
     alpha = 1.0 / float(np.mean(logs))
-    rng = np.random.default_rng(seed)
-    idx = rng.integers(0, k, size=(n_boot, k))
+    rng = np.random.default_rng(_HILL_SEED)
+    idx = rng.integers(0, k, size=(_HILL_BOOT, k))
     boot = 1.0 / np.mean(logs[idx], axis=1)
     lo, hi = np.percentile(boot, [2.5, 97.5])
     return HillResult(alpha, (float(lo), float(hi)), k)

@@ -1,12 +1,17 @@
 import concurrent.futures
+import glob
+import json
+import os
 import sys
 import time
 from unittest import mock
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
+from scipy.stats import chisquare
 
 from combwalk import (
     CombSpec,
@@ -90,6 +95,36 @@ def test_hazard_validation_errors():
         HazardFamily("weibull", k=2.0)
     with pytest.raises(ValueError):
         HazardFamily.constant(0.5).hazard(0)
+
+
+def _with_prefix(rule, L):
+    """The rule on its own (L = 0), or as a table's rule after L hazards."""
+    if L == 0:
+        keys = comb_model._RULE_PARAMS[rule[0]]
+        return HazardFamily(rule[0], **dict(zip(keys, rule[1:])))
+    return HazardFamily.table([0.5] * L, rule)
+
+
+# One check covers every rule, whether it starts at age 1 or after a
+# table; a power rule must keep alpha_{L+1} = a / (L + 1 + c) below 1.
+@pytest.mark.parametrize("rule, L, ok", [
+    (("constant", -0.1), 0, False), (("constant", -0.1), 3, False),
+    (("constant", 1.2), 0, False), (("constant", 1.2), 3, False),
+    (("constant", 0.0), 0, True), (("constant", 1.0), 3, True),
+    (("power", 0.0, 1.0), 0, False), (("power", 0.0, 1.0), 3, False),
+    (("power", 0.5, -1.0), 0, False), (("power", 0.5, -1.0), 3, False),
+    # c = a - 1 at L = 0, next to a / (L + 1 + c) = 1 at L = 3
+    (("power", 2.0, 1.0), 0, False), (("power", 5.0, 1.0), 3, False),
+    (("power", 2.0, 1.0 + 1e-9), 0, True),
+    (("power", 5.0, 1.0 + 1e-9), 3, True),
+    (("power", 2.0, 1.0), 3, True),
+])
+def test_one_rule_check(rule, L, ok):
+    if ok:
+        assert _with_prefix(rule, L).rule == rule
+    else:
+        with pytest.raises(ValueError, match="hazard"):
+            _with_prefix(rule, L)
 
 
 def test_assumption1():
@@ -336,6 +371,17 @@ def test_table_moments_at_small_constant_p(p):
     _assert_table_moments(HazardFamily.table([0.2], ("constant", p)))
 
 
+# q = 1 - p is rounded, so q ** m is off by ~m eps relative; below
+# p = 1e-2 the tail is exp(m log1p(-p)), as Theta and D are
+@pytest.mark.parametrize("p", [1e-3, 1e-6, 1e-9, 1e-12])
+def test_constant_tail_at_small_p_matches_mpmath(p):
+    law = PersistenceLaw(HazardFamily.constant(p))
+    with mp.workdps(40):
+        for m in (np.floor(1.0 / p), np.floor(10.0 / p)):
+            exact = mp.power(1 - mp.mpf(p), int(m))
+            assert abs(law.tail(m) / exact - 1) < 1e-14
+
+
 # Theta and D of a power rule divide by a - 1 and a - 2 in closed form;
 # next to those shifts they are summed term by term instead
 @pytest.mark.parametrize("a", [1.0 - 1e-9, 1.0, 1.0 + 1e-9, 0.999, 1.001,
@@ -412,6 +458,29 @@ def test_geometric_sampling_matches_numpy():
     assert np.array_equal(draws, same)
 
 
+@pytest.mark.parametrize("p", [0.3, 0.4, 1e-3])
+def test_constant_sampling_is_invert(p):
+    # one sampler for every law: draws are the inverse of the same
+    # uniforms, past the 4096-entry table too (p = 1e-3)
+    law = PersistenceLaw(HazardFamily.constant(p))
+    draws = law.sample(np.random.default_rng(8), size=20000)
+    u = np.random.default_rng(8).random(20000)
+    assert draws.tobytes() == law.invert(u).tobytes()
+    assert draws.min() >= 1
+
+
+def test_constant_sampling_matches_geometric_pmf():
+    # below p = 1/3, numpy's geometric draws another stream; this pins
+    # the law of the inverted one: bins 1..25 and one tail bin
+    n, K = 200_000, 25
+    draws = PersistenceLaw(HazardFamily.constant(0.3)).sample(
+        np.random.default_rng(0), size=n)
+    observed = np.bincount(np.minimum(draws, K + 1), minlength=K + 2)[1:]
+    k = np.arange(1, K + 1)
+    expected = n * np.append(0.3 * 0.7 ** (k - 1), 0.7 ** K)
+    assert chisquare(observed, expected).pvalue > 1e-3
+
+
 def test_heavy_tail_sampling_frequencies():
     law = PersistenceLaw(HazardFamily.power(0.7))
     rng = np.random.default_rng(5)
@@ -443,7 +512,7 @@ def test_uniform_next_to_one_gives_a_positive_draw():
 _INVERT_FAMILIES = st.one_of(
     st.floats(1e-3, 1.0).map(HazardFamily.constant),
     st.tuples(st.floats(0.05, 3.0), st.floats(0.0, 5.0))
-    .filter(lambda ac: ac[1] > ac[0] - 1.0)
+    .filter(lambda ac: ac[0] / (1.0 + ac[1]) < 1.0)
     .map(lambda ac: HazardFamily.power(*ac)),
     st.tuples(_PREFIX,
               st.sampled_from([("constant", 0.05), ("power", 0.4, 1.0)]))
@@ -456,7 +525,9 @@ _CAPS = st.one_of(st.integers(1, 4096), st.integers(4096, _SMALL_TABLE_MAX),
 
 
 def _full_table_inverse(law, u, cap):
-    return np.minimum(cap, np.searchsorted(law.cdf_table(cap - 1), u))
+    # the smallest n >= 1 with cdf[n] >= u, capped
+    cdf = law.cdf_table(cap - 1)
+    return np.minimum(cap, np.searchsorted(cdf[1:], u) + 1)
 
 
 @settings(max_examples=200, deadline=None)
@@ -505,11 +576,13 @@ def test_invert_outside_the_unit_interval(fam):
                 law.invert(u, cap)
             with pytest.raises(ValueError, match=r"\[0, 1\)"):
                 law.invert(bad, cap)
-    # -0.0 is a uniform in [0, 1); an empty u gives an empty answer
+    # -0.0 is a uniform in [0, 1) and, like 0.0, a run of length 1; an
+    # empty u gives an empty answer
     for cap in (None, 50):
         u = np.append(ok, -0.0)
         assert_array_equal(law.invert(u, cap), law.invert(np.abs(u), cap))
-        assert law.invert(-0.0, cap) == 0
+        assert law.invert(-0.0, cap) == 1
+        assert law.invert(0.0, cap) == 1
         assert law.invert(np.empty(0), cap).shape == (0,)
 
 
@@ -613,6 +686,32 @@ def test_dict_roundtrip_all_kinds():
                     HazardFamily.table([0.2], tail_rule=("power", 0.5, 0.5)))
     back = CombSpec.from_dict(comb.to_dict())
     assert back.to_dict() == comb.to_dict()
+
+
+def test_serialized_text_of_each_kind():
+    # scenario files and the benchmark's per-law keys read these
+    fams = [HazardFamily.constant(0.3), HazardFamily.power(1.5, 1.0),
+            HazardFamily.table([0.2, 1.0], ("power", 0.5, 0.5))]
+    assert [json.dumps(f.to_dict()) for f in fams] == [
+        '{"kind": "constant", "p": 0.3}',
+        '{"kind": "power", "a": 1.5, "c": 1.0}',
+        '{"kind": "table", "values": [0.2, 1.0], '
+        '"tail_rule": ["power", 0.5, 0.5]}']
+    assert fams[0].params == {"p": 0.3}
+    assert fams[1].params == {"a": 1.5, "c": 1.0}
+    assert list(fams[2].params) == ["values", "tail_rule"]
+    assert_array_equal(fams[2].params["values"], [0.2, 1.0])
+    assert fams[2].params["tail_rule"] == ("power", 0.5, 0.5)
+
+
+def test_bundled_scenario_combs_round_trip():
+    scenarios = glob.glob(os.path.join(os.path.dirname(comb_model.__file__),
+                                       "scenarios", "*.json"))
+    assert len(scenarios) == 6
+    for path in scenarios:
+        with open(path) as fh:
+            d = json.load(fh)["comb"]
+        assert json.dumps(CombSpec.from_dict(d).to_dict()) == json.dumps(d)
 
 
 def test_json_file_roundtrip(tmp_path):
