@@ -9,6 +9,8 @@ round-trip losslessly.
 """
 
 import argparse
+import contextlib
+import itertools
 import json
 import os
 import sys
@@ -30,8 +32,6 @@ class _CliError(Exception):
 
 
 def _fmt(x):
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
     return format(float(x), ".17g")
 
 
@@ -54,13 +54,28 @@ def _load_comb(path):
         raise _CliError(f"bad comb file {path}: {e}")
 
 
-def _out_stream(path):
-    if path is None or path == "-":
-        return sys.stdout, False
+_CSV_CHUNK = 1 << 16     # rows formatted by one % string
+
+
+def _write_csv(path, preamble, names, *cols):
+    """Write `preamble`, the header row `names` and one row per index of
+    the equal-length columns to `path` (stdout for None or "-"): integer
+    columns as %d, floats as %.17g (the text of _fmt), the rest as %s."""
+    cols = [np.asarray(c) for c in cols]
+    row = ",".join("%d" if c.dtype.kind in "iu" else
+                   "%.17g" if c.dtype.kind == "f" else "%s"
+                   for c in cols) + "\n"
     try:
-        return open(path, "w"), True
+        fh = (contextlib.nullcontext(sys.stdout) if path in (None, "-")
+              else open(path, "w"))
     except OSError as e:
         raise _CliError(f"cannot open output file: {e}")
+    with fh as out:
+        out.write(preamble + ",".join(names) + "\n")
+        for lo in range(0, len(cols[0]), _CSV_CHUNK):
+            chunk = [c[lo:lo + _CSV_CHUNK].tolist() for c in cols]
+            out.write(row * len(chunk[0])
+                      % tuple(itertools.chain.from_iterable(zip(*chunk))))
 
 
 # ---------------------------------------------------------------------------
@@ -76,27 +91,22 @@ def cmd_simulate(args):
         raise _CliError("horizon capped at 10^7 for per-step output")
     traj_path = args.trajectory or (args.out + "_trajectory.csv")
     runs_path = args.runs or (args.out + "_runs.csv")
-    comb_json = json.dumps(comb.to_dict())
-
-    header = f"# seed: {seed}\n# comb: {comb_json}\n"
+    header = f"# seed: {seed}\n# comb: {json.dumps(comb.to_dict())}\n"
     if args.horizon:
         traj = simulate_prw(comb, args.horizon, seed=seed)
         steps = traj.steps()
         pos = traj.positions()[1:]          # S_1..S_horizon
         ages = traj.ages()
-        runs = zip(traj.directions, traj.lengths)
-    else:
-        steps = pos = ages = runs = ()      # --horizon 0: headers only
-    with open(traj_path, "w") as fh:
-        fh.write("# combwalk trajectory\n" + header + "n,position,step,age\n")
-        for i in range(len(steps)):
-            fh.write(f"{i + 1},{int(pos[i])},{int(steps[i])},"
-                     f"{int(ages[i])}\n")
-    with open(runs_path, "w") as fh:
-        fh.write("# combwalk runs\n" + header + "index,direction,length\n")
-        for i, (d, l) in enumerate(runs):
-            fh.write(f"{i},{d},{int(l)}\n")
+        dirs, lengths = traj.directions, traj.lengths
+    else:                                   # --horizon 0: headers only
+        steps = pos = ages = dirs = lengths = np.zeros(0, dtype=np.int64)
     n = len(steps)
+    _write_csv(traj_path, "# combwalk trajectory\n" + header,
+               ["n", "position", "step", "age"],
+               np.arange(1, n + 1), pos, steps, ages)
+    _write_csv(runs_path, "# combwalk runs\n" + header,
+               ["index", "direction", "length"],
+               np.arange(len(lengths)), dirs, lengths)
     print(f"steps: {n}")
     if n == 0:
         return 0
@@ -125,14 +135,9 @@ def cmd_density(args):
     x[np.abs(x) < 1e-9 * t] = 0.0
     f = lamperti_limit.density_f(args.alpha, args.m, t, x)
     F = lamperti_limit.cdf_f(args.alpha, args.m, t, x)
-    fh, close = _out_stream(args.out)
-    fh.write(f"# combwalk density alpha={_fmt(args.alpha)} "
-             f"m={_fmt(args.m)} t={_fmt(t)}\n")
-    fh.write("x,f,F\n")
-    for i in range(args.npoints):
-        fh.write(f"{_fmt(x[i])},{_fmt(f[i])},{_fmt(F[i])}\n")
-    if close:
-        fh.close()
+    _write_csv(args.out, f"# combwalk density alpha={_fmt(args.alpha)} "
+               f"m={_fmt(args.m)} t={_fmt(t)}\n", ["x", "f", "F"], x, f, F)
+    if args.out not in (None, "-"):
         print(f"wrote {args.out}")
     return 0
 
@@ -145,53 +150,42 @@ def cmd_sample_limit(args):
     seed = args.seed
     rng = np.random.default_rng(seed)
     n = args.n
-    fh, close = _out_stream(args.out)
-    samples = None
+    a, b = _fmt(args.alpha), _fmt(args.b)
+    names, tail = ["sample"], ""
     if args.kind == "marginal":
-        samples = lamperti_limit.sample_marginal(args.alpha, args.m, args.t,
-                                                 rng, size=n)
-        tag = (f"marginal alpha={_fmt(args.alpha)} m={_fmt(args.m)}"
-               f" t={_fmt(args.t)}")
+        cols = [lamperti_limit.sample_marginal(args.alpha, args.m, args.t,
+                                               rng, size=n)]
+        tag = f"marginal alpha={a} m={_fmt(args.m)} t={_fmt(args.t)}"
     elif args.kind == "ratio":
-        samples = lamperti_limit.sample_ratio(args.alpha, args.b, rng, size=n)
-        tag = f"ratio alpha={_fmt(args.alpha)} b={_fmt(args.b)}"
+        cols = [lamperti_limit.sample_ratio(args.alpha, args.b, rng, size=n)]
+        tag = f"ratio alpha={a} b={b}"
     elif args.kind == "stable":
-        samples = sample_stable(args.alpha, args.beta, n, rng,
-                                scale=args.scale)
-        tag = f"stable alpha={_fmt(args.alpha)} beta={_fmt(args.beta)}"
+        cols = [sample_stable(args.alpha, args.beta, n, rng,
+                              scale=args.scale)]
+        tag = f"stable alpha={a} beta={_fmt(args.beta)}"
     elif args.kind == "positive-stable":
         if not 0.0 < args.alpha < 1.0:
             raise _CliError("positive-stable needs alpha in (0, 1)")
-        samples = sample_positive_stable(args.alpha, n, rng)
-        tag = f"positive-stable alpha={_fmt(args.alpha)}"
+        cols = [sample_positive_stable(args.alpha, n, rng)]
+        tag = f"positive-stable alpha={a}"
     elif args.kind == "ensemble":
-        S, A, H = lamperti_limit.sample_anomalous_ensemble(
+        cols = lamperti_limit.sample_anomalous_ensemble(
             args.alpha, args.b, n, seed, level=args.t,
             t_max=args.t_max, threads=args.threads)
-        fh.write(f"# combwalk sample-limit ensemble alpha={_fmt(args.alpha)}"
-                 f" b={_fmt(args.b)} level={_fmt(args.t)} seed={seed}\n")
-        fh.write("S,age,excess\n")
-        for i in range(n):
-            fh.write(f"{_fmt(S[i])},{_fmt(A[i])},{_fmt(H[i])}\n")
+        names = ["S", "age", "excess"]
+        tag = f"ensemble alpha={a} b={b} level={_fmt(args.t)}"
     elif args.kind == "path":
         t_max = args.t_max if args.t_max else 3.0
         path = lamperti_limit.labelled_subordinator(
             args.alpha, args.b, t_max, rng=rng)
-        total = path.total()
-        ts = np.linspace(0.0, total, n)
-        S_t, lab, age = lamperti_limit.AnomalousPath(path).evaluate(ts)[:3]
-        fh.write(f"# combwalk sample-limit path alpha={_fmt(args.alpha)}"
-                 f" b={_fmt(args.b)} t_max={_fmt(t_max)} seed={seed}"
-                 f" T={_fmt(total)}\n")
-        fh.write("t,S,label,age\n")
-        for row in zip(ts, S_t, lab, age):
-            fh.write(",".join(map(_fmt, row)) + "\n")
-    if samples is not None:
-        fh.write(f"# combwalk sample-limit {tag} seed={seed}\nsample\n")
-        for v in samples:
-            fh.write(_fmt(v) + "\n")
-    if close:
-        fh.close()
+        ts = np.linspace(0.0, path.total(), n)
+        cols = [ts, *lamperti_limit.AnomalousPath(path).evaluate(ts)[:3]]
+        names = ["t", "S", "label", "age"]
+        tag = f"path alpha={a} b={b} t_max={_fmt(t_max)}"
+        tail = f" T={_fmt(path.total())}"
+    _write_csv(args.out, f"# combwalk sample-limit {tag} seed={seed}{tail}\n",
+               names, *cols)
+    if args.out not in (None, "-"):
         print(f"wrote {args.out}")
     return 0
 
@@ -224,7 +218,11 @@ def cmd_verify(args):
         raise _CliError(f"scenario rejected: {e}")
     text = format_report(report)
     if args.out:
-        with open(args.out, "w") as fh:
+        try:
+            fh = open(args.out, "w")
+        except OSError as e:
+            raise _CliError(f"cannot open output file: {e}")
+        with fh:
             fh.write(text + "\n")
         print(f"wrote {args.out}")
     else:

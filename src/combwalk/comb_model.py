@@ -586,13 +586,6 @@ class CombSpec:
         self.up_law = PersistenceLaw(self.up)
         self.down_law = PersistenceLaw(self.down)
 
-    def law(self, direction):
-        if direction == "u":
-            return self.up_law
-        if direction == "d":
-            return self.down_law
-        raise ValueError("direction must be 'u' or 'd'")
-
     def to_dict(self):
         return {"up": self.up.to_dict(), "down": self.down.to_dict()}
 

@@ -260,18 +260,17 @@ class DensityEvaluator:
         ynod = mid[:, None] + half[:, None] * _GAUSS_X[None, :]
         wnod = half[:, None] * _GAUSS_W[None, :]
         inv = 1.0 / alpha
-        # left side: x = y^(1/a) - 1, dx = (1/a) y^(1/a - 1) dy
-        xl = ynod ** inv - 1.0
-        gl = _edge_integrand(alpha, m, ynod, -1)
-        panl = np.sum(gl * wnod, axis=1)
-        self._FL = np.concatenate([[0.0], np.cumsum(panl)])
-        self._meanL = float(np.sum(xl * gl * wnod))
-        # right side: x = 1 - y^(1/a); G(y) = mass on [x(y), 1)
-        xr = 1.0 - ynod ** inv
-        gr = _edge_integrand(alpha, m, ynod, +1)
-        panr = np.sum(gr * wnod, axis=1)
-        self._GR = np.concatenate([[0.0], np.cumsum(panr)])
-        self._meanR = float(np.sum(xr * gr * wnod))
+        # side -1 (left), +1 (right): x = side (1 - y^(1/a)), |dx| =
+        # (1/a) y^(1/a - 1) dy; _FL = mass on (-1, x(y)], _GR on [x(y), 1)
+        cum, half_mean = [], []
+        for side in (-1, +1):
+            g = _edge_integrand(alpha, m, ynod, side)
+            pan = np.sum(g * wnod, axis=1)
+            cum.append(np.concatenate([[0.0], np.cumsum(pan)]))
+            x = side * (1.0 - ynod ** inv)
+            half_mean.append(float(np.sum(x * g * wnod)))
+        self._FL, self._GR = cum
+        self._meanL, self._meanR = half_mean
         self.mass = float(self._FL[-1] + self._GR[-1])
         self.mean = self._meanL + self._meanR
 
@@ -293,23 +292,19 @@ class DensityEvaluator:
         scalar = np.isscalar(q)
         q = np.atleast_1d(np.asarray(q, dtype=float)) * self.mass
         out = np.empty_like(q)
-        inv = 1.0 / self.alpha
         left = q <= self._FL[-1]
-        i = np.clip(np.searchsorted(self._FL, q[left], side="right") - 1,
-                    0, len(self._yb) - 2)
-        dF = self._FL[i + 1] - self._FL[i]
-        y = self._yb[i] + (q[left] - self._FL[i]) * (self._yb[i + 1]
-                                                     - self._yb[i]) / dF
-        out[left] = y ** inv - 1.0
-        g = self.mass - q[~left]
-        i = np.clip(np.searchsorted(self._GR, g, side="right") - 1,
-                    0, len(self._yb) - 2)
-        dG = self._GR[i + 1] - self._GR[i]
-        y = self._yb[i] + (g - self._GR[i]) * (self._yb[i + 1]
-                                               - self._yb[i]) / dG
-        out[~left] = 1.0 - y ** inv
+        # x = z - 1 and 1 - z, not side (1 - z): z = 1 must give +0.0
+        out[left] = self._edge_power(self._FL, q[left]) - 1.0
+        out[~left] = 1.0 - self._edge_power(self._GR, self.mass - q[~left])
         out *= t
         return float(out[0]) if scalar else out
+
+    def _edge_power(self, cum, c):
+        """y^(1/alpha) where the edge mass `cum`, linear in y, equals c."""
+        yb = self._yb
+        i = np.clip(np.searchsorted(cum, c, side="right") - 1, 0, len(yb) - 2)
+        y = yb[i] + (c - cum[i]) * (yb[i + 1] - yb[i]) / (cum[i + 1] - cum[i])
+        return y ** (1.0 / self.alpha)
 
     def sample(self, rng, t=1.0, size=None):
         u = rng.random(size)

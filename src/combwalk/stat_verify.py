@@ -234,47 +234,38 @@ def verify_regime(scenario, seed=None, threads=1):
         checks.append({"name": name, "ks": float(stat), "tol": float(tol),
                        "pass": bool(stat < tol)})
 
-    if regime == "anomalous":
-        for j, t in enumerate(scenario.times):
-            z = S[:, j] / u
-            add(f"marginal t={t:g}",
-                ks_distance(z, lambda x, t=t:
-                            lamperti_limit.cdf_f(alpha, m, t, x)),
-                scenario.tol_ks)
-        # rescaled paths are 1-Lipschitz exactly; record the modulus
-        for j in range(len(targets) - 1):
-            dn = targets[j + 1] - targets[j]
-            if dn < 1:
-                continue
+    # limit law of the rescaled walk: (normalizer, centring, CDF at time s);
+    # the anomalous limit carries the drift m itself, so it is not centred
+    c0 = float(ref.get("scale", np.pi / 2.0))
+    laws = {
+        "gaussian": (ns.walk, m, lambda s: lambda x: ndtr(x / np.sqrt(s))),
+        "generic": (ns.walk, m, lambda s: stable_cdf_interp(
+            alpha, beta, sigma * s ** (1.0 / alpha))),
+        "cauchy": (ns.cauchy_norm, m, lambda s: lambda x:
+                   0.5 + np.arctan(x / (c0 * s)) / np.pi),
+        "anomalous": (lambda u: u, 0.0, lambda s: lambda x:
+                      lamperti_limit.cdf_f(alpha, m, s, x)),
+    }
+    normalizer, centre, law_at = laws[regime]
+    lam = normalizer(u)
+    for j, t in enumerate(scenario.times):
+        z = (S[:, j] - centre * targets[j]) / lam
+        add(f"marginal t={t:g}", ks_distance(z, law_at(t)), scenario.tol_ks)
+    for j in range(len(targets) - 1):
+        dn = targets[j + 1] - targets[j]
+        if dn < 1:
+            continue
+        span = f"t={scenario.times[j]:g}->{scenario.times[j+1]:g}"
+        if regime == "anomalous":
+            # rescaled paths are 1-Lipschitz exactly; record the modulus
             mod = float(np.max(np.abs(S[:, j + 1] - S[:, j])) / dn)
-            checks.append({"name": f"Lipschitz modulus "
-                                   f"t={scenario.times[j]:g}->"
-                                   f"{scenario.times[j+1]:g}",
-                           "ks": mod, "tol": 1.0 + 1e-12,
+            checks.append({"name": f"Lipschitz modulus {span}", "ks": mod,
+                           "tol": 1.0 + 1e-12,
                            "pass": bool(mod <= 1.0 + 1e-12)})
-    else:
-        # limit law of the rescaled walk: (normalizer, CDF at time s)
-        c0 = float(ref.get("scale", np.pi / 2.0))
-        laws = {
-            "gaussian": (ns.walk, lambda s: lambda x: ndtr(x / np.sqrt(s))),
-            "generic": (ns.walk, lambda s: stable_cdf_interp(
-                alpha, beta, sigma * s ** (1.0 / alpha))),
-            "cauchy": (ns.cauchy_norm, lambda s: lambda x:
-                       0.5 + np.arctan(x / (c0 * s)) / np.pi),
-        }
-        normalizer, law_at = laws[regime]
-        lam = normalizer(u)
-        for j, t in enumerate(scenario.times):
-            z = (S[:, j] - m * targets[j]) / lam
-            add(f"marginal t={t:g}", ks_distance(z, law_at(t)),
-                scenario.tol_ks)
-        for j in range(len(targets) - 1):
-            dn = targets[j + 1] - targets[j]
-            if dn < 1:
-                continue
-            z = (S[:, j + 1] - S[:, j] - m * dn) / lam
-            add(f"increment t={scenario.times[j]:g}->{scenario.times[j+1]:g}",
-                ks_distance(z, law_at(dn / u)), scenario.tol_increment)
+        else:
+            z = (S[:, j + 1] - S[:, j] - centre * dn) / lam
+            add(f"increment {span}", ks_distance(z, law_at(dn / u)),
+                scenario.tol_increment)
 
     return {"name": scenario.name, "regime": regime, "u": u,
             "replicas": scenario.replicas, "times": scenario.times,

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -5,6 +7,7 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import combwalk
 from combwalk import cli, constant_comb, lamperti_limit, power_comb
@@ -116,6 +119,10 @@ def test_simulate_error_paths(tmp_path, capsys):
     assert cli.main(["simulate", "--comb", comb, "--horizon", "20000001",
                      "--out", out]) == 2
     assert "error:" in capsys.readouterr().err
+    assert cli.main(["simulate", "--comb", comb, "--horizon", "100",
+                     "--trajectory", str(tmp_path / "missing" / "t.csv"),
+                     "--out", out]) == 2
+    assert "cannot open output file" in capsys.readouterr().err
 
 
 def test_seed_env_and_flag_precedence(tmp_path, capsys, monkeypatch):
@@ -262,10 +269,62 @@ def test_sample_limit_path_rows_match_scalar_evaluation(capsys):
     assert rows[0] == ["0", "0", cli._fmt(0.3), "0"]
 
 
-def test_sample_limit_validation(capsys):
+def test_sample_limit_validation(tmp_path, capsys):
     assert cli.main(["sample-limit", "--kind", "positive-stable",
                      "--alpha", "1.5", "--n", "10"]) == 2
     capsys.readouterr()
+    # a rejected request creates no output file
+    out = tmp_path / "f.csv"
+    assert cli.main(["sample-limit", "--kind", "positive-stable",
+                     "--alpha", "1.5", "--n", "10", "--out", str(out)]) == 2
+    assert "positive-stable needs alpha" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# the CSV writer
+
+
+def written_csv(*cols):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        cli._write_csv(None, "# pre\n", ["i", "x", "dir"], *cols)
+    return buf.getvalue()
+
+
+def per_row_csv(ints, floats, dirs):
+    return "# pre\ni,x,dir\n" + "".join(
+        f"{int(i)},{format(float(x), '.17g')},{d}\n"
+        for i, x, d in zip(ints, floats, dirs))
+
+
+_I64 = st.integers(-(2**63 - 1), 2**63 - 1)
+_F64 = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(_I64, _F64, st.sampled_from("ud")), max_size=40))
+@example([(2**63 - 1, 0.0, "u"), (-(2**63 - 1), -0.0, "d"),
+          (0, float("inf"), "u"), (1, -float("inf"), "d"),
+          (-1, float("nan"), "u"), (7, 5e-324, "d"), (8, -5e-324, "u"),
+          (9, 2.2250738585072009e-308, "d"), (10, 1e308, "u"),
+          (11, -1e308, "d"), (12, 0.1, "u")])
+def test_writer_matches_per_row_text(rows):
+    ints = np.array([r[0] for r in rows], dtype=np.int64)
+    floats = np.array([r[1] for r in rows], dtype=float)
+    dirs = np.array([r[2] for r in rows], dtype="<U1")
+    assert written_csv(ints, floats, dirs) == per_row_csv(ints, floats, dirs)
+
+
+def test_writer_across_a_chunk_edge_and_with_no_rows():
+    n = cli._CSV_CHUNK + 3
+    rng = np.random.default_rng(0)
+    ints = rng.integers(-10**12, 10**12, n)
+    floats = rng.standard_cauchy(n)
+    dirs = np.where(rng.random(n) < 0.5, "u", "d")
+    assert written_csv(ints, floats, dirs) == per_row_csv(ints, floats, dirs)
+    empty = np.zeros(0, dtype=np.int64)
+    assert written_csv(empty, empty, empty) == "# pre\ni,x,dir\n"
 
 
 # ---------------------------------------------------------------------------
@@ -307,6 +366,9 @@ def test_verify_error_paths(tmp_path, capsys):
     assert cli.main(["verify", "--scenario", str(mismatch)]) == 2
     err = capsys.readouterr().err
     assert "scenario rejected" in err
+    assert cli.main(["verify", "--scenario", "determinism-smoke", "--out",
+                     str(tmp_path / "missing" / "r.txt")]) == 2
+    assert "cannot open output file" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

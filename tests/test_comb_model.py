@@ -663,10 +663,6 @@ def test_comb_accessors():
     comb = constant_comb(0.3, 0.5)
     assert comb.up.params["p"] == 0.3
     assert comb.down.params["p"] == 0.5
-    assert comb.law("u") is comb.up_law
-    assert comb.law("d") is comb.down_law
-    with pytest.raises(ValueError):
-        comb.law("sideways")
 
 
 def test_power_comb_defaults():

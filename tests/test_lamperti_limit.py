@@ -126,6 +126,22 @@ def test_evaluator_ppf_roundtrip():
     assert np.max(np.abs(qq - q)) < 1e-9
 
 
+def test_evaluator_ppf_zero_is_positive():
+    # the left edge forms x = z - 1 and the right x = 1 - z; the mirror
+    # form side * (1 - z) turns the left z = 1 into -0.0
+    zeros = 0
+    for alpha in (0.2, 0.35, 0.5, 0.65, 0.8):
+        for m in (-0.6, -0.2, 0.2, 0.6):
+            ev = DensityEvaluator(alpha, m)
+            q = ev.cdf(0.0) / ev.mass
+            up = np.nextafter(q, 1.0)
+            x = ev.ppf(np.array([np.nextafter(q, 0.0), q, up,
+                                 np.nextafter(up, 1.0)]))
+            zeros += np.count_nonzero(x == 0.0)
+            assert not np.any(np.signbit(x[x == 0.0]))
+    assert zeros >= 20      # 31 of the 80 quantiles map to x = 0
+
+
 def test_evaluator_time_scaling():
     x = np.array([-1.4, 0.2, 2.3])
     assert np.allclose(cdf_f(0.5, 0.2, 3.0, x), cdf_f(0.5, 0.2, 1.0, x / 3.0))
