@@ -217,7 +217,7 @@ def cmd_verify(args):
     except ValueError as e:
         raise _CliError(f"scenario rejected: {e}")
     text = format_report(report)
-    if args.out:
+    if args.out not in (None, "-"):
         try:
             fh = open(args.out, "w")
         except OSError as e:

@@ -345,6 +345,15 @@ def test_verify_bundled_scenario(tmp_path, capsys):
     assert "seed: 8" in capsys.readouterr().out
 
 
+def test_verify_out_dash_is_stdout(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    rc = cli.main(["verify", "--scenario", "determinism-smoke", "--out", "-"])
+    assert rc == 0
+    out = capsys.readouterr().out
+    assert "RESULT: PASS" in out and "wrote" not in out
+    assert not (tmp_path / "-").exists()
+
+
 def test_verify_forced_failure_exits_one(capsys):
     rc = cli.main(["verify", "--scenario", "forced-failure"])
     out = capsys.readouterr().out

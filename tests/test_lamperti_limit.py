@@ -262,6 +262,64 @@ def test_recursion_matches_exhaustive_enumeration(comb):
         assert np.all(p[n, n + 1:] == 0.0)
 
 
+def markov_occupation(comb, n_max):
+    """Every row of the recursion table by a forward Markov chain over
+    (direction, age, up-count) with enum_occupation's semantics: the
+    first increment opens the down run, then a run of age a continues
+    or turns.  O(n_max^3).
+
+    Continue/turn probabilities are T(a)/T(a-1) and 1 minus it, from the
+    run-length laws the recursion reads: for power rules the closed-form
+    tail differs from the product of 1 - hazard by ~1e-13 relative at
+    age 60, which would swamp the recursion's own rounding.
+    """
+    out = np.zeros((n_max + 1, n_max + 1))
+    out[0, 0] = 1.0
+    tails = [law.tail(np.arange(n_max + 1.0))
+             for law in (comb.down_law, comb.up_law)]
+    keep = [t[1:] / t[:-1] for t in tails]
+    turn = [(t[:-1] - t[1:]) / t[:-1] for t in tails]
+    # P[dirn][age - 1, ups] after the increments so far
+    P = [np.zeros((n_max, n_max + 1)), np.zeros((n_max, n_max + 1))]
+    P[0][0, 0] = 1.0
+    out[1] = P[0].sum(axis=0)
+    for n in range(2, n_max + 1):
+        new = [np.zeros_like(P[0]), np.zeros_like(P[1])]
+        for dirn in (0, 1):
+            stay = P[dirn][:-1] * keep[dirn][:-1, None]
+            ended = (P[dirn] * turn[dirn][:, None]).sum(axis=0)
+            new[dirn][1:, dirn:] += stay[:, :n_max + 1 - dirn]
+            new[1 - dirn][0, 1 - dirn:] += ended[:n_max + dirn]
+        P = new
+        out[n] = P[0].sum(axis=0) + P[1].sum(axis=0)
+    return out
+
+
+@pytest.mark.parametrize("comb", [
+    power_comb(0.5),
+    power_comb(0.3),
+    power_comb(0.5, c=1.4655561545081737, a_d=0.5, c_d=0.0),
+    constant_comb(0.3, 0.5),
+    constant_comb(0.05, 0.9),
+])
+def test_recursion_matches_markov_chain(comb):
+    # 63/64/65/128 put the last row on either side of a 64-row block edge
+    for n_max in (63, 64, 65, 128, 150):
+        p = lamperti_recursion(comb, n_max)
+        ref = markov_occupation(comb, n_max)
+        assert np.max(np.abs(p - ref)) <= 1e-14
+        big = ref > 1e-250
+        assert np.max(np.abs(p - ref)[big] / ref[big]) <= 1e-11
+        assert np.array_equal(p == 0.0, ref == 0.0)
+
+
+def test_markov_chain_matches_exhaustive_enumeration():
+    comb = power_comb(0.5, c=1.4655561545081737, a_d=0.5, c_d=0.0)
+    ref = markov_occupation(comb, 10)
+    for n in range(11):
+        assert np.max(np.abs(ref[n, :n + 1] - enum_occupation(comb, n))) < 1e-14
+
+
 def test_recursion_rows_are_distributions():
     p = lamperti_recursion(power_comb(0.5), 200)
     assert np.max(np.abs(p.sum(axis=1) - 1.0)) < 1e-12
@@ -276,8 +334,11 @@ def test_recursion_approaches_arcsine():
     k = np.arange(301) / 300.0
     ks = np.max(np.abs(np.cumsum(p[300]) - 2 / np.pi * np.arcsin(np.sqrt(k))))
     assert ks < 0.05
-    with pytest.raises(ValueError):
-        lamperti_recursion(power_comb(0.5), 6000)
+    for bad in (6000, -1, 2.7, -0.5, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            lamperti_recursion(power_comb(0.5), bad)
+    assert lamperti_recursion(power_comb(0.5), 0).tolist() == [[1.0]]
+    assert lamperti_recursion(power_comb(0.5), 3.0).shape == (4, 4)
 
 
 # ---------------------------------------------------------------------------
