@@ -13,7 +13,9 @@ import contextlib
 import itertools
 import json
 import os
+import stat
 import sys
+import warnings
 
 import numpy as np
 
@@ -211,22 +213,36 @@ def cmd_verify(args):
         scenario = VerificationScenario.from_json(path)
     except (ValueError, OSError) as e:
         raise _CliError(f"bad scenario file: {e}")
+    fh = None
+    if args.out not in (None, "-"):
+        # open before the run, which can be long, but without truncating:
+        # an existing file keeps its text until the report replaces it
+        made = not os.path.exists(args.out)
+        try:
+            fh = open(args.out, "a")
+        except OSError as e:
+            raise _CliError(f"cannot open output file: {e}")
     try:
         report = verify_regime(scenario, seed=args.seed,
                                threads=args.threads)
-    except ValueError as e:
-        raise _CliError(f"scenario rejected: {e}")
+    except BaseException as e:
+        if fh is not None:
+            fh.close()
+            if made:                # a failed run leaves no new file
+                os.remove(args.out)
+        if isinstance(e, ValueError):
+            raise _CliError(f"scenario rejected: {e}")
+        raise
     text = format_report(report)
-    if args.out not in (None, "-"):
-        try:
-            fh = open(args.out, "w")
-        except OSError as e:
-            raise _CliError(f"cannot open output file: {e}")
+    if fh is None:
+        print(text)
+    else:
         with fh:
+            # pipes and devices (/dev/null) cannot be truncated
+            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                fh.truncate(0)
             fh.write(text + "\n")
         print(f"wrote {args.out}")
-    else:
-        print(text)
     return 0 if report["pass"] else 1
 
 
@@ -235,23 +251,34 @@ def cmd_verify(args):
 
 
 def _read_trajectory(path):
+    """The step column of a trajectory CSV as int64.  The first line that
+    is neither blank nor a '#' comment is the header; numpy's C reader
+    parses the rows after it, skipping empty lines and '#' comments."""
     try:
         with open(path) as fh:
-            lines = [ln.strip() for ln in fh if ln.strip()]
+            for consumed, line in enumerate(fh, 1):
+                line = line.strip()
+                if line and not line.startswith("#"):
+                    break
+            else:
+                raise _CliError("trajectory file has no header row")
     except OSError as e:
         raise _CliError(f"cannot read trajectory: {e}")
-    rows = [ln for ln in lines if not ln.startswith("#")]
-    if not rows:
-        raise _CliError("trajectory file has no header row")
-    cols = rows[0].split(",")
+    cols = line.split(",")
     if "step" not in cols:
         raise _CliError(f"trajectory header {cols} lacks a 'step' column")
-    j = cols.index("step")
     try:
-        steps = np.array([int(r.split(",")[j]) for r in rows[1:]])
-    except (ValueError, IndexError):
+        with warnings.catch_warnings():
+            # a header-only file ends below as "too short", stderr clean
+            warnings.filterwarnings("ignore", "loadtxt: input contained no",
+                                    UserWarning)
+            # the path, not the open handle: numpy reads it ~2x faster
+            steps = np.loadtxt(path, skiprows=consumed, delimiter=",",
+                               comments="#", usecols=cols.index("step"),
+                               dtype=np.int64, ndmin=1)
+    except ValueError:
         raise _CliError("malformed trajectory rows")
-    if np.any(np.abs(steps) != 1) and len(steps):
+    if np.any(np.abs(steps) != 1):
         raise _CliError("steps must be +-1")
     return steps
 

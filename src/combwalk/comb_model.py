@@ -28,6 +28,7 @@ _TABLE_MIN = 4096           # cached cdf entries while no cap is asked for
 _TABLE_MAX = 1 << 22        # cached cdf entries at most (32 MB per law)
 _BUILD_BLOCK = 1 << 16      # cdf entries computed at a time
 _GUIDE = 1 << 14            # guide cells over [0, 1), a power of two
+_ONE_BITS = np.float64(1.0).view(np.uint64)     # bit pattern of 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -373,8 +374,8 @@ class PersistenceLaw:
         rule = family.rule
         self._base = (_Geometric(rule[1], L) if rule[0] == "constant"
                       else _Power(rule[1], rule[2], L))
-        self._cdf = np.zeros(1)            # cdf_table(0), grown by invert
-        self._guide = None                 # guide of _cdf, built by invert
+        # (cdf table, its guide), replaced as one by invert under the lock
+        self._table = (np.zeros(1), None)  # cdf_table(0), no guide yet
         self._grow = threading.Lock()
 
     # -- tails and moments --------------------------------------------------
@@ -507,32 +508,35 @@ class PersistenceLaw:
         u = np.asarray(u, dtype=float)
         if u.ndim == 0:
             return self.invert(u[None], cap)[0]
-        if u.size and not (0.0 <= u.min() and u.max() < 1.0):
+        # a double's bits lie below those of 1.0 exactly when it is in
+        # [+0, 1), so one max settles every u but -0.0
+        if (u.view(np.uint64).max(initial=0) >= _ONE_BITS
+                and not (0.0 <= u.min() and u.max() < 1.0)):
             raise ValueError("uniforms must lie in [0, 1)")
         top = 1 << 53 if cap is None else int(cap)
         size = _TABLE_MIN if cap is None else min(top, _TABLE_MAX)
-        with self._grow:
-            # grow-only; a table ending in 1 already covers every u < 1
-            if len(self._cdf) < size and self._cdf[-1] < 1.0:
-                self._cdf = self.cdf_table(size - 1)
-                self._guide = None
-            if self._guide is None:
-                self._guide = _guide_table(self._cdf)
-            cdf, guide = self._cdf, self._guide
+        cdf, guide = self._table
+        if guide is None or len(cdf) < size and cdf[-1] < 1.0:
+            with self._grow:
+                # grow-only; a table ending in 1 already covers every u < 1
+                cdf, guide = self._table
+                if len(cdf) < size and cdf[-1] < 1.0:
+                    cdf, guide = self.cdf_table(size - 1), None
+                if guide is None:
+                    guide = _guide_table(cdf)
+                self._table = cdf, guide
         # u _GUIDE is exact and below _GUIDE, so the cast floors it
-        k = np.multiply(u, _GUIDE, out=np.empty(u.shape, np.int32),
-                        casting="unsafe")
-        out = guide.take(k).astype(np.int64)
-        open_cell = out < 0
-        if open_cell.any():
+        out = guide.take((u * _GUIDE).astype(np.intp)).astype(np.int64)
+        if out.min(initial=0) < 0:
+            open_cell = out < 0
             # u = 0 falls in the open cell 0 (cdf[0] = 0 is its edge), and
             # every other u is above cdf[0]: runs last at least one step
             out[open_cell] = np.searchsorted(cdf[1:], u[open_cell]) + 1
         if len(cdf) >= top or cdf[-1] == 1.0:
             # nothing gets past a table ending in 1; clip a longer one
             return np.minimum(out, top) if len(cdf) > top else out
-        past = out == len(cdf)
-        if past.any():
+        if out.max(initial=0) == len(cdf):
+            past = out == len(cdf)
             s = u[past]
             ends = np.full(len(s), top, dtype=np.int64)
             # T is nonincreasing (up to rounding wobbles), so a draw that

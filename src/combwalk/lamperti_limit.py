@@ -152,8 +152,9 @@ def sample_anomalous_ensemble(alpha, b, n_rep, seed, level=1.0, t_max=None,
     Deterministically chunked like walk_marginals: identical output for
     any thread count.  More threads do not help: each path is a few
     short numpy calls that hold the GIL, and threads=2 is measured
-    slower than threads=1 (20 000 paths at alpha = 0.5 on 2 vCPUs:
-    1.9-2.8 s against 1.1-1.6 s).
+    slower than threads=1 (20 000 paths at alpha = 0.5 on 2 vCPUs, 8
+    alternating pairs: median 2.76 s wall and 3.67 s CPU, range
+    1.97-2.87 s, against median 1.49 s, range 1.39-1.63 s).
     """
     if t_max is None:
         t_max = default_t_max(alpha, level)

@@ -51,6 +51,7 @@ class HillResult:
 
 _HILL_BOOT = 200            # bootstrap resamples of the Hill CI
 _HILL_SEED = 0              # their seed, so the CI is a function of the data
+_HILL_BLOCK = 1 << 20       # bootstrap indices drawn and gathered at a time
 
 
 def hill_estimate(samples, k_frac):
@@ -73,9 +74,14 @@ def hill_estimate(samples, k_frac):
         raise ValueError("degenerate tail: top order statistics are equal, "
                          "heavy-tail estimation declined")
     alpha = 1.0 / float(np.mean(logs))
+    # the (_HILL_BOOT, k) index draw in row blocks of at most
+    # max(k, _HILL_BLOCK) indices: the same stream and the same row means
     rng = np.random.default_rng(_HILL_SEED)
-    idx = rng.integers(0, k, size=(_HILL_BOOT, k))
-    boot = 1.0 / np.mean(logs[idx], axis=1)
+    rows = max(1, _HILL_BLOCK // k)
+    boot = 1.0 / np.concatenate([
+        np.mean(logs[rng.integers(0, k, size=(min(rows, _HILL_BOOT - r), k))],
+                axis=1)
+        for r in range(0, _HILL_BOOT, rows)])
     lo, hi = np.percentile(boot, [2.5, 97.5])
     return HillResult(alpha, (float(lo), float(hi)), k)
 

@@ -4,9 +4,11 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
+from numpy.testing import assert_array_equal
 from hypothesis import example, given, settings, strategies as st
 
 import combwalk
@@ -375,9 +377,42 @@ def test_verify_error_paths(tmp_path, capsys):
     assert cli.main(["verify", "--scenario", str(mismatch)]) == 2
     err = capsys.readouterr().err
     assert "scenario rejected" in err
+
+
+def test_verify_out_is_opened_before_the_run(tmp_path, monkeypatch, capsys):
+    real = cli.verify_regime
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("verify_regime ran before --out was opened")
+
+    monkeypatch.setattr(cli, "verify_regime", must_not_run)
     assert cli.main(["verify", "--scenario", "determinism-smoke", "--out",
                      str(tmp_path / "missing" / "r.txt")]) == 2
     assert "cannot open output file" in capsys.readouterr().err
+    # a rejected scenario leaves no new file, and an old one as it was
+    monkeypatch.setattr(cli, "verify_regime", real)
+    mismatch = tmp_path / "mismatch.json"
+    mismatch.write_text(json.dumps({
+        "name": "mismatch",
+        "comb": constant_comb(0.5, 0.5).to_dict(),
+        "regime": "anomalous", "u": 500, "replicas": 1000,
+        "times": [1.0], "tol_ks": 0.1}))
+    new, old = tmp_path / "new.txt", tmp_path / "old.txt"
+    old.write_text("an earlier report\n")
+    for out in (new, old):
+        assert cli.main(["verify", "--scenario", str(mismatch),
+                         "--out", str(out)]) == 2
+        assert "scenario rejected" in capsys.readouterr().err
+    assert not new.exists()
+    assert old.read_text() == "an earlier report\n"
+    # a report replaces a longer file whole; a device takes it as it is
+    old.write_text("an earlier report\n" * 10_000)
+    for out in (old, os.devnull):
+        assert cli.main(["verify", "--scenario", "determinism-smoke",
+                         "--out", str(out)]) == 0
+    text = old.read_text()
+    assert "an earlier report" not in text
+    assert text.endswith("RESULT: PASS\n")
 
 
 # ---------------------------------------------------------------------------
@@ -440,6 +475,77 @@ def test_estimate_error_paths(tmp_path, capsys):
                        "\n".join("1,2,x,4" for _ in range(200)) + "\n")
     assert cli.main(["estimate", "--trajectory", str(garbled)]) == 2
     capsys.readouterr()
+
+
+def python_read_steps(path):
+    """The step column parsed line by line in Python, as the reader did
+    before numpy's C reader took over the rows: the reference for
+    cli._read_trajectory on well-formed files."""
+    with open(path) as fh:
+        lines = [ln.strip() for ln in fh if ln.strip()]
+    rows = [ln for ln in lines if not ln.startswith("#")]
+    j = rows[0].split(",").index("step")
+    return np.array([int(r.split(",")[j]) for r in rows[1:]])
+
+
+def test_reader_matches_the_python_parse(tmp_path, capsys):
+    cpath = write_comb(tmp_path, power_comb(0.5))
+    t = tmp_path / "traj.csv"
+    assert cli.main(["simulate", "--comb", cpath, "--horizon", "30000",
+                     "--seed", "2", "--trajectory", str(t),
+                     "--runs", str(tmp_path / "runs.csv")]) == 0
+    capsys.readouterr()
+    got = cli._read_trajectory(str(t))
+    assert got.dtype == np.int64 and len(got) == 30000
+    assert_array_equal(got, python_read_steps(t))
+
+
+_HEAD = "# combwalk trajectory\n# seed: 0\n\nn,position,step,age\n"
+_ROWS = [f"{n},0,{s},1\n" for n, s in
+         enumerate(np.where(np.arange(150) % 7 < 3, 1, -1), 1)]
+
+
+@pytest.mark.parametrize("name, text", [
+    ("comments and blank lines", _HEAD + "".join(_ROWS[:50]) + "\n# mid\n\n"
+     + "".join(_ROWS[50:])),
+    ("CRLF", (_HEAD + "".join(_ROWS)).replace("\n", "\r\n")),
+    ("extra columns", _HEAD.replace("age", "age,x") + "".join(
+        r.replace("\n", ",9\n") for r in _ROWS)),
+    ("step first", "step,n\n" + "".join(
+        f"{r.split(',')[2]},{r.split(',')[0]}\n" for r in _ROWS)),
+    ("no final newline", _HEAD + "".join(_ROWS).rstrip("\n")),
+])
+def test_reader_accepts(tmp_path, name, text):
+    p = tmp_path / "t.csv"
+    p.write_bytes(text.encode())
+    got = cli._read_trajectory(str(p))
+    assert len(got) == 150
+    assert_array_equal(got, python_read_steps(p))
+
+
+@pytest.mark.parametrize("name, bad, message", [
+    ("short row", "151,0\n", "malformed trajectory rows"),
+    ("float step", "151,0,-1.0,1\n", "malformed trajectory rows"),
+    ("empty step", "151,0,,1\n", "malformed trajectory rows"),
+    ("a line of spaces", "   \n", "malformed trajectory rows"),
+    ("step of 2", "151,0,2,1\n", "steps must be +-1"),
+])
+def test_reader_rejects(tmp_path, capsys, name, bad, message):
+    p = tmp_path / "t.csv"
+    p.write_text(_HEAD + "".join(_ROWS[:100]) + bad + "".join(_ROWS[100:]))
+    assert cli.main(["estimate", "--trajectory", str(p)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_header_only_is_too_short_without_a_warning(tmp_path, capsys):
+    p = tmp_path / "t.csv"
+    p.write_text(_HEAD)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.main(["estimate", "--trajectory", str(p)]) == 2
+    assert caught == []
+    assert capsys.readouterr().err == (
+        "error: trajectory too short to estimate anything\n")
 
 
 # ---------------------------------------------------------------------------

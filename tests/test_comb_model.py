@@ -569,7 +569,7 @@ def test_invert_outside_the_unit_interval(fam):
     # u >= 1 or NaN, and u < 0 would wrap around the guide
     law = PersistenceLaw(fam)
     ok = np.random.default_rng(2).random(50)
-    for bad in (-0.5, -np.inf, 1.0, 1.5, np.inf, np.nan):
+    for bad in (-0.5, -5e-324, -np.inf, 1.0, 1.5, np.inf, np.nan):
         u = np.append(ok, bad)
         for cap in (None, 1, 50, 5000, 30_000):
             with pytest.raises(ValueError, match=r"\[0, 1\)"):
@@ -583,6 +583,7 @@ def test_invert_outside_the_unit_interval(fam):
         assert_array_equal(law.invert(u, cap), law.invert(np.abs(u), cap))
         assert law.invert(-0.0, cap) == 1
         assert law.invert(0.0, cap) == 1
+        assert law.invert(np.nextafter(1.0, 0.0), cap) >= 1
         assert law.invert(np.empty(0), cap).shape == (0,)
 
 
@@ -636,7 +637,7 @@ def test_cdf_table_growth_is_thread_safe():
     for cap, out in zip(caps, got):
         assert_array_equal(out, _full_table_inverse(law, u, cap))
     # grow-only: the table holds the largest cap asked for
-    assert len(law._cdf) == 20_000
+    assert len(law._table[0]) == 20_000
 
 
 def test_sampling_scalar_and_wrapper():

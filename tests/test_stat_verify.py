@@ -16,6 +16,7 @@ from combwalk import (
     power_comb,
     verify_regime,
 )
+from combwalk import stat_verify
 
 
 # ---------------------------------------------------------------------------
@@ -91,6 +92,36 @@ def test_hill_ignores_nonpositive_values():
     res = hill_estimate(salted, 0.01)
     assert res.k == 500
     assert res.alpha == pytest.approx(0.5, abs=0.1)
+
+
+def one_matrix_hill(samples, k_frac):
+    """hill_estimate with its bootstrap drawn as one (_HILL_BOOT, k) index
+    matrix: the reference for the row-blocked draw."""
+    x = np.asarray(samples, dtype=float)
+    x = x[x > 0]
+    n = len(x)
+    k = int(np.floor(k_frac * n))
+    top = np.sort(np.partition(x, n - k - 1)[n - k - 1:])[::-1]
+    logs = np.log(top[:k]) - np.log(top[k])
+    rng = np.random.default_rng(stat_verify._HILL_SEED)
+    idx = rng.integers(0, k, size=(stat_verify._HILL_BOOT, k))
+    boot = 1.0 / np.mean(logs[idx], axis=1)
+    lo, hi = np.percentile(boot, [2.5, 97.5])
+    return 1.0 / float(np.mean(logs)), (float(lo), float(hi)), k
+
+
+@pytest.mark.parametrize("n, block", [
+    (170, None),            # k = 17: one block
+    (100_000, None),        # k = 10 000: two blocks, the last one short
+    (250_010, None),        # k = 25 001: five blocks of 41 rows, then 36
+    (12_340, 1000),         # k = 1 234 above the block: one row a block
+])
+def test_hill_blocked_bootstrap_is_the_one_matrix_draw(monkeypatch, n, block):
+    if block is not None:
+        monkeypatch.setattr(stat_verify, "_HILL_BLOCK", block)
+    x = np.random.default_rng(n).random(n) ** -1.5
+    got = hill_estimate(x, 0.1)
+    assert (got.alpha, got.ci, got.k) == one_matrix_hill(x, 0.1)
 
 
 def test_hill_validation():
