@@ -12,24 +12,23 @@ limit objects, and ships statistical checks that verify each regime
 end to end.
 """
 
-from .comb_model import (CombSpec, GraftSpec, HazardFamily, PersistenceLaw,
-                         constant_comb, envelope_transitions, power_comb)
+from .comb_model import (CombSpec, HazardFamily, PersistenceLaw,
+                         constant_comb, power_comb)
 from .scaling_laws import (NormalizerSet, RegimeReport, classify_regime,
-                           cycle_tail, cycle_truncated_second_moment,
-                           effective_drift, equivalence_checks, mean_drift,
-                           stable_scale, stable_sigma, stable_skewness,
-                           tail_balance, total_mean_cycle)
-from .walk_sim import Trajectory, rescaled_path, simulate_prw, walk_marginals
-from .stable_proc import (brownian_path, default_jump_cut, levy_symbol,
+                           effective_drift, mean_drift, stable_scale,
+                           stable_sigma, stable_skewness, tail_balance,
+                           total_mean_cycle)
+from .walk_sim import Trajectory, simulate_prw, walk_marginals
+from .stable_proc import (default_jump_cut, levy_symbol,
                           sample_positive_stable, sample_stable,
-                          stable_cdf_interp, stable_path, subordinator_path)
+                          stable_cdf_interp, subordinator_path)
 from .lamperti_limit import (AnomalousPath, DensityEvaluator,
                              LabelledSubordinatorPath, cdf_f, density_f,
                              double_gf_limit, flt_f,
                              labelled_subordinator, lamperti_recursion,
-                             ppf_f, renewal_state, sample_anomalous_ensemble,
+                             renewal_state, sample_anomalous_ensemble,
                              sample_marginal, sample_ratio)
-from .stat_verify import (HillResult, VerificationScenario, drift_l1,
+from .stat_verify import (HillResult, VerificationScenario,
                           empirical_char_fn, format_report, hill_estimate,
                           ks_distance, markov_kernel_check, verify_regime)
 

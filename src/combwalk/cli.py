@@ -59,25 +59,53 @@ def _load_comb(path):
 _CSV_CHUNK = 1 << 16     # rows formatted by one % string
 
 
-def _write_csv(path, preamble, names, *cols):
+@contextlib.contextmanager
+def _output(path):
+    """The output stream for `path` (stdout for None or "-"), opened
+    before a long run so that a path that cannot be written fails at
+    once.  The file is opened without truncating: an existing file keeps
+    its text until _rewound starts the output, and a file this call
+    created is removed if the run fails."""
+    if path in (None, "-"):
+        yield sys.stdout
+        return
+    made = not os.path.exists(path)
+    try:
+        fh = open(path, "a")
+    except OSError as e:
+        raise _CliError(f"cannot open output file: {e}")
+    try:
+        with fh:
+            yield fh
+    except BaseException:
+        if made:
+            os.remove(path)
+        raise
+
+
+def _rewound(out):
+    """`out` emptied if it is a regular file that _output opened (pipes
+    and devices cannot be truncated)."""
+    if out is not sys.stdout and stat.S_ISREG(os.fstat(out.fileno()).st_mode):
+        out.truncate(0)
+    return out
+
+
+def _write_csv(out, preamble, names, *cols):
     """Write `preamble`, the header row `names` and one row per index of
-    the equal-length columns to `path` (stdout for None or "-"): integer
+    the equal-length columns to the stream `out` from _output: integer
     columns as %d, floats as %.17g (the text of _fmt), the rest as %s."""
     cols = [np.asarray(c) for c in cols]
     row = ",".join("%d" if c.dtype.kind in "iu" else
                    "%.17g" if c.dtype.kind == "f" else "%s"
                    for c in cols) + "\n"
-    try:
-        fh = (contextlib.nullcontext(sys.stdout) if path in (None, "-")
-              else open(path, "w"))
-    except OSError as e:
-        raise _CliError(f"cannot open output file: {e}")
-    with fh as out:
-        out.write(preamble + ",".join(names) + "\n")
-        for lo in range(0, len(cols[0]), _CSV_CHUNK):
-            chunk = [c[lo:lo + _CSV_CHUNK].tolist() for c in cols]
-            out.write(row * len(chunk[0])
-                      % tuple(itertools.chain.from_iterable(zip(*chunk))))
+    out = _rewound(out)
+    out.write(preamble + ",".join(names) + "\n")
+    for lo in range(0, len(cols[0]), _CSV_CHUNK):
+        chunk = [c[lo:lo + _CSV_CHUNK].tolist() for c in cols]
+        out.write(row * len(chunk[0])
+                  % tuple(itertools.chain.from_iterable(zip(*chunk))))
+    out.flush()     # before a later _rewound of the same file empties it
 
 
 # ---------------------------------------------------------------------------
@@ -94,21 +122,22 @@ def cmd_simulate(args):
     traj_path = args.trajectory or (args.out + "_trajectory.csv")
     runs_path = args.runs or (args.out + "_runs.csv")
     header = f"# seed: {seed}\n# comb: {json.dumps(comb.to_dict())}\n"
-    if args.horizon:
-        traj = simulate_prw(comb, args.horizon, seed=seed)
-        steps = traj.steps()
-        pos = traj.positions()[1:]          # S_1..S_horizon
-        ages = traj.ages()
-        dirs, lengths = traj.directions, traj.lengths
-    else:                                   # --horizon 0: headers only
-        steps = pos = ages = dirs = lengths = np.zeros(0, dtype=np.int64)
-    n = len(steps)
-    _write_csv(traj_path, "# combwalk trajectory\n" + header,
-               ["n", "position", "step", "age"],
-               np.arange(1, n + 1), pos, steps, ages)
-    _write_csv(runs_path, "# combwalk runs\n" + header,
-               ["index", "direction", "length"],
-               np.arange(len(lengths)), dirs, lengths)
+    with _output(traj_path) as traj_out, _output(runs_path) as runs_out:
+        if args.horizon:
+            traj = simulate_prw(comb, args.horizon, seed=seed)
+            steps = traj.steps()
+            pos = traj.positions()[1:]          # S_1..S_horizon
+            ages = traj.ages()
+            dirs, lengths = traj.directions, traj.lengths
+        else:                                   # --horizon 0: headers only
+            steps = pos = ages = dirs = lengths = np.zeros(0, dtype=np.int64)
+        n = len(steps)
+        _write_csv(traj_out, "# combwalk trajectory\n" + header,
+                   ["n", "position", "step", "age"],
+                   np.arange(1, n + 1), pos, steps, ages)
+        _write_csv(runs_out, "# combwalk runs\n" + header,
+                   ["index", "direction", "length"],
+                   np.arange(len(lengths)), dirs, lengths)
     print(f"steps: {n}")
     if n == 0:
         return 0
@@ -137,8 +166,9 @@ def cmd_density(args):
     x[np.abs(x) < 1e-9 * t] = 0.0
     f = lamperti_limit.density_f(args.alpha, args.m, t, x)
     F = lamperti_limit.cdf_f(args.alpha, args.m, t, x)
-    _write_csv(args.out, f"# combwalk density alpha={_fmt(args.alpha)} "
-               f"m={_fmt(args.m)} t={_fmt(t)}\n", ["x", "f", "F"], x, f, F)
+    with _output(args.out) as out:
+        _write_csv(out, f"# combwalk density alpha={_fmt(args.alpha)} "
+                   f"m={_fmt(args.m)} t={_fmt(t)}\n", ["x", "f", "F"], x, f, F)
     if args.out not in (None, "-"):
         print(f"wrote {args.out}")
     return 0
@@ -177,7 +207,7 @@ def cmd_sample_limit(args):
         names = ["S", "age", "excess"]
         tag = f"ensemble alpha={a} b={b} level={_fmt(args.t)}"
     elif args.kind == "path":
-        t_max = args.t_max if args.t_max else 3.0
+        t_max = 3.0 if args.t_max is None else args.t_max
         path = lamperti_limit.labelled_subordinator(
             args.alpha, args.b, t_max, rng=rng)
         ts = np.linspace(0.0, path.total(), n)
@@ -185,8 +215,9 @@ def cmd_sample_limit(args):
         names = ["t", "S", "label", "age"]
         tag = f"path alpha={a} b={b} t_max={_fmt(t_max)}"
         tail = f" T={_fmt(path.total())}"
-    _write_csv(args.out, f"# combwalk sample-limit {tag} seed={seed}{tail}\n",
-               names, *cols)
+    with _output(args.out) as out:
+        _write_csv(out, f"# combwalk sample-limit {tag} seed={seed}{tail}\n",
+                   names, *cols)
     if args.out not in (None, "-"):
         print(f"wrote {args.out}")
     return 0
@@ -213,35 +244,14 @@ def cmd_verify(args):
         scenario = VerificationScenario.from_json(path)
     except (ValueError, OSError) as e:
         raise _CliError(f"bad scenario file: {e}")
-    fh = None
-    if args.out not in (None, "-"):
-        # open before the run, which can be long, but without truncating:
-        # an existing file keeps its text until the report replaces it
-        made = not os.path.exists(args.out)
+    with _output(args.out) as out:
         try:
-            fh = open(args.out, "a")
-        except OSError as e:
-            raise _CliError(f"cannot open output file: {e}")
-    try:
-        report = verify_regime(scenario, seed=args.seed,
-                               threads=args.threads)
-    except BaseException as e:
-        if fh is not None:
-            fh.close()
-            if made:                # a failed run leaves no new file
-                os.remove(args.out)
-        if isinstance(e, ValueError):
+            report = verify_regime(scenario, seed=args.seed,
+                                   threads=args.threads)
+        except ValueError as e:
             raise _CliError(f"scenario rejected: {e}")
-        raise
-    text = format_report(report)
-    if fh is None:
-        print(text)
-    else:
-        with fh:
-            # pipes and devices (/dev/null) cannot be truncated
-            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
-                fh.truncate(0)
-            fh.write(text + "\n")
+        _rewound(out).write(format_report(report) + "\n")
+    if args.out not in (None, "-"):
         print(f"wrote {args.out}")
     return 0 if report["pass"] else 1
 

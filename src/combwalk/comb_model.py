@@ -572,7 +572,7 @@ def _guide_table(cdf):
 
 
 # ---------------------------------------------------------------------------
-# the two-direction comb and finite grafts
+# the two-direction comb
 
 
 class CombSpec:
@@ -624,53 +624,3 @@ def power_comb(a, c=0.0, a_d=None, c_d=None):
         c_d = c
     return CombSpec(HazardFamily.power(a, c), HazardFamily.power(a_d, c_d))
 
-
-class GraftSpec:
-    """Finitely many context words (most recent letter first, over 'u'/'d')
-    mapped to Bernoulli switch parameters."""
-
-    def __init__(self, entries):
-        self.entries = {}
-        for word, q in dict(entries).items():
-            if not word or any(ch not in "ud" for ch in word):
-                raise ValueError(f"bad context word {word!r}")
-            if not 0.0 <= q <= 1.0:
-                raise ValueError("graft parameters must lie in [0, 1]")
-            self.entries[word] = float(q)
-
-    @property
-    def depth(self):
-        return max((len(w) for w in self.entries), default=0)
-
-
-def envelope_transitions(comb, graft):
-    """Lower/upper comb envelopes of a comb-plus-graft walk.
-
-    For the comb context of an age-k run, collect the graft leaves refining
-    it (extensions of the word).  The lower walk switches out of up-runs as
-    fast as any refining leaf allows (sup) and stays in down-runs as long
-    as possible (inf); the upper walk mirrors this.  Contexts with no
-    refining leaves keep the base hazard.
-    """
-    if graft.depth == 0:
-        return comb, comb
-
-    def enveloped(direction, pick):
-        fam = comb.up if direction == "u" else comb.down
-        depth = graft.depth
-        ks = np.arange(1, depth + 1)
-        base = fam.hazard(ks)
-        vals = base.copy()
-        other = "d" if direction == "u" else "u"
-        for i, k in enumerate(ks):
-            ctx = direction * int(k) + other
-            cand = [q for w, q in graft.entries.items() if w.startswith(ctx)]
-            if cand:
-                vals[i] = pick(cand)
-        if len(fam.values):
-            raise ValueError("envelopes support constant/power base combs")
-        return HazardFamily.table(vals, fam.rule)
-
-    lower = CombSpec(enveloped("u", max), enveloped("d", min))
-    upper = CombSpec(enveloped("u", min), enveloped("d", max))
-    return lower, upper

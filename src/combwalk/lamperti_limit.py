@@ -64,17 +64,6 @@ class LabelledSubordinatorPath:
         """T(t_max)."""
         return float(self.drift * self.t_max + self._cum_j[-1])
 
-    def thinned_sum(self, t, sign):
-        """T^u(t) (sign=+1) or T^d(t) (sign=-1): labelled jump mass by
-        subordinator time t, plus the label-share of drift time."""
-        t = float(t)
-        if not 0.0 <= t <= self.t_max:
-            raise ValueError("t outside [0, t_max]")
-        k = np.searchsorted(self.times, t, side="right")
-        mask = self.labels[:k] == sign
-        share = (1.0 + sign * self.b) / 2.0
-        return float(self.jumps[:k][mask].sum() + share * self.drift * t)
-
 
 def labelled_subordinator(alpha, b, t_max, epsilon=None, rng=None):
     """Subordinator path with independent +-1 labels, P(+1) = (1+b)/2."""
@@ -156,6 +145,8 @@ def sample_anomalous_ensemble(alpha, b, n_rep, seed, level=1.0, t_max=None,
     alternating pairs: median 2.76 s wall and 3.67 s CPU, range
     1.97-2.87 s, against median 1.49 s, range 1.39-1.63 s).
     """
+    if not -1.0 <= b <= 1.0:
+        raise ValueError("label bias must lie in [-1, 1]")
     if t_max is None:
         t_max = default_t_max(alpha, level)
 
@@ -311,10 +302,6 @@ class DensityEvaluator:
         y = yb[i] + (c - cum[i]) * (yb[i + 1] - yb[i]) / (cum[i + 1] - cum[i])
         return y ** (1.0 / self.alpha)
 
-    def sample(self, rng, t=1.0, size=None):
-        u = rng.random(size)
-        return self.ppf(u, t=t)
-
 
 @functools.lru_cache(maxsize=64)
 def _evaluator(alpha, m):
@@ -326,13 +313,9 @@ def cdf_f(alpha, m, t, x):
     return _evaluator(alpha, m).cdf(x, t=t)
 
 
-def ppf_f(alpha, m, t, q):
-    return _evaluator(alpha, m).ppf(q, t=t)
-
-
 def sample_marginal(alpha, m, t, rng, size=None):
     """Inversion sampler for the marginal law of S(t)."""
-    return _evaluator(alpha, m).sample(rng, t=t, size=size)
+    return _evaluator(alpha, m).ppf(rng.random(size), t=t)
 
 
 def sample_ratio(alpha, b, rng, size=None):

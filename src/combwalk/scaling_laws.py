@@ -264,71 +264,3 @@ class NormalizerSet:
         else:
             den = self.theta_sum(float(self.walk(u)))
         return u * self.xi1(self.time(u)) / den
-
-
-# ---------------------------------------------------------------------------
-# cycle-variable checks
-
-
-def cycle_tail(comb, t):
-    """P(|tau_c| > t) by conditioning each sign on the opposite run of
-    length j <= 4t + 10^4, with a rigorous truncation bound.  Returns
-    (value, error_bound)."""
-    m = effective_drift(comb)
-    up, dn = comb.up_law, comb.down_law
-    j_max = int(4 * t) + 10_000
-    j = np.arange(1, j_max + 1, dtype=float)
-    pmf_d = dn.tail(j - 1) - dn.tail(j)
-    pos = np.sum(pmf_d * up.tail((t + (1.0 + m) * j) / (1.0 - m)))
-    pmf_u = up.tail(j - 1) - up.tail(j)
-    neg = np.sum(pmf_u * dn.tail((t + (1.0 - m) * j) / (1.0 + m)))
-    err = (dn.tail(float(j_max)) * up.tail(t / (1.0 - m))
-           + up.tail(float(j_max)) * dn.tail(t / (1.0 + m)))
-    return float(pos + neg), float(err)
-
-
-def cycle_truncated_second_moment(comb, t):
-    """E[tau_c^2 1{|tau_c| <= t}], conditioning on the down run of length
-    j <= 4t + 10^4.  Returns (value, error_bound)."""
-    m = effective_drift(comb)
-    up, dn = comb.up_law, comb.down_law
-    j_max = int(4 * t) + 10_000
-    j = np.arange(1, j_max + 1, dtype=float)
-    pmf_d = dn.tail(j - 1) - dn.tail(j)
-    lo = ((1.0 + m) * j - t) / (1.0 - m)
-    hi = ((1.0 + m) * j + t) / (1.0 - m)
-    lo_i = np.maximum(np.ceil(lo) - 1.0, 0.0)  # window is {lo <= tau_u <= hi}
-    s0 = up.tail(lo_i) - up.tail(hi)
-    th_hi, th_lo = up.truncated_mean(hi), up.truncated_mean(lo_i)
-    s1 = (th_hi - np.floor(hi) * up.tail(hi)) - (th_lo - lo_i * up.tail(lo_i))
-    s2 = up.truncated_second_moment(hi) - up.truncated_second_moment(lo_i)
-    am, bm = 1.0 - m, 1.0 + m
-    inner = am * am * s2 - 2.0 * am * bm * j * s1 + bm * bm * j * j * s0
-    val = float(np.sum(pmf_d * inner))
-    err = float(dn.tail(float(j_max)) * t * t * up.tail(max(lo[-1], 0.0)))
-    return val, err
-
-
-def equivalence_checks(comb, t):
-    """Finite-t diagnostics behind the scaling arguments.
-
-    Returns a dict with the cycle/sum tail ratio and its limit constant
-    h = ((1-m)^a (1+b) + (1+m)^a (1-b)) / 2, and the ratio of the
-    truncated second moment of tau_c to Sigma^2(t) (limit 1).
-    """
-    rep = classify_regime(comb)
-    m = rep.drift
-    ns = NormalizerSet(comb)
-    out = {}
-    if rep.balance is not None and rep.regime != "gaussian":
-        ct, err = cycle_tail(comb, t)
-        ts = ns.tail_sum(t)
-        out["tail_ratio"] = ct / ts
-        out["tail_ratio_err"] = err / ts
-        a, b = rep.alpha, rep.balance
-        out["tail_ratio_limit"] = ((1.0 - m) ** a * (1.0 + b)
-                                   + (1.0 + m) ** a * (1.0 - b)) / 2.0
-    v, verr = cycle_truncated_second_moment(comb, t)
-    out["v_ratio"] = v / ns.sigma2(t)
-    out["v_ratio_err"] = verr / ns.sigma2(t)
-    return out

@@ -44,6 +44,8 @@ def sample_stable(alpha, beta, size, rng, scale=None):
         raise ValueError("beta must lie in [-1, 1]")
     if scale is None:
         scale = stable_sigma(alpha)
+    if not scale > 0.0:
+        raise ValueError("scale must be positive")
     V = (rng.random(size) - 0.5) * np.pi
     W = rng.standard_exponential(size)
     if abs(alpha - 1.0) < 1e-12:
@@ -94,6 +96,8 @@ def subordinator_path(alpha, t_max, rng, eps=None):
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("subordinator index must lie in (0, 1)")
+    if not t_max > 0.0:
+        raise ValueError("t_max must be positive")
     if eps is None:
         eps = default_jump_cut(alpha, t_max)
     lam = t_max * eps ** (-alpha)
@@ -105,35 +109,6 @@ def subordinator_path(alpha, t_max, rng, eps=None):
     J = eps * rng.random(n) ** (-1.0 / alpha)
     drift = alpha * eps ** (1.0 - alpha) / (1.0 - alpha)
     return s, J, drift
-
-
-def brownian_path(times, rng):
-    """Standard Brownian motion on the given increasing times."""
-    times = np.asarray(times, dtype=float)
-    dt = np.diff(np.concatenate([[0.0], times]))
-    if np.any(dt < 0):
-        raise ValueError("times must be nondecreasing")
-    return np.cumsum(rng.standard_normal(len(times)) * np.sqrt(dt))
-
-
-def stable_path(alpha, beta, times, rng, scale=None):
-    """Stable Levy motion on the given times via independent increments."""
-    if scale is None:
-        scale = stable_sigma(alpha)
-    times = np.asarray(times, dtype=float)
-    dt = np.diff(np.concatenate([[0.0], times]))
-    if np.any(dt < 0):
-        raise ValueError("times must be nondecreasing")
-    inc = sample_stable(alpha, beta, len(times), rng, scale=1.0)
-    sig = scale * dt ** (1.0 / alpha)
-    out = inc * sig
-    if abs(alpha - 1.0) < 1e-12 and beta != 0.0:
-        # increment scale sig shifts the alpha = 1 location by
-        # (2/pi) beta sig log sig; without it increments do not add up
-        # to the law of X(t)
-        nz = sig > 0.0
-        out[nz] += (2.0 / np.pi) * beta * sig[nz] * np.log(sig[nz])
-    return np.cumsum(out)
 
 
 # ---------------------------------------------------------------------------

@@ -100,16 +100,6 @@ def empirical_char_fn(samples, u_grid):
     return phi, se
 
 
-def drift_l1(comb, n, replicas, seed, threads=1):
-    """Monte Carlo E|S_n/n - m| with m the effective drift."""
-    if n < 1000:
-        raise ValueError("n below 10^3 is all noise")
-    rep = classify_regime(comb)
-    m = rep.drift
-    S = walk_marginals(comb, [int(n)], replicas, seed, threads=threads)
-    return float(np.mean(np.abs(S[:, 0] / n - m)))
-
-
 def markov_kernel_check(pair, t, a_bin, alpha):
     """Conditional law of the excess given the age at level t against
     the closed-form kernel CDF 1 - (a/(a+h))^alpha.

@@ -69,17 +69,6 @@ class Trajectory:
         starts = self._ends - self.lengths
         return np.arange(1, self.horizon + 1) - np.repeat(starts, self._reps)
 
-    def skeleton(self):
-        """(T, M): times and positions at the ends of completed up-runs."""
-        up = np.arange(1, self.n_runs, 2)
-        up = up[self._ends[up] <= self.horizon]
-        return self._ends[up], self._disp[up + 1]
-
-    def counting(self, t):
-        """Number of full down-up cycles completed by time t."""
-        T, _ = self.skeleton()
-        return int(np.searchsorted(T, np.floor(t), side="right"))
-
 
 def simulate_prw(comb, horizon, seed=None, rng=None):
     """One trajectory out to `horizon` steps, held as its exact run record.
@@ -102,17 +91,6 @@ def simulate_prw(comb, horizon, seed=None, rng=None):
         blocks.append(runs[:np.searchsorted(ends, horizon) + 1])
         total = ends[-1]
     return Trajectory(np.concatenate(blocks), horizon)
-
-
-def rescaled_path(traj, u, space, drift):
-    """t -> (S_{floor(u t)} - drift * u * t) / space on [0, horizon/u]."""
-
-    def path(t):
-        t = np.asarray(t, dtype=float)
-        n = np.floor(u * t).astype(np.int64)
-        return (traj.position_at(n) - drift * u * t) / space
-
-    return path
 
 
 # ---------------------------------------------------------------------------

@@ -121,10 +121,38 @@ def test_simulate_error_paths(tmp_path, capsys):
     assert cli.main(["simulate", "--comb", comb, "--horizon", "20000001",
                      "--out", out]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_simulate_outputs_are_opened_before_the_run(tmp_path, monkeypatch,
+                                                    capsys):
+    comb = write_comb(tmp_path, constant_comb(0.5, 0.5))
+    real = cli.simulate_prw
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("simulate_prw ran before the outputs were opened")
+
+    monkeypatch.setattr(cli, "simulate_prw", must_not_run)
+    missing = str(tmp_path / "missing" / "x.csv")
+    t, r = tmp_path / "t.csv", tmp_path / "r.csv"
+    for paths in ((missing, str(r)), (str(t), missing)):
+        assert cli.main(["simulate", "--comb", comb, "--horizon", "100",
+                         "--trajectory", paths[0], "--runs", paths[1]]) == 2
+        assert "cannot open output file" in capsys.readouterr().err
+        # the file opened before the failing one is not left behind
+        assert not t.exists() and not r.exists()
+    # an existing file keeps its text
+    t.write_text("an earlier trajectory\n")
     assert cli.main(["simulate", "--comb", comb, "--horizon", "100",
-                     "--trajectory", str(tmp_path / "missing" / "t.csv"),
-                     "--out", out]) == 2
-    assert "cannot open output file" in capsys.readouterr().err
+                     "--trajectory", str(t), "--runs", missing]) == 2
+    assert t.read_text() == "an earlier trajectory\n"
+    # and is replaced whole by a run that succeeds
+    monkeypatch.setattr(cli, "simulate_prw", real)
+    t.write_text("an earlier trajectory\n" * 10_000)
+    assert cli.main(["simulate", "--comb", comb, "--horizon", "100",
+                     "--trajectory", str(t), "--runs", str(r)]) == 0
+    capsys.readouterr()
+    cols, rows = read_rows(str(t))
+    assert cols == ["n", "position", "step", "age"] and len(rows) == 100
 
 
 def test_seed_env_and_flag_precedence(tmp_path, capsys, monkeypatch):
@@ -283,14 +311,28 @@ def test_sample_limit_validation(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("extra, message", [
+    (["--kind", "ensemble", "--t-max", "0"], "t_max must be positive"),
+    (["--kind", "ensemble", "--b", "2"], "label bias"),
+    (["--kind", "path", "--t-max", "0"], "t_max must be positive"),
+    (["--kind", "stable", "--scale", "0"], "scale must be positive"),
+])
+def test_sample_limit_rejects_bad_arguments(capsys, extra, message):
+    argv = ["sample-limit", "--alpha", "0.5", "--n", "20"] + extra
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {message}")
+
+
 # ---------------------------------------------------------------------------
 # the CSV writer
 
 
 def written_csv(*cols):
     buf = io.StringIO()
-    with contextlib.redirect_stdout(buf):
-        cli._write_csv(None, "# pre\n", ["i", "x", "dir"], *cols)
+    with contextlib.redirect_stdout(buf), cli._output(None) as out:
+        cli._write_csv(out, "# pre\n", ["i", "x", "dir"], *cols)
     return buf.getvalue()
 
 

@@ -15,12 +15,10 @@ from scipy.stats import chisquare
 
 from combwalk import (
     CombSpec,
-    GraftSpec,
     HazardFamily,
     PersistenceLaw,
     comb_model,
     constant_comb,
-    envelope_transitions,
     power_comb,
 )
 
@@ -731,60 +729,3 @@ def test_zigzag_comb_is_representable():
     assert comb.up_law.pmf(1) == 1.0
     assert comb.up_law.tail(1.0) == 0.0
     assert comb.up_law.mean() == 1.0
-
-
-def test_graft_validation():
-    g = GraftSpec({"ud": 0.3, "uud": 0.9})
-    assert g.depth == 3
-    assert GraftSpec({}).depth == 0
-    with pytest.raises(ValueError):
-        GraftSpec({"ux": 0.3})
-    with pytest.raises(ValueError):
-        GraftSpec({"": 0.3})
-    with pytest.raises(ValueError):
-        GraftSpec({"ud": 1.4})
-
-
-def test_envelope_brackets_the_graft():
-    comb = power_comb(0.5)
-    graft = GraftSpec({"udu": 0.2, "udd": 0.6})
-    lower, upper = envelope_transitions(comb, graft)
-    # age-1 up-run context "ud" is refined by both leaves
-    assert float(lower.up.hazard(1)) == 0.6
-    assert float(upper.up.hazard(1)) == 0.2
-    # ages without refining leaves keep the base hazard
-    assert float(lower.up.hazard(2)) == float(comb.up.hazard(2))
-    assert float(lower.up.hazard(3)) == float(comb.up.hazard(3))
-    # down direction picks the other way around
-    assert float(lower.down.hazard(1)) == float(comb.down.hazard(1))
-    # beyond the graft depth the base family continues
-    assert float(lower.up.hazard(10)) == float(comb.up.hazard(10))
-
-
-def test_envelope_down_direction_and_contested_context():
-    comb = constant_comb(0.3, 0.5)
-    graft = GraftSpec({"du": 0.1, "ddu": 0.8})
-    lower, upper = envelope_transitions(comb, graft)
-    # "du" is refined only by the depth-2 leaf; "ddu" refines age 2
-    assert float(lower.down.hazard(1)) == 0.1
-    assert float(upper.down.hazard(1)) == 0.1
-    assert float(lower.down.hazard(2)) == 0.8
-    assert float(upper.down.hazard(2)) == 0.8
-    assert float(lower.up.hazard(1)) == 0.3
-    # two leaves extending the same age-2 context spread the envelope
-    graft2 = GraftSpec({"dduu": 0.8, "ddud": 0.05})
-    lo2, up2 = envelope_transitions(comb, graft2)
-    assert float(lo2.down.hazard(2)) == 0.05
-    assert float(up2.down.hazard(2)) == 0.8
-
-
-def test_envelope_depth_zero_passthrough():
-    comb = power_comb(0.5)
-    lower, upper = envelope_transitions(comb, GraftSpec({}))
-    assert lower is comb and upper is comb
-
-
-def test_envelope_rejects_table_base():
-    comb = CombSpec(HazardFamily.table([0.5]), HazardFamily.constant(0.5))
-    with pytest.raises(ValueError):
-        envelope_transitions(comb, GraftSpec({"ud": 0.5}))

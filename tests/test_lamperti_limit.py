@@ -16,7 +16,6 @@ from combwalk import (
     lamperti_recursion,
     markov_kernel_check,
     power_comb,
-    ppf_f,
     renewal_state,
     sample_anomalous_ensemble,
     sample_marginal,
@@ -146,7 +145,8 @@ def test_evaluator_time_scaling():
     x = np.array([-1.4, 0.2, 2.3])
     assert np.allclose(cdf_f(0.5, 0.2, 3.0, x), cdf_f(0.5, 0.2, 1.0, x / 3.0))
     q = np.array([0.1, 0.5, 0.9])
-    assert np.allclose(ppf_f(0.5, 0.2, 3.0, q), 3.0 * ppf_f(0.5, 0.2, 1.0, q))
+    ev = DensityEvaluator(0.5, 0.2)
+    assert np.allclose(ev.ppf(q, t=3.0), 3.0 * ev.ppf(q))
 
 
 def test_evaluator_sampling():
@@ -379,6 +379,18 @@ def test_gf_limit_validation():
 # labelled paths
 
 
+def thinned_sum(path, t, sign):
+    """T^u(t) (sign=+1) or T^d(t) (sign=-1): labelled jump mass by
+    subordinator time t, plus the label-share of drift time.  An oracle
+    for AnomalousPath.S through S(T(t)) = T^u(t) - T^d(t)."""
+    t = float(t)
+    assert 0.0 <= t <= path.t_max
+    k = np.searchsorted(path.times, t, side="right")
+    mask = path.labels[:k] == sign
+    share = (1.0 + sign * path.b) / 2.0
+    return float(path.jumps[:k][mask].sum() + share * path.drift * t)
+
+
 def hand_path():
     return LabelledSubordinatorPath(
         alpha=0.5, b=0.3, t_max=1.0,
@@ -473,15 +485,13 @@ def test_array_forms_equal_stacked_scalar_calls(make):
 
 def test_thinned_sums_split_the_path():
     p = hand_path()
-    up = p.thinned_sum(1.0, +1)
-    dn = p.thinned_sum(1.0, -1)
+    up = thinned_sum(p, 1.0, +1)
+    dn = thinned_sum(p, 1.0, -1)
     assert up == pytest.approx(0.065)
     assert dn == pytest.approx(2.035)
     assert up + dn == pytest.approx(p.total())
     ap = AnomalousPath(p)
     assert up - dn == pytest.approx(float(ap.S(p.total())))
-    with pytest.raises(ValueError):
-        p.thinned_sum(1.5, +1)
 
 
 def test_simulated_path_invariants():
@@ -496,7 +506,7 @@ def test_simulated_path_invariants():
     assert np.all(np.abs(S) <= t + 1e-12)
     assert np.max(np.abs(np.diff(S)) / np.diff(t)) <= 1.0 + 1e-9
     # thinned identity at an interior subordinator time
-    assert (p.thinned_sum(2.0, 1) - p.thinned_sum(2.0, -1)
+    assert (thinned_sum(p, 2.0, 1) - thinned_sum(p, 2.0, -1)
             == pytest.approx(float(ap.S(p.drift * 2.0 + p._cum_j[
                 np.searchsorted(p.times, 2.0, side="right")]))))
 

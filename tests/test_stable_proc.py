@@ -6,7 +6,6 @@ from scipy import stats
 from scipy.special import gamma as gamma_fn, ndtr
 
 from combwalk import (
-    brownian_path,
     default_jump_cut,
     empirical_char_fn,
     ks_distance,
@@ -14,7 +13,6 @@ from combwalk import (
     sample_positive_stable,
     sample_stable,
     stable_cdf_interp,
-    stable_path,
     stable_sigma,
     subordinator_path,
 )
@@ -93,6 +91,9 @@ def test_sampler_validation():
         sample_stable(2.2, 0.0, 10, rng)
     with pytest.raises(ValueError):
         sample_stable(1.5, 1.2, 10, rng)
+    for scale in (0.0, -1.0, np.nan):
+        with pytest.raises(ValueError):
+            sample_stable(1.5, 0.0, 10, rng, scale=scale)
 
 
 # ---------------------------------------------------------------------------
@@ -155,44 +156,10 @@ def test_subordinator_validation_and_cap():
         subordinator_path(1.2, 1.0, rng)
     with pytest.raises(ValueError):
         subordinator_path(0.5, 1.0, rng, eps=1e-18)
+    for t_max in (0.0, -1.0, np.nan):
+        with pytest.raises(ValueError):
+            subordinator_path(0.5, t_max, rng)
     assert default_jump_cut(0.5, 4.0) == pytest.approx(1e-6 * 16.0)
-
-
-# ---------------------------------------------------------------------------
-# paths
-
-
-def test_brownian_path_increments():
-    times = np.array([0.5, 1.0, 3.0])
-    paths = np.array([brownian_path(times, np.random.default_rng(3000 + i))
-                      for i in range(4000)])
-    inc = np.diff(np.concatenate([np.zeros((4000, 1)), paths], axis=1), axis=1)
-    dt = np.array([0.5, 0.5, 2.0])
-    assert np.allclose(inc.mean(axis=0), 0.0, atol=5 * np.sqrt(dt / 4000))
-    assert np.allclose(inc.var(axis=0), dt, rtol=0.12)
-    with pytest.raises(ValueError):
-        brownian_path([1.0, 0.5], np.random.default_rng(0))
-
-
-def test_stable_path_composes_increments():
-    times = np.array([0.5, 1.0, 2.5])
-    path = stable_path(1.5, 0.3, times, np.random.default_rng(9))
-    inc = sample_stable(1.5, 0.3, 3, np.random.default_rng(9), scale=1.0)
-    dt = np.array([0.5, 0.5, 1.5])
-    manual = np.cumsum(inc * stable_sigma(1.5) * dt ** (1 / 1.5))
-    assert np.allclose(path, manual)
-    with pytest.raises(ValueError):
-        stable_path(1.5, 0.3, [1.0, 0.5], np.random.default_rng(0))
-
-
-def test_stable_path_alpha_one_marginal():
-    # skewed alpha = 1: increments need the log-location correction or the
-    # two-piece path marginal misses the one-shot law
-    xs = np.array([stable_path(1.0, 0.7, [0.3, 1.0],
-                               np.random.default_rng(200000 + i))[-1]
-                   for i in range(20000)])
-    cdf = stable_cdf_interp(1.0, 0.7, np.pi / 2)
-    assert ks_distance(xs, cdf) < 0.012
 
 
 # ---------------------------------------------------------------------------

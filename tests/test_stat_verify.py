@@ -8,7 +8,6 @@ from combwalk import (
     CombSpec,
     VerificationScenario,
     constant_comb,
-    drift_l1,
     empirical_char_fn,
     format_report,
     hill_estimate,
@@ -163,29 +162,6 @@ def test_ecf_matches_gaussian_within_se():
 def test_ecf_validation():
     with pytest.raises(ValueError):
         empirical_char_fn([], [1.0])
-
-
-# ---------------------------------------------------------------------------
-# drift deviation
-
-
-def test_drift_l1_zigzag_is_exact():
-    zig = constant_comb(1.0, 1.0)
-    assert drift_l1(zig, 1000, 1000, seed=0) == 0.0
-    assert drift_l1(zig, 1001, 1000, seed=0) == pytest.approx(1.0 / 1001)
-
-
-def test_drift_l1_decays_with_n():
-    comb = constant_comb(0.2, 0.4)
-    d_short = drift_l1(comb, 2000, 2000, seed=12)
-    d_long = drift_l1(comb, 50000, 2000, seed=12)
-    assert d_long < 0.01
-    assert d_long < d_short
-
-
-def test_drift_l1_validation():
-    with pytest.raises(ValueError):
-        drift_l1(constant_comb(0.5, 0.5), 999, 2000, seed=0)
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
+from scipy.stats import chisquare
 
 from combwalk import (
     CombSpec,
     HazardFamily,
     constant_comb,
     ks_distance,
+    lamperti_recursion,
     power_comb,
-    rescaled_path,
     simulate_prw,
     walk_marginals,
 )
@@ -53,32 +54,6 @@ def test_ages_track_run_boundaries():
     assert np.array_equal(traj.ages(), ages)
 
 
-def test_skeleton_marks_completed_up_runs():
-    traj = simulate_prw(constant_comb(0.3, 0.5), 4000, seed=11)
-    T, M = traj.skeleton()
-    pos = traj.positions()
-    assert np.array_equal(M, pos[T])
-    # each skeleton time ends an up-run: the step into it is +1, the one
-    # after is -1 (a new down run starts)
-    steps = traj.steps()
-    assert np.all(steps[T - 1] == 1)
-    inner = T[T < 4000]
-    assert np.all(steps[inner] == -1)
-    assert np.all(np.diff(T) >= 2)
-    sk = traj.skeleton()
-    assert np.array_equal(sk[0], T) and np.array_equal(sk[1], M)
-
-
-def test_counting_process():
-    traj = simulate_prw(constant_comb(0.3, 0.5), 4000, seed=11)
-    T, _ = traj.skeleton()
-    assert traj.counting(0.0) == 0
-    assert traj.counting(float(T[0]) - 0.5) == 0
-    assert traj.counting(float(T[0])) == 1
-    assert traj.counting(float(T[4]) + 0.2) == 5
-    assert traj.counting(4000.0) == len(T)
-
-
 def test_simulation_determinism_and_rng_paths():
     comb = power_comb(0.5)
     a = simulate_prw(comb, 10000, seed=42)
@@ -118,16 +93,6 @@ def test_run_length_marginals_match_the_law():
         emp = np.mean(down > n)
         se = np.sqrt(p * (1 - p) / len(down))
         assert abs(emp - p) < 5 * se
-
-
-def test_rescaled_path_arithmetic():
-    traj = simulate_prw(constant_comb(0.3, 0.5), 1000, seed=2)
-    path = rescaled_path(traj, 100.0, 7.0, 0.25)
-    t = np.array([0.0, 0.35, 1.0, 9.99])
-    expect = (traj.position_at(np.floor(100.0 * t).astype(np.int64))
-              - 0.25 * 100.0 * t) / 7.0
-    assert np.allclose(path(t), expect)
-    assert float(path(0.0)) == 0.0
 
 
 def test_marginals_match_direct_simulation():
@@ -215,6 +180,53 @@ def test_blocked_marginals_match_the_cycle_by_cycle_kernel(comb):
             got = walk_marginals(comb, targets[::-1], n_rep, seed=11,
                                  threads=threads)
             assert got.tobytes() == want.tobytes()
+
+
+def exact_law_pvalue(S, n, row):
+    """Chi-square p-value of the positions S_n against the exact law
+    P(S_n = 2k - n) = row[k], the bins of expected count < 5 pooled."""
+    k = (np.asarray(S) + n) / 2
+    assert np.array_equal(k, np.floor(k)) and k.min() >= 0 and k.max() <= n
+    observed = np.bincount(k.astype(np.int64), minlength=n + 1)
+    expected = len(k) * row[:n + 1]
+    assert not np.any(observed[expected == 0.0])    # S_n = n, say
+    big, small = expected >= 5, (expected > 0.0) & (expected < 5)
+    f_obs, f_exp = observed[big], expected[big]
+    if small.any():
+        f_obs = np.append(f_obs, observed[small].sum())
+        f_exp = np.append(f_exp, expected[small].sum())
+    return chisquare(f_obs, f_exp).pvalue
+
+
+# the occupation recursion counts up-steps from the same start (just
+# after an up-to-down turn), so it gives the exact law of S_n
+EXACT_LAW_COMBS = {
+    "power0.5": power_comb(0.5),
+    "power1.5": power_comb(1.5, c=1.0),
+    "cauchy": power_comb(1.0, c=0.01),
+    "constant": constant_comb(0.3, 0.5),
+    "asymmetric": power_comb(0.5, c=1.4656, a_d=0.5, c_d=0.0),
+}
+
+
+@pytest.mark.parametrize("name", list(EXACT_LAW_COMBS))
+def test_marginals_follow_the_exact_law(name):
+    comb = EXACT_LAW_COMBS[name]
+    targets = [7, 60, 500]
+    S = walk_marginals(comb, targets, 100_000, seed=1)
+    law = lamperti_recursion(comb, targets[-1])
+    for j, n in enumerate(targets):
+        assert exact_law_pvalue(S[:, j], n, law[n]) > 1e-3, f"n={n}"
+
+
+@pytest.mark.parametrize("name", ["constant", "power1.5", "cauchy"])
+def test_simulated_trajectories_follow_the_exact_law(name):
+    comb = EXACT_LAW_COMBS[name]
+    S = np.array([simulate_prw(comb, 60, seed=20_000 + i).position_at([7, 60])
+                  for i in range(5000)])
+    law = lamperti_recursion(comb, 60)
+    for j, n in enumerate((7, 60)):
+        assert exact_law_pvalue(S[:, j], n, law[n]) > 1e-3, f"n={n}"
 
 
 def test_marginals_validation():
