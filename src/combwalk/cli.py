@@ -161,12 +161,13 @@ def cmd_density(args):
     if args.npoints < 2:
         raise _CliError("need at least 2 grid points")
     t = args.t
-    # interior grid: strictly inside (-t, t), hits x = 0 when npoints is odd
-    x = np.linspace(-t, t, args.npoints + 2)[1:-1]
-    x[np.abs(x) < 1e-9 * t] = 0.0
-    f = lamperti_limit.density_f(args.alpha, args.m, t, x)
-    F = lamperti_limit.cdf_f(args.alpha, args.m, t, x)
     with _output(args.out) as out:
+        # interior grid: strictly inside (-t, t), hits x = 0 when npoints
+        # is odd
+        x = np.linspace(-t, t, args.npoints + 2)[1:-1]
+        x[np.abs(x) < 1e-9 * t] = 0.0
+        f = lamperti_limit.density_f(args.alpha, args.m, t, x)
+        F = lamperti_limit.cdf_f(args.alpha, args.m, t, x)
         _write_csv(out, f"# combwalk density alpha={_fmt(args.alpha)} "
                    f"m={_fmt(args.m)} t={_fmt(t)}\n", ["x", "f", "F"], x, f, F)
     if args.out not in (None, "-"):
@@ -184,38 +185,38 @@ def cmd_sample_limit(args):
     n = args.n
     a, b = _fmt(args.alpha), _fmt(args.b)
     names, tail = ["sample"], ""
-    if args.kind == "marginal":
-        cols = [lamperti_limit.sample_marginal(args.alpha, args.m, args.t,
-                                               rng, size=n)]
-        tag = f"marginal alpha={a} m={_fmt(args.m)} t={_fmt(args.t)}"
-    elif args.kind == "ratio":
-        cols = [lamperti_limit.sample_ratio(args.alpha, args.b, rng, size=n)]
-        tag = f"ratio alpha={a} b={b}"
-    elif args.kind == "stable":
-        cols = [sample_stable(args.alpha, args.beta, n, rng,
-                              scale=args.scale)]
-        tag = f"stable alpha={a} beta={_fmt(args.beta)}"
-    elif args.kind == "positive-stable":
-        if not 0.0 < args.alpha < 1.0:
-            raise _CliError("positive-stable needs alpha in (0, 1)")
-        cols = [sample_positive_stable(args.alpha, n, rng)]
-        tag = f"positive-stable alpha={a}"
-    elif args.kind == "ensemble":
-        cols = lamperti_limit.sample_anomalous_ensemble(
-            args.alpha, args.b, n, seed, level=args.t,
-            t_max=args.t_max, threads=args.threads)
-        names = ["S", "age", "excess"]
-        tag = f"ensemble alpha={a} b={b} level={_fmt(args.t)}"
-    elif args.kind == "path":
-        t_max = 3.0 if args.t_max is None else args.t_max
-        path = lamperti_limit.labelled_subordinator(
-            args.alpha, args.b, t_max, rng=rng)
-        ts = np.linspace(0.0, path.total(), n)
-        cols = [ts, *lamperti_limit.AnomalousPath(path).evaluate(ts)[:3]]
-        names = ["t", "S", "label", "age"]
-        tag = f"path alpha={a} b={b} t_max={_fmt(t_max)}"
-        tail = f" T={_fmt(path.total())}"
     with _output(args.out) as out:
+        if args.kind == "marginal":
+            cols = [lamperti_limit.sample_marginal(args.alpha, args.m, args.t,
+                                                   rng, size=n)]
+            tag = f"marginal alpha={a} m={_fmt(args.m)} t={_fmt(args.t)}"
+        elif args.kind == "ratio":
+            cols = [lamperti_limit.sample_ratio(args.alpha, args.b, rng,
+                                                size=n)]
+            tag = f"ratio alpha={a} b={b}"
+        elif args.kind == "stable":
+            cols = [sample_stable(args.alpha, args.beta, n, rng,
+                                  scale=args.scale)]
+            tag = f"stable alpha={a} beta={_fmt(args.beta)}"
+        elif args.kind == "positive-stable":
+            if not 0.0 < args.alpha < 1.0:
+                raise _CliError("positive-stable needs alpha in (0, 1)")
+            cols = [sample_positive_stable(args.alpha, n, rng)]
+            tag = f"positive-stable alpha={a}"
+        elif args.kind == "ensemble":
+            cols = lamperti_limit.sample_anomalous_ensemble(
+                args.alpha, args.b, n, seed, level=args.t, t_max=args.t_max)
+            names = ["S", "age", "excess"]
+            tag = f"ensemble alpha={a} b={b} level={_fmt(args.t)}"
+        elif args.kind == "path":
+            t_max = 3.0 if args.t_max is None else args.t_max
+            path = lamperti_limit.labelled_subordinator(
+                args.alpha, args.b, t_max, rng=rng)
+            ts = np.linspace(0.0, path.total(), n)
+            cols = [ts, *lamperti_limit.AnomalousPath(path).evaluate(ts)[:3]]
+            names = ["t", "S", "label", "age"]
+            tag = f"path alpha={a} b={b} t_max={_fmt(t_max)}"
+            tail = f" T={_fmt(path.total())}"
         _write_csv(out, f"# combwalk sample-limit {tag} seed={seed}{tail}\n",
                    names, *cols)
     if args.out not in (None, "-"):
@@ -462,7 +463,9 @@ def _build_parser():
     p.add_argument("--n", type=int, required=True,
                    help="draws (or grid points for --kind path)")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1,
+                   help="accepted and ignored: every kind samples on one "
+                        "thread, and the output does not depend on it")
     p.add_argument("--out", default=None, help="CSV path (default stdout)")
     p.set_defaults(func=cmd_sample_limit)
 

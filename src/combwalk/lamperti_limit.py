@@ -23,10 +23,12 @@ import functools
 import numpy as np
 
 from .scaling_laws import classify_regime
-from .stable_proc import sample_positive_stable, subordinator_path
+from .stable_proc import (sample_positive_stable, subordinator_jumps,
+                          subordinator_path)
 from .walk_sim import _replicate
 
 _PATHS_PER_CHUNK = 64
+_FIRST_JUMPS = 256         # ensemble jumps sized before the first level test
 _ROWS_PER_BLOCK = 64       # occupation-recursion rows per GEMM
 _GF_TOL = 1e-14             # remainder of the generating-function series
 _GF_BUDGET = 2_000_000      # its terms at most
@@ -138,37 +140,75 @@ def sample_anomalous_ensemble(alpha, b, n_rep, seed, level=1.0, t_max=None,
                               epsilon=None, threads=1):
     """(S(level), age, excess) over n_rep independent labelled paths.
 
-    Deterministically chunked like walk_marginals: identical output for
-    any thread count.  More threads do not help: each path is a few
-    short numpy calls that hold the GIL, and threads=2 is measured
-    slower than threads=1 (20 000 paths at alpha = 0.5 on 2 vCPUs, 8
-    alternating pairs: median 2.76 s wall and 3.67 s CPU, range
-    1.97-2.87 s, against median 1.49 s, range 1.39-1.63 s).
+    Paths are chunked like walk_marginals, 64 to a child seed, but run
+    on one thread: `threads` is accepted and ignored.  Each path is a
+    string of short numpy calls, and with a second thread every call
+    hands the GIL over: threads=2 measured slower than threads=1
+    (20 000 paths at alpha = 0.5 on 2 vCPUs, 8 alternating pairs:
+    median 2.76 s wall and 3.67 s CPU against 1.49 s).  On one thread
+    and with the prefix evaluation below, the benchmark's limit-side
+    pass (which samples those 20 000 paths) fell from a median of
+    3.09 s to 1.59 s wall and from 3.95 s to 1.58 s CPU, lower in 10 of
+    10 pairs that alternated which side ran first.
+
+    A path draws its Poisson count n, then its n times, n sizes and n
+    labels in one call.  Sizes and their running sum cumJ are formed
+    only until cumJ passes the level, and T(s_i-), T(s_i) and the labels
+    only up to K = #{cumJ <= level}: T(s_i) >= cumJ_i also holds in
+    floating point, so the level is crossed by jump K.  The output is
+    that of evaluating every jump (while the smallest jump, epsilon,
+    exceeds a few ulps of the level, so that T(s_i) is sorted).
     """
     if not -1.0 <= b <= 1.0:
         raise ValueError("label bias must lie in [-1, 1]")
+    if not 0.0 < level < np.inf:
+        raise ValueError("level must be positive and finite")
     if t_max is None:
         t_max = default_t_max(alpha, level)
+    eps, lam, drift = subordinator_jumps(alpha, t_max, epsilon)
+    power = -1.0 / alpha
+    p_up = (1.0 + b) / 2.0
 
     def work(rng, m):
         out = np.empty((m, 3))
         for r in range(m):
-            s, J, drift = subordinator_path(alpha, t_max, rng, eps=epsilon)
-            n = len(J)
-            lab = np.where(rng.random(n) < (1.0 + b) / 2.0, 1.0, -1.0)
-            cum = np.cumsum(J)
-            total = drift * t_max + (cum[-1] if n else 0.0)
-            if total < level:
-                raise RuntimeError("path did not reach the requested level; "
-                                   "increase t_max")
-            Tb = drift * s + np.concatenate([[0.0], cum[:-1]])
-            Ta = Tb + J
-            idx = int(np.searchsorted(Ta, level, side="right"))
-            full_lj = float((lab[:idx] * J[:idx]).sum())
+            n = rng.poisson(lam)
+            u = rng.random(3 * n)           # times, sizes, labels
+            s = u[:n] * t_max
+            s.sort()
+            # sizes and their running sum, a slice at a time until the
+            # sum passes the level; accumulate is sequential, so carrying
+            # the last sum into the next slice keeps the bytes of one
+            # cumsum over all n jumps
+            hi = min(n, _FIRST_JUMPS)
+            J = u[n:n + hi] ** power
+            J *= eps
+            cum = np.add.accumulate(J)
+            while hi < n and cum[-1] <= level:
+                lo, hi = hi, min(n, 2 * hi)
+                more = u[n + lo:n + hi] ** power
+                more *= eps
+                J = np.concatenate((J, more))
+                more[0] += cum[-1]
+                cum = np.concatenate((cum, np.add.accumulate(more)))
+            if not n or cum[-1] <= level:   # every jump is sized
+                total = drift * t_max + (cum[-1] if n else 0.0)
+                if total < level:
+                    raise RuntimeError("path did not reach the requested "
+                                       "level; increase t_max")
+            k = min(n, int(cum.searchsorted(level, side="right")) + 1)
+            Tb = drift * s[:k]              # T(s_i-) and T(s_i)
+            Tb[1:] += cum[:k - 1]
+            Ta = Tb + J[:k]
+            idx = int(Ta.searchsorted(level, side="right"))
+            lab = u[2 * n:2 * n + idx + 1] < p_up
+            full_lj = float(np.add.reduce(np.where(lab[:idx], J[:idx],
+                                                   -J[:idx])))
             full_j = float(cum[idx - 1]) if idx > 0 else 0.0
             if idx < n and Tb[idx] < level:
                 st = level - Tb[idx]
-                out[r, 0] = full_lj + lab[idx] * st + b * (level - full_j - st)
+                x = 1.0 if lab[idx] else -1.0
+                out[r, 0] = full_lj + x * st + b * (level - full_j - st)
                 out[r, 1] = st
                 out[r, 2] = Ta[idx] - level
             else:
@@ -178,7 +218,7 @@ def sample_anomalous_ensemble(alpha, b, n_rep, seed, level=1.0, t_max=None,
         return out
 
     S, A, H = np.ascontiguousarray(
-        _replicate(n_rep, _PATHS_PER_CHUNK, seed, threads, work).T)
+        _replicate(n_rep, _PATHS_PER_CHUNK, seed, 1, work).T)
     return S, A, H
 
 

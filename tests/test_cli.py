@@ -325,6 +325,53 @@ def test_sample_limit_rejects_bad_arguments(capsys, extra, message):
     assert captured.err.startswith(f"error: {message}")
 
 
+@pytest.mark.parametrize("extra, message", [
+    (["--t-max", "0"], "t_max must be positive"),
+    (["--t", "-1"], "level must be positive"),
+    (["--t", "0"], "level must be positive"),
+    (["--t", "inf"], "level must be positive"),
+    (["--alpha", "1.5"], "subordinator index"),
+])
+def test_sample_limit_ensemble_checks_before_any_path(capsys, extra, message):
+    # --n 0 samples no path, so only an up-front check can reject these
+    argv = ["sample-limit", "--kind", "ensemble", "--alpha", "0.5",
+            "--n", "0"] + extra
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {message}")
+
+
+@pytest.mark.parametrize("command, sampler", [
+    (["sample-limit", "--kind", "ensemble", "--alpha", "0.5", "--n", "10"],
+     "sample_anomalous_ensemble"),
+    (["density", "--alpha", "0.5"], "density_f"),
+])
+def test_limit_outputs_are_opened_before_the_run(tmp_path, monkeypatch,
+                                                 capsys, command, sampler):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError(f"{sampler} ran before --out was opened")
+
+    monkeypatch.setattr(lamperti_limit, sampler, must_not_run)
+    assert cli.main(command + ["--out",
+                               str(tmp_path / "missing" / "x.csv")]) == 2
+    assert "cannot open output file" in capsys.readouterr().err
+
+    # a run that fails after the open leaves no new file, and an old one
+    # as it was
+    def rejects(*args, **kwargs):
+        raise ValueError("rejected")
+
+    monkeypatch.setattr(lamperti_limit, sampler, rejects)
+    new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+    old.write_text("an earlier table\n")
+    for out in (new, old):
+        assert cli.main(command + ["--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: rejected\n"
+    assert not new.exists()
+    assert old.read_text() == "an earlier table\n"
+
+
 # ---------------------------------------------------------------------------
 # the CSV writer
 

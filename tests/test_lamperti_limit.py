@@ -21,7 +21,10 @@ from combwalk import (
     sample_marginal,
     sample_ratio,
 )
+from combwalk import lamperti_limit
 from combwalk.lamperti_limit import default_t_max
+from combwalk.stable_proc import default_jump_cut, subordinator_path
+from combwalk.walk_sim import _replicate
 
 
 # ---------------------------------------------------------------------------
@@ -554,14 +557,114 @@ def test_ensemble_shapes_and_support():
 
 
 def test_ensemble_thread_determinism():
-    base = sample_anomalous_ensemble(0.5, 0.0, 300, seed=4, threads=1)
-    for threads in (2, 4):
-        again = sample_anomalous_ensemble(0.5, 0.0, 300, seed=4,
-                                          threads=threads)
-        for x, y in zip(base, again):
-            assert np.array_equal(x, y)
+    # paths are chunked 64 to a child seed: a shorter ensemble is a prefix
+    base = sample_anomalous_ensemble(0.5, 0.0, 300, seed=4)
     small = sample_anomalous_ensemble(0.5, 0.0, 40, seed=4)
     assert np.array_equal(small[0], base[0][:40])
+
+
+def every_jump_ensemble(alpha, b, n_rep, seed, level=1.0, t_max=None,
+                        epsilon=None):
+    """The ensemble evaluated over every jump of every path (three
+    columns), with each path's crossing index as a fourth column."""
+    if t_max is None:
+        t_max = default_t_max(alpha, level)
+
+    def work(rng, m):
+        out = np.empty((m, 4))
+        for r in range(m):
+            s, J, drift = subordinator_path(alpha, t_max, rng, eps=epsilon)
+            n = len(J)
+            lab = np.where(rng.random(n) < (1.0 + b) / 2.0, 1.0, -1.0)
+            cum = np.cumsum(J)
+            total = drift * t_max + (cum[-1] if n else 0.0)
+            if total < level:
+                raise RuntimeError("path did not reach the requested level")
+            Tb = drift * s + np.concatenate([[0.0], cum[:-1]])
+            Ta = Tb + J
+            idx = int(np.searchsorted(Ta, level, side="right"))
+            full_lj = float((lab[:idx] * J[:idx]).sum())
+            full_j = float(cum[idx - 1]) if idx > 0 else 0.0
+            out[r, 3] = idx
+            if idx < n and Tb[idx] < level:
+                st = level - Tb[idx]
+                out[r, 0] = full_lj + lab[idx] * st + b * (level - full_j - st)
+                out[r, 1] = st
+                out[r, 2] = Ta[idx] - level
+            else:
+                out[r, 0] = full_lj + b * (level - full_j)
+                out[r, 1] = 0.0
+                out[r, 2] = 0.0
+        return out
+
+    return _replicate(n_rep, 64, seed, 1, work)
+
+
+@pytest.mark.parametrize("alpha", [0.2, 0.5, 0.8])
+def test_ensemble_equals_every_jump_evaluation(alpha):
+    deepest = 0
+    for b in (-1.0, 0.4, 1.0):
+        for level, t_max in ((1.0, None), (2.0, 8.0)):
+            eps = default_jump_cut(
+                alpha, default_t_max(alpha, level) if t_max is None else t_max)
+            for epsilon in (None, eps / 10.0):
+                args = (alpha, b, 12, 3, level, t_max, epsilon)
+                want = every_jump_ensemble(*args)
+                got = sample_anomalous_ensemble(*args)
+                for c in range(3):
+                    assert got[c].tobytes() == want[:, c].tobytes()
+                deepest = max(deepest, want[:, 3].max())
+    if alpha == 0.8:
+        # crossings past the first slice of sized jumps are covered
+        assert deepest > 4 * lamperti_limit._FIRST_JUMPS
+
+
+def test_ensemble_raises_exactly_when_every_jump_evaluation_does():
+    # t_max = 0.4 leaves 16 of these 30 one-path ensembles short of level 1
+    raised = 0
+    for seed in range(30):
+        try:
+            want = every_jump_ensemble(0.5, 0.3, 1, seed, t_max=0.4)
+        except RuntimeError:
+            raised += 1
+            with pytest.raises(RuntimeError, match="did not reach"):
+                sample_anomalous_ensemble(0.5, 0.3, 1, seed, t_max=0.4)
+            continue
+        got = sample_anomalous_ensemble(0.5, 0.3, 1, seed, t_max=0.4)
+        assert np.column_stack(got).tobytes() == want[:, :3].tobytes()
+    assert 0 < raised < 30
+
+
+def test_ensemble_matches_labelled_path_evaluation():
+    # one chunk: the paths draw in turn from the first child stream,
+    # Poisson count, times, sizes, labels, as labelled_subordinator does
+    alpha, b, level = 0.6, -0.3, 1.5
+    t_max = default_t_max(alpha, level)
+    S, A, H = sample_anomalous_ensemble(alpha, b, 60, 9, level=level)
+    rng = np.random.default_rng(np.random.SeedSequence(9).spawn(1)[0])
+    for r in range(60):
+        path = labelled_subordinator(alpha, b, t_max, rng=rng)
+        S_t, _, age, excess = AnomalousPath(path).evaluate(level)[:4]
+        assert (A[r], H[r]) == (age, excess)
+        # cumsum against pairwise summation of the labelled jumps
+        assert abs(S[r] - S_t) < 1e-12
+
+
+def test_ensemble_checks_its_inputs_before_any_path():
+    for kwargs, message in (
+            (dict(alpha=1.5), "subordinator index"),
+            (dict(b=2.0), "label bias"),
+            (dict(level=-1.0), "level must be positive"),
+            (dict(level=0.0), "level must be positive"),
+            (dict(level=np.inf), "level must be positive"),
+            (dict(t_max=0.0), "t_max must be positive"),
+            (dict(t_max=np.inf), "t_max must be positive"),
+            (dict(epsilon=0.0), "jump cut"),
+            (dict(epsilon=1e-15), "exceeds the cap")):
+        args = dict(alpha=0.5, b=0.0, n_rep=0, seed=1)
+        args.update(kwargs)
+        with pytest.raises(ValueError, match=message):
+            sample_anomalous_ensemble(**args)
 
 
 def test_ensemble_marginal_matches_density():
