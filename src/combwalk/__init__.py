@@ -19,11 +19,11 @@ from .scaling_laws import (NormalizerSet, RegimeReport, classify_regime,
                            stable_sigma, stable_skewness, tail_balance,
                            total_mean_cycle)
 from .walk_sim import Trajectory, simulate_prw, walk_marginals
-from .stable_proc import (default_jump_cut, levy_symbol,
-                          sample_positive_stable, sample_stable,
-                          stable_cdf_interp, subordinator_path)
+from .stable_proc import (levy_symbol, sample_positive_stable, sample_stable,
+                          stable_cdf_interp)
 from .lamperti_limit import (AnomalousPath, DensityEvaluator,
-                             LabelledSubordinatorPath, cdf_f, density_f,
+                             LabelledSubordinatorPath, cdf_f,
+                             default_jump_cut, density_f,
                              double_gf_limit, flt_f,
                              labelled_subordinator, lamperti_recursion,
                              renewal_state, sample_anomalous_ensemble,

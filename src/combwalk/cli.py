@@ -22,8 +22,8 @@ import numpy as np
 from . import lamperti_limit
 from .comb_model import CombSpec
 from .stable_proc import sample_positive_stable, sample_stable
-from .stat_verify import (VerificationScenario, format_report, hill_estimate,
-                          verify_regime)
+from .stat_verify import (VerificationScenario, _check_k_frac, format_report,
+                          hill_estimate, verify_regime)
 from .walk_sim import simulate_prw, walk_marginals
 
 
@@ -152,12 +152,6 @@ def cmd_simulate(args):
 
 
 def cmd_density(args):
-    if not 0.0 < args.alpha < 1.0:
-        raise _CliError("alpha must lie in (0, 1)")
-    if not -1.0 < args.m < 1.0:
-        raise _CliError("m must lie in (-1, 1)")
-    if args.t <= 0:
-        raise _CliError("t must be positive")
     if args.npoints < 2:
         raise _CliError("need at least 2 grid points")
     t = args.t
@@ -199,8 +193,6 @@ def cmd_sample_limit(args):
                                   scale=args.scale)]
             tag = f"stable alpha={a} beta={_fmt(args.beta)}"
         elif args.kind == "positive-stable":
-            if not 0.0 < args.alpha < 1.0:
-                raise _CliError("positive-stable needs alpha in (0, 1)")
             cols = [sample_positive_stable(args.alpha, n, rng)]
             tag = f"positive-stable alpha={a}"
         elif args.kind == "ensemble":
@@ -295,6 +287,7 @@ def _read_trajectory(path):
 
 
 def cmd_estimate(args):
+    _check_k_frac(args.k_frac)
     steps = _read_trajectory(args.trajectory)
     if len(steps) < 100:
         raise _CliError("trajectory too short to estimate anything")

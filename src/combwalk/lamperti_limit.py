@@ -23,10 +23,10 @@ import functools
 import numpy as np
 
 from .scaling_laws import classify_regime
-from .stable_proc import (sample_positive_stable, subordinator_jumps,
-                          subordinator_path)
+from .stable_proc import sample_positive_stable
 from .walk_sim import _replicate
 
+_JUMP_CAP = 50_000_000
 _PATHS_PER_CHUNK = 64
 _FIRST_JUMPS = 256         # ensemble jumps sized before the first level test
 _ROWS_PER_BLOCK = 64       # occupation-recursion rows per GEMM
@@ -38,14 +38,51 @@ _GF_BUDGET = 2_000_000      # its terms at most
 # labelled subordinator and the limit path
 
 
+def default_jump_cut(alpha, t_max):
+    """Resolution below which subordinator jumps are folded into drift."""
+    return 1e-6 * t_max ** (1.0 / alpha)
+
+
+def subordinator_jumps(alpha, t_max, eps=None):
+    """(eps, lam, drift_rate) of the epsilon-approximate subordinator with
+    Levy density alpha x^(-1-alpha) on [0, t_max]: the jump cut, the
+    expected number of jumps above it and the compensating drift rate
+    alpha eps^(1-alpha)/(1-alpha).  Checks the inputs and the cap of
+    5e7 expected jumps."""
+    if not 0.0 < alpha < 1.0:
+        raise ValueError("subordinator index must lie in (0, 1)")
+    if not 0.0 < t_max < np.inf:
+        raise ValueError("t_max must be positive and finite")
+    if eps is None:
+        eps = default_jump_cut(alpha, t_max)
+    if not eps > 0.0:
+        raise ValueError("jump cut eps must be positive")
+    lam = t_max * eps ** (-alpha)
+    if not lam <= _JUMP_CAP:
+        raise ValueError(f"expected jump count {lam:.3g} exceeds the cap; "
+                         "raise eps or shorten the path")
+    drift = alpha * eps ** (1.0 - alpha) / (1.0 - alpha)
+    return eps, lam, drift
+
+
+def _draw_jumps(rng, lam, t_max):
+    """A Poisson(lam) count n, then 3n uniforms in one call: the n jump
+    times in [0, t_max], sorted, and the n uniforms of the Pareto sizes
+    eps u^(-1/alpha) and of the labels."""
+    n = rng.poisson(lam)
+    u = rng.random(3 * n)
+    s = u[:n] * t_max
+    s.sort()
+    return s, u[n:2 * n], u[2 * n:]
+
+
 class LabelledSubordinatorPath:
     """Subordinator jumps with i.i.d. +-1 labels; drift (sub-epsilon)
     time is integrated with slope b, the label mean."""
 
-    def __init__(self, alpha, b, t_max, times, jumps, drift, labels):
+    def __init__(self, b, t_max, times, jumps, drift, labels):
         if len(labels) != len(jumps):
             raise ValueError("labels must match jumps one to one")
-        self.alpha = alpha
         self.b = b
         self.t_max = t_max
         self.times = times
@@ -68,14 +105,17 @@ class LabelledSubordinatorPath:
 
 
 def labelled_subordinator(alpha, b, t_max, epsilon=None, rng=None):
-    """Subordinator path with independent +-1 labels, P(+1) = (1+b)/2."""
+    """Subordinator path with independent +-1 labels, P(+1) = (1+b)/2;
+    jumps below epsilon enter as drift (subordinator_jumps)."""
     if not -1.0 <= b <= 1.0:
         raise ValueError("label bias must lie in [-1, 1]")
+    eps, lam, drift = subordinator_jumps(alpha, t_max, epsilon)
     if rng is None:
         rng = np.random.default_rng()
-    s, J, drift = subordinator_path(alpha, t_max, rng, eps=epsilon)
-    lab = np.where(rng.random(len(J)) < (1.0 + b) / 2.0, 1.0, -1.0)
-    return LabelledSubordinatorPath(alpha, b, t_max, s, J, drift, lab)
+    s, u, v = _draw_jumps(rng, lam, t_max)
+    lab = np.where(v < (1.0 + b) / 2.0, 1.0, -1.0)
+    return LabelledSubordinatorPath(b, t_max, s, eps * u ** (-1.0 / alpha),
+                                    drift, lab)
 
 
 def renewal_state(path, t):
@@ -143,21 +183,15 @@ def sample_anomalous_ensemble(alpha, b, n_rep, seed, level=1.0, t_max=None,
     Paths are chunked like walk_marginals, 64 to a child seed, but run
     on one thread: `threads` is accepted and ignored.  Each path is a
     string of short numpy calls, and with a second thread every call
-    hands the GIL over: threads=2 measured slower than threads=1
-    (20 000 paths at alpha = 0.5 on 2 vCPUs, 8 alternating pairs:
-    median 2.76 s wall and 3.67 s CPU against 1.49 s).  On one thread
-    and with the prefix evaluation below, the benchmark's limit-side
-    pass (which samples those 20 000 paths) fell from a median of
-    3.09 s to 1.59 s wall and from 3.95 s to 1.58 s CPU, lower in 10 of
-    10 pairs that alternated which side ran first.
+    hands the GIL over, so threads made the ensemble slower.
 
-    A path draws its Poisson count n, then its n times, n sizes and n
-    labels in one call.  Sizes and their running sum cumJ are formed
-    only until cumJ passes the level, and T(s_i-), T(s_i) and the labels
-    only up to K = #{cumJ <= level}: T(s_i) >= cumJ_i also holds in
-    floating point, so the level is crossed by jump K.  The output is
-    that of evaluating every jump (while the smallest jump, epsilon,
-    exceeds a few ulps of the level, so that T(s_i) is sorted).
+    A path is drawn as labelled_subordinator draws it (_draw_jumps).
+    Sizes and their running sum cumJ are formed only until cumJ passes
+    the level, and T(s_i-), T(s_i) and the labels only up to
+    K = #{cumJ <= level}: T(s_i) >= cumJ_i also holds in floating point,
+    so the level is crossed by jump K.  The output is that of evaluating
+    every jump (while the smallest jump, epsilon, exceeds a few ulps of
+    the level, so that T(s_i) is sorted).
     """
     if not -1.0 <= b <= 1.0:
         raise ValueError("label bias must lie in [-1, 1]")
@@ -172,21 +206,19 @@ def sample_anomalous_ensemble(alpha, b, n_rep, seed, level=1.0, t_max=None,
     def work(rng, m):
         out = np.empty((m, 3))
         for r in range(m):
-            n = rng.poisson(lam)
-            u = rng.random(3 * n)           # times, sizes, labels
-            s = u[:n] * t_max
-            s.sort()
+            s, u, v = _draw_jumps(rng, lam, t_max)
+            n = len(s)
             # sizes and their running sum, a slice at a time until the
             # sum passes the level; accumulate is sequential, so carrying
             # the last sum into the next slice keeps the bytes of one
             # cumsum over all n jumps
             hi = min(n, _FIRST_JUMPS)
-            J = u[n:n + hi] ** power
+            J = u[:hi] ** power
             J *= eps
             cum = np.add.accumulate(J)
             while hi < n and cum[-1] <= level:
                 lo, hi = hi, min(n, 2 * hi)
-                more = u[n + lo:n + hi] ** power
+                more = u[lo:hi] ** power
                 more *= eps
                 J = np.concatenate((J, more))
                 more[0] += cum[-1]
@@ -201,7 +233,7 @@ def sample_anomalous_ensemble(alpha, b, n_rep, seed, level=1.0, t_max=None,
             Tb[1:] += cum[:k - 1]
             Ta = Tb + J[:k]
             idx = int(Ta.searchsorted(level, side="right"))
-            lab = u[2 * n:2 * n + idx + 1] < p_up
+            lab = v[:idx + 1] < p_up
             full_lj = float(np.add.reduce(np.where(lab[:idx], J[:idx],
                                                    -J[:idx])))
             full_j = float(cum[idx - 1]) if idx > 0 else 0.0
@@ -226,14 +258,18 @@ def sample_anomalous_ensemble(alpha, b, n_rep, seed, level=1.0, t_max=None,
 # the marginal law
 
 
+def _check_time(t):
+    if not 0.0 < t < np.inf:
+        raise ValueError("t must be positive and finite")
+
+
 def density_f(alpha, m, t, x):
     """Density of S(t): supported on (-t, t), self-similar of index 1."""
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
     if not -1.0 < m < 1.0:
         raise ValueError("drift must lie in (-1, 1)")
-    if t <= 0:
-        raise ValueError("t must be positive")
+    _check_time(t)
     scalar = np.isscalar(x)
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if np.any(np.abs(x) >= t):
@@ -313,6 +349,7 @@ class DensityEvaluator:
     # -- CDF / inverse ------------------------------------------------------
 
     def cdf(self, x, t=1.0):
+        _check_time(t)
         scalar = np.isscalar(x)
         z = np.clip(np.atleast_1d(np.asarray(x, dtype=float)) / t, -1.0, 1.0)
         out = np.empty_like(z)
@@ -325,6 +362,7 @@ class DensityEvaluator:
 
     def ppf(self, q, t=1.0):
         """Exact inverse of the cached CDF (piecewise linear in y)."""
+        _check_time(t)
         scalar = np.isscalar(q)
         q = np.atleast_1d(np.asarray(q, dtype=float)) * self.mass
         out = np.empty_like(q)
@@ -361,6 +399,8 @@ def sample_marginal(alpha, m, t, rng, size=None):
 def sample_ratio(alpha, b, rng, size=None):
     """(T_u - T_d)/(T_u + T_d) with T_u, T_d independent positive stable
     weighted by the label probabilities -- same law as S(1)."""
+    if not -1.0 <= b <= 1.0:
+        raise ValueError("label bias must lie in [-1, 1]")
     p1 = sample_positive_stable(alpha, size, rng)
     p2 = sample_positive_stable(alpha, size, rng)
     tu = ((1.0 + b) / 2.0) ** (1.0 / alpha) * p1

@@ -78,50 +78,6 @@ def sample_positive_stable(alpha, size, rng):
     return (A / E) ** ((1.0 - alpha) / alpha)
 
 
-_JUMP_CAP = 50_000_000
-
-
-def default_jump_cut(alpha, t_max):
-    """Resolution below which subordinator jumps are folded into drift."""
-    return 1e-6 * t_max ** (1.0 / alpha)
-
-
-def subordinator_jumps(alpha, t_max, eps=None):
-    """(eps, lam, drift_rate) of the epsilon-approximate subordinator with
-    Levy density alpha x^(-1-alpha) on [0, t_max]: the jump cut, the
-    expected number of jumps above it and the compensating drift rate
-    alpha eps^(1-alpha)/(1-alpha).  Checks the inputs and the cap of
-    5e7 expected jumps."""
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("subordinator index must lie in (0, 1)")
-    if not 0.0 < t_max < np.inf:
-        raise ValueError("t_max must be positive and finite")
-    if eps is None:
-        eps = default_jump_cut(alpha, t_max)
-    if not eps > 0.0:
-        raise ValueError("jump cut eps must be positive")
-    lam = t_max * eps ** (-alpha)
-    if not lam <= _JUMP_CAP:
-        raise ValueError(f"expected jump count {lam:.3g} exceeds the cap; "
-                         "raise eps or shorten the path")
-    drift = alpha * eps ** (1.0 - alpha) / (1.0 - alpha)
-    return eps, lam, drift
-
-
-def subordinator_path(alpha, t_max, rng, eps=None):
-    """One path of the subordinator with Levy density alpha x^(-1-alpha).
-
-    Jumps above eps are sampled exactly (Poisson number, Pareto sizes);
-    the rest enter as the compensating drift rate (subordinator_jumps).
-    Returns (times, sizes, drift_rate) with times sorted.
-    """
-    eps, lam, drift = subordinator_jumps(alpha, t_max, eps)
-    n = rng.poisson(lam)
-    s = np.sort(rng.random(n) * t_max)
-    J = eps * rng.random(n) ** (-1.0 / alpha)
-    return s, J, drift
-
-
 # ---------------------------------------------------------------------------
 # the S1 CDF by Nolan's integral
 #

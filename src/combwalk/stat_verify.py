@@ -54,13 +54,17 @@ _HILL_SEED = 0              # their seed, so the CI is a function of the data
 _HILL_BLOCK = 1 << 20       # bootstrap indices drawn and gathered at a time
 
 
+def _check_k_frac(k_frac):
+    if not 0.0 < k_frac <= 0.2:
+        raise ValueError("k_frac must lie in (0, 0.2]")
+
+
 def hill_estimate(samples, k_frac):
     """Hill tail-index estimator on the top k = k_frac*n order
     statistics, with a percentile bootstrap CI over the log-spacings.
     Scale-free: built from log-ratios against the k-th largest value.
     """
-    if not 0.0 < k_frac <= 0.2:
-        raise ValueError("k_frac must lie in (0, 0.2]")
+    _check_k_frac(k_frac)
     x = np.asarray(samples, dtype=float)
     x = x[x > 0]
     n = len(x)

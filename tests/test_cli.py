@@ -212,11 +212,16 @@ def test_density_to_file(tmp_path, capsys):
 
 
 def test_density_validation(capsys):
-    assert cli.main(["density", "--alpha", "1.2"]) == 2
-    assert cli.main(["density", "--alpha", "0.5", "--m", "1"]) == 2
-    assert cli.main(["density", "--alpha", "0.5", "--t", "-1"]) == 2
-    assert cli.main(["density", "--alpha", "0.5", "--npoints", "1"]) == 2
-    capsys.readouterr()
+    # the library's checks, except --npoints which is the command's
+    for extra, message in ((["--alpha", "1.2"], "alpha must lie in (0, 1)"),
+                           (["--m", "1"], "drift must lie in (-1, 1)"),
+                           (["--t", "-1"], "t must be positive"),
+                           (["--t", "nan"], "t must be positive"),
+                           (["--npoints", "1"], "need at least 2")):
+        assert cli.main(["density", "--alpha", "0.5"] + extra) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {message}")
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +312,7 @@ def test_sample_limit_validation(tmp_path, capsys):
     out = tmp_path / "f.csv"
     assert cli.main(["sample-limit", "--kind", "positive-stable",
                      "--alpha", "1.5", "--n", "10", "--out", str(out)]) == 2
-    assert "positive-stable needs alpha" in capsys.readouterr().err
+    assert "positive stable laws need alpha" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -316,6 +321,10 @@ def test_sample_limit_validation(tmp_path, capsys):
     (["--kind", "ensemble", "--b", "2"], "label bias"),
     (["--kind", "path", "--t-max", "0"], "t_max must be positive"),
     (["--kind", "stable", "--scale", "0"], "scale must be positive"),
+    (["--kind", "ratio", "--b", "2"], "label bias"),
+    (["--kind", "marginal", "--t", "0"], "t must be positive"),
+    (["--kind", "marginal", "--t", "-1"], "t must be positive"),
+    (["--kind", "marginal", "--t", "nan"], "t must be positive"),
 ])
 def test_sample_limit_rejects_bad_arguments(capsys, extra, message):
     argv = ["sample-limit", "--alpha", "0.5", "--n", "20"] + extra
@@ -564,6 +573,16 @@ def test_estimate_error_paths(tmp_path, capsys):
                        "\n".join("1,2,x,4" for _ in range(200)) + "\n")
     assert cli.main(["estimate", "--trajectory", str(garbled)]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("k_frac", ["0.5", "0", "-1", "nan"])
+def test_estimate_rejects_k_frac_before_reading(tmp_path, capsys, k_frac):
+    # the trajectory does not exist: the value is refused first
+    assert cli.main(["estimate", "--trajectory", str(tmp_path / "none.csv"),
+                     "--k-frac", k_frac]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: k_frac must lie in (0, 0.2]\n"
 
 
 def python_read_steps(path):

@@ -8,6 +8,7 @@ from combwalk import (
     LabelledSubordinatorPath,
     cdf_f,
     constant_comb,
+    default_jump_cut,
     density_f,
     double_gf_limit,
     flt_f,
@@ -19,11 +20,11 @@ from combwalk import (
     renewal_state,
     sample_anomalous_ensemble,
     sample_marginal,
+    sample_positive_stable,
     sample_ratio,
 )
 from combwalk import lamperti_limit
-from combwalk.lamperti_limit import default_t_max
-from combwalk.stable_proc import default_jump_cut, subordinator_path
+from combwalk.lamperti_limit import default_t_max, subordinator_jumps
 from combwalk.walk_sim import _replicate
 
 
@@ -166,6 +167,28 @@ def test_ratio_sampler_agrees_with_density():
     assert np.all(np.abs(draws) < 1.0)
     assert ks_distance(draws, lambda v: cdf_f(0.5, 0.4, 1.0, v)) < 0.01
     assert draws.mean() == pytest.approx(0.4, abs=0.02)
+
+
+def test_ratio_sampler_validation():
+    for b in (1.5, -1.01, np.nan):
+        with pytest.raises(ValueError, match="label bias"):
+            sample_ratio(0.3, b, np.random.default_rng(0), size=3)
+    # the ends of [-1, 1] are one-signed laws
+    assert np.all(sample_ratio(0.3, 1.0, np.random.default_rng(0), size=3)
+                  == 1.0)
+
+
+@pytest.mark.parametrize("t", [-1.0, 0.0, np.nan, np.inf])
+def test_marginal_law_checks_the_time(t):
+    ev = DensityEvaluator(0.5, 0.0, nhalf=50)
+    for call in (lambda: cdf_f(0.5, 0.0, t, 0.3),
+                 lambda: sample_marginal(0.5, 0.0, t,
+                                         np.random.default_rng(0), size=3),
+                 lambda: density_f(0.5, 0.0, t, 0.0),
+                 lambda: ev.cdf(0.3, t=t),
+                 lambda: ev.ppf(0.5, t=t)):
+        with pytest.raises(ValueError, match="t must be positive"):
+            call()
 
 
 # ---------------------------------------------------------------------------
@@ -396,7 +419,7 @@ def thinned_sum(path, t, sign):
 
 def hand_path():
     return LabelledSubordinatorPath(
-        alpha=0.5, b=0.3, t_max=1.0,
+        b=0.3, t_max=1.0,
         times=np.array([0.5]), jumps=np.array([2.0]),
         drift=0.1, labels=np.array([-1.0]))
 
@@ -497,6 +520,62 @@ def test_thinned_sums_split_the_path():
     assert up - dn == pytest.approx(float(ap.S(p.total())))
 
 
+def test_subordinator_path_structure():
+    p = labelled_subordinator(0.5, 0.3, 4.0, epsilon=1e-4,
+                              rng=np.random.default_rng(15))
+    assert np.all(np.diff(p.times) >= 0)
+    assert p.times.min() >= 0 and p.times.max() <= 4.0
+    assert np.all(p.jumps >= 1e-4)
+    assert p.drift == pytest.approx(0.5 * 1e-4 ** 0.5 / 0.5)
+    lam = 4.0 * 1e-4 ** -0.5
+    assert abs(p.n_jumps - lam) < 5 * np.sqrt(lam)
+    assert p.total() == pytest.approx(p.jumps.sum() + p.drift * 4.0)
+    # the default cut sets the drift rate alpha eps^(1-alpha)/(1-alpha)
+    q = labelled_subordinator(0.3, 0.0, 2.0, rng=np.random.default_rng(15))
+    eps = default_jump_cut(0.3, 2.0)
+    assert q.drift == pytest.approx(0.3 * eps ** 0.7 / 0.7)
+    assert np.all(q.jumps >= eps)
+
+
+def test_subordinator_jump_sizes_are_pareto():
+    p = labelled_subordinator(0.7, 0.0, 3.0, epsilon=0.01,
+                              rng=np.random.default_rng(16))
+    # P(J > x) = (x/eps)^-alpha above the cut
+    for x in (0.02, 0.1, 1.0):
+        q = (x / 0.01) ** -0.7
+        emp = np.mean(p.jumps > x)
+        assert abs(emp - q) < 5 * np.sqrt(q * (1 - q) / p.n_jumps)
+
+
+def test_subordinator_level_law():
+    # T(1) is Gamma(1-a)^(1/a) times a standard positive stable variable
+    draws = np.array([
+        labelled_subordinator(0.5, 0.0, 1.0,
+                              rng=np.random.default_rng(100000 + i)).total()
+        for i in range(20000)])
+    ref = special.gamma(0.5) ** 2 * sample_positive_stable(
+        0.5, 20000, np.random.default_rng(13))
+    assert ks_distance(draws, ref) < 0.02
+
+
+def test_subordinator_validation_and_cap():
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError, match="subordinator index"):
+        labelled_subordinator(1.2, 0.0, 1.0, rng=rng)
+    for eps in (0.0, -1.0, np.nan):
+        with pytest.raises(ValueError, match="jump cut"):
+            labelled_subordinator(0.5, 0.0, 1.0, epsilon=eps, rng=rng)
+    for t_max in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="t_max must be positive"):
+            labelled_subordinator(0.5, 0.0, t_max, rng=rng)
+    # the cap is 5e7 expected jumps: t_max eps^-alpha = 5e7 at eps = 4e-16
+    assert subordinator_jumps(0.5, 1.0, 4e-16 * 1.001)[1] < 5e7
+    for eps in (4e-16 * 0.99, 1e-18):
+        with pytest.raises(ValueError, match="exceeds the cap"):
+            labelled_subordinator(0.5, 0.0, 1.0, epsilon=eps, rng=rng)
+    assert default_jump_cut(0.5, 4.0) == pytest.approx(1e-6 * 16.0)
+
+
 def test_simulated_path_invariants():
     rng = np.random.default_rng(23)
     p = labelled_subordinator(0.5, 0.4, 4.0, rng=rng)
@@ -539,7 +618,7 @@ def test_label_validation():
     with pytest.raises(ValueError):
         labelled_subordinator(0.5, 1.5, 1.0, rng=np.random.default_rng(0))
     with pytest.raises(ValueError):
-        LabelledSubordinatorPath(0.5, 0.0, 1.0, np.array([0.5]),
+        LabelledSubordinatorPath(0.0, 1.0, np.array([0.5]),
                                  np.array([1.0, 2.0]), 0.1, np.array([1.0]))
 
 
@@ -573,9 +652,9 @@ def every_jump_ensemble(alpha, b, n_rep, seed, level=1.0, t_max=None,
     def work(rng, m):
         out = np.empty((m, 4))
         for r in range(m):
-            s, J, drift = subordinator_path(alpha, t_max, rng, eps=epsilon)
+            path = labelled_subordinator(alpha, b, t_max, epsilon, rng)
+            s, J, drift, lab = path.times, path.jumps, path.drift, path.labels
             n = len(J)
-            lab = np.where(rng.random(n) < (1.0 + b) / 2.0, 1.0, -1.0)
             cum = np.cumsum(J)
             total = drift * t_max + (cum[-1] if n else 0.0)
             if total < level:

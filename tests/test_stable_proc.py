@@ -3,10 +3,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy import stats
-from scipy.special import gamma as gamma_fn, ndtr
+from scipy.special import ndtr
 
 from combwalk import (
-    default_jump_cut,
     empirical_char_fn,
     ks_distance,
     levy_symbol,
@@ -14,7 +13,6 @@ from combwalk import (
     sample_stable,
     stable_cdf_interp,
     stable_sigma,
-    subordinator_path,
 )
 
 
@@ -97,7 +95,7 @@ def test_sampler_validation():
 
 
 # ---------------------------------------------------------------------------
-# one-sided stable and the subordinator
+# one-sided stable
 
 
 def test_positive_stable_laplace_transform():
@@ -114,52 +112,6 @@ def test_positive_stable_validation():
     for bad in (0.0, 1.0, 1.5):
         with pytest.raises(ValueError):
             sample_positive_stable(bad, 10, rng)
-
-
-def test_subordinator_path_structure():
-    rng = np.random.default_rng(15)
-    s, J, drift = subordinator_path(0.5, 4.0, rng, eps=1e-4)
-    assert np.all(np.diff(s) >= 0)
-    assert s.min() >= 0 and s.max() <= 4.0
-    assert np.all(J >= 1e-4)
-    assert drift == pytest.approx(0.5 * 1e-4 ** 0.5 / 0.5)
-    lam = 4.0 * 1e-4 ** -0.5
-    assert abs(len(s) - lam) < 5 * np.sqrt(lam)
-
-
-def test_subordinator_jump_sizes_are_pareto():
-    rng = np.random.default_rng(16)
-    _, J, _ = subordinator_path(0.7, 3.0, rng, eps=0.01)
-    # P(J > x) = (x/eps)^-alpha above the cut
-    for x in (0.02, 0.1, 1.0):
-        p = (x / 0.01) ** -0.7
-        emp = np.mean(J > x)
-        assert abs(emp - p) < 5 * np.sqrt(p * (1 - p) / len(J))
-
-
-def test_subordinator_level_law():
-    # T(1) is Gamma(1-a)^(1/a) times a standard positive stable variable
-    draws = []
-    for i in range(20000):
-        _, J, drift = subordinator_path(0.5, 1.0,
-                                        np.random.default_rng(100000 + i))
-        draws.append(J.sum() + drift * 1.0)
-    draws = np.array(draws)
-    ref = gamma_fn(0.5) ** 2 * sample_positive_stable(0.5, 20000,
-                                                      np.random.default_rng(13))
-    assert ks_distance(draws, ref) < 0.02
-
-
-def test_subordinator_validation_and_cap():
-    rng = np.random.default_rng(0)
-    with pytest.raises(ValueError):
-        subordinator_path(1.2, 1.0, rng)
-    with pytest.raises(ValueError):
-        subordinator_path(0.5, 1.0, rng, eps=1e-18)
-    for t_max in (0.0, -1.0, np.nan):
-        with pytest.raises(ValueError):
-            subordinator_path(0.5, t_max, rng)
-    assert default_jump_cut(0.5, 4.0) == pytest.approx(1e-6 * 16.0)
 
 
 # ---------------------------------------------------------------------------
