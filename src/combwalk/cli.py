@@ -157,9 +157,11 @@ def cmd_density(args):
     t = args.t
     with _output(args.out) as out:
         # interior grid: strictly inside (-t, t), hits x = 0 when npoints
-        # is odd
-        x = np.linspace(-t, t, args.npoints + 2)[1:-1]
-        x[np.abs(x) < 1e-9 * t] = 0.0
+        # is odd; density_f rejects a t that is not positive and finite,
+        # so the grid of such a t only must not warn before it does
+        with np.errstate(invalid="ignore"):
+            x = np.linspace(-t, t, args.npoints + 2)[1:-1]
+            x[np.abs(x) < 1e-9 * t] = 0.0
         f = lamperti_limit.density_f(args.alpha, args.m, t, x)
         F = lamperti_limit.cdf_f(args.alpha, args.m, t, x)
         _write_csv(out, f"# combwalk density alpha={_fmt(args.alpha)} "

@@ -514,24 +514,19 @@ class PersistenceLaw:
                 and not (0.0 <= u.min() and u.max() < 1.0)):
             raise ValueError("uniforms must lie in [0, 1)")
         top = 1 << 53 if cap is None else int(cap)
-        size = _TABLE_MIN if cap is None else min(top, _TABLE_MAX)
-        cdf, guide = self._table
-        if guide is None or len(cdf) < size and cdf[-1] < 1.0:
-            with self._grow:
-                # grow-only; a table ending in 1 already covers every u < 1
-                cdf, guide = self._table
-                if len(cdf) < size and cdf[-1] < 1.0:
-                    cdf, guide = self.cdf_table(size - 1), None
-                if guide is None:
-                    guide = _guide_table(cdf)
-                self._table = cdf, guide
-        # u _GUIDE is exact and below _GUIDE, so the cast floors it
-        out = guide.take((u * _GUIDE).astype(np.intp)).astype(np.int64)
+        cdf, guide = self.lookup_table(cap)
+        # u _GUIDE is exact and below _GUIDE, so the cast floors it; one
+        # array holds the cells and then their answers (every cell is in
+        # range, and "clip" lets take write over its own indices)
+        out = np.multiply(u, _GUIDE, out=np.empty(u.shape, np.int64),
+                          casting="unsafe")
+        guide.take(out, out=out, mode="clip")
         if out.min(initial=0) < 0:
-            open_cell = out < 0
+            cells = np.flatnonzero(out < 0)
             # u = 0 falls in the open cell 0 (cdf[0] = 0 is its edge), and
             # every other u is above cdf[0]: runs last at least one step
-            out[open_cell] = np.searchsorted(cdf[1:], u[open_cell]) + 1
+            out.reshape(-1)[cells] = np.searchsorted(cdf[1:],
+                                                     u.take(cells)) + 1
         if len(cdf) >= top or cdf[-1] == 1.0:
             # nothing gets past a table ending in 1; clip a longer one
             return np.minimum(out, top) if len(cdf) > top else out
@@ -546,6 +541,23 @@ class PersistenceLaw:
             ends[go] = self._bisect(s[go], len(cdf) - 1, top)
             out[past] = ends
         return out
+
+    def lookup_table(self, cap=None):
+        """(cdf, guide): the cached cdf table and its guide that
+        invert(u, cap) looks u up in, grown first to cover cap (up to
+        _TABLE_MAX entries).  invert maps u to 1 exactly when u <= cdf[1]."""
+        size = _TABLE_MIN if cap is None else min(int(cap), _TABLE_MAX)
+        cdf, guide = self._table
+        if guide is None or len(cdf) < size and cdf[-1] < 1.0:
+            with self._grow:
+                # grow-only; a table ending in 1 already covers every u < 1
+                cdf, guide = self._table
+                if len(cdf) < size and cdf[-1] < 1.0:
+                    cdf, guide = self.cdf_table(size - 1), None
+                if guide is None:
+                    guide = _guide_table(cdf)
+                self._table = cdf, guide
+        return cdf, guide
 
     def _bisect(self, s, start, top):
         """Smallest n in (start, top] with 1 - T(n) >= s, else top, where
@@ -566,7 +578,7 @@ def _guide_table(cdf):
     """guide[k] = searchsorted(cdf, u) for every u in [k, k + 1) / _GUIDE,
     or -1 where a cdf entry falls inside that cell."""
     edges = np.searchsorted(cdf, np.arange(_GUIDE + 1) / _GUIDE)
-    guide = edges[:-1].astype(np.int32)
+    guide = edges[:-1].astype(np.int64)
     guide[edges[:-1] != edges[1:]] = -1
     return guide
 

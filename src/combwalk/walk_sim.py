@@ -11,22 +11,35 @@ both in memory bounded whatever the horizon:
                     deterministically chunked so results are identical
                     for any thread count
 
-walk_marginals runs 4096 lanes per chunk and draws their run lengths 8
-cycles at a time, each block one inverter call per direction through
-the laws' guide tables.  Each target is located by counting the cycle
-ends below it.  Lanes past the last target still draw their uniforms,
-so the random stream is that of one cycle at a time, but are dropped
-from inversion and arithmetic.  Times and positions are integers below
-2^53, so the output does not depend on the block size.
+walk_marginals runs 4096 lanes per chunk and draws 8 rows at a time,
+each block one inverter call per direction through the laws' guide
+tables.  A row is one down and one up uniform per lane, and it stands for
+one cycle that is not the trivial (1, 1) one together with the trivial
+cycles before it: when both uniforms fall below the laws' cdf[1], which
+happens with probability q = P(d = 1) P(u = 1), _collapse turns the same
+two uniforms into a geometric count of further trivial cycles and a
+redrawn non-trivial cycle (on the critical Cauchy comb q = 0.98, and a
+row stands for ~50 cycles).  The recycled down uniform has a resolution
+of 2^-53 / (p_d q^K) after K further trivial cycles, against 2^-53 for a
+fresh one.  Each target is located by counting the row ends below it; a
+target inside a trivial stretch reads its position from the parity of
+its offset.  Lanes past the last target still draw their uniforms, so
+the random stream is that of one row at a time, but are dropped from
+inversion and arithmetic.  Every row depends only on its own two
+uniforms, and times and positions are integers below 2^53, so the
+output does not depend on the block size.  A comb with q = 0 has no
+trivial row, and its output is that of one cycle at a time.
 """
 
+import bisect
 import concurrent.futures
 
 import numpy as np
 
 _LANES = 4096
-_CYCLES = 8                 # run cycles per block of walk_marginals
+_CYCLES = 8                 # rows per block of walk_marginals
 _BLOCK = 64                 # down-runs and up-runs drawn per block
+_BELOW_ONE = np.nextafter(1.0, 0.0)     # the largest double below 1
 
 
 class Trajectory:
@@ -119,51 +132,110 @@ def _replicate(n_rep, chunk, seed, threads, work):
         return np.concatenate(list(ex.map(run, range(n_chunks))))
 
 
-def _running(start, steps):
-    """Rows start, start + steps[0], start + steps[0] + steps[1], ..."""
-    out = np.empty((len(steps) + 1, len(start)), dtype=np.int64)
-    out[0] = start
-    for c, step in enumerate(steps):
-        # row by row: cumsum along axis 0 strides across rows, ~5x slower
-        np.add(out[c], step, out=out[c + 1])
-    return out
+def _collapse(vd, vu, p_d, p_u, cap):
+    """Recycle in place the uniforms of the rows that draw a trivial (1, 1)
+    cycle: returns those rows' flat indices and the steps of their trivial
+    stretches.  vd and vu must be C-contiguous.
+
+    A row is trivial when both its uniforms lie below the laws' cdf[1], so
+    with probability q = p_d p_u.  Given that, x = vd / p_d and y = vu / p_u
+    are fresh uniforms: the row stands for K + 1 trivial cycles, with K =
+    floor(log(1 - x) / log q) geometric, and then one cycle drawn from the
+    law of a cycle that is not trivial.  r = (1 - x) / q^K is uniform on
+    (q, 1], so the down uniform 1 + q - r is uniform on [q, 1), and the up
+    uniform y is lifted to p_u + (1 - p_u) y when the down run is 1.
+
+    "Below" is strict, so x < 1 and a law with cdf[1] = 0 never recycles
+    (invert maps u = cdf[1] to 1 as well; such a row is simply not
+    collapsed, which leaves the law exact).
+    """
+    vd, vu = vd.reshape(-1), vu.reshape(-1)
+    rows = np.flatnonzero((vd < p_d) & (vu < p_u))
+    q = p_d * p_u
+    t = vd[rows]
+    np.subtract(p_d, t, out=t)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # log q is -0.0 at q = 1, so K is +inf there (nan at x = 0); K
+        # is clipped where its stretch passes every target
+        log_q = np.copysign(np.log(q), -1.0)
+        np.log(t, out=t)
+        t -= np.log(p_d)
+        t /= log_q                          # log(1 - x) / log q
+    np.fmin(t, (cap - 2) // 2, out=t)
+    k = np.floor(t)
+    t -= k
+    t *= log_q
+    np.exp(t, out=t)                        # r = q^(t - K)
+    np.subtract(1.0 + q, t, out=t)
+    vd[rows] = np.minimum(t, _BELOW_ONE, out=t)
+    lift = t <= p_d
+    y = vu[rows]
+    y /= p_u
+    np.multiply(y, 1.0 - p_u, out=t)
+    t += p_u
+    np.putmask(y, lift, np.minimum(t, _BELOW_ONE, out=t))
+    vu[rows] = y
+    k += 1.0
+    k *= 2.0
+    return rows, k.astype(np.int64)
 
 
 def _chunk_marginals(comb, targets, rng, batch):
     tmax = targets[-1]
     cap = int(tmax) + 2         # any run this long passes every target
+    p_d, p_u = (law.lookup_table(cap)[0][1]
+                for law in (comb.down_law, comb.up_law))
     rec = np.full((batch, len(targets)), np.nan)
     lane = np.arange(batch)     # lanes not yet past tmax, with their
     tnow = np.zeros(batch, dtype=np.int64)   # time and position at the
     pos = np.zeros(batch, dtype=np.int64)    # start of the block
+    down, up = np.empty((2, _CYCLES, batch))
     while len(lane):
-        # _CYCLES (down, up) rows are the bytes of _CYCLES per-cycle
-        # draws; finished lanes draw theirs too, but skip the rest
-        u = rng.random((_CYCLES, 2, batch))
-        live = slice(None) if len(lane) == batch else lane
-        td = comb.down_law.invert(u[:, 0, live], cap)
-        tu = comb.up_law.invert(u[:, 1, live], cap)
-        del u
-        # cycle c runs from ends[c] to ends[c + 1] and starts at position
-        # walk[c]; S is an integer below 2^53, so it is exact as a float
-        ends = _running(tnow, td + tu)
-        tu -= td
-        walk = _running(pos, tu)
+        # the stream of rng.random((_CYCLES, 2, batch)): row by row, the
+        # down uniforms of every lane, then their up uniforms; finished
+        # lanes draw theirs too, but skip the rest
+        for c in range(_CYCLES):
+            rng.random(out=down[c])
+            rng.random(out=up[c])
+        n = len(lane)
+        vd, vu = ((down, up) if n == batch
+                  else (down.take(lane, axis=1), up.take(lane, axis=1)))
+        trivial, stretch = _collapse(vd, vu, p_d, p_u, cap)
+        td = comb.down_law.invert(vd, cap)
+        tu = comb.up_law.invert(vu, cap)
+        sd, su = td.sum(axis=0), tu.sum(axis=0)
+        # a trivial stretch adds time but no displacement
+        end = tnow + sd + su
+        np.add.at(end, trivial - trivial // n * n, stretch)
         # targets that some lane reaches in this block
-        first, last = np.searchsorted(targets, [tnow.min(), ends[-1].max()],
-                                      side="right")
-        for j in range(first, last):
-            tj = targets[j]
-            hit = np.flatnonzero((tnow < tj) & (ends[-1] >= tj))
-            # the cycle that reaches tj follows every cycle ending before it
-            c = np.count_nonzero(ends[1:, hit] < tj, axis=0)
-            o = tj - ends[c, hit]
-            d = td[c, hit]
-            rec[lane[hit], j] = (walk[c, hit] - np.minimum(o, d)
-                                 + np.maximum(0, o - d))
-        tnow, pos = ends[-1], walk[-1]
-        keep = np.flatnonzero(tnow <= tmax)
-        if len(keep) < len(lane):
+        first = bisect.bisect_right(targets, tnow.min())
+        last = bisect.bisect_right(targets, end.max())
+        if first < last:
+            pre = np.zeros_like(td)         # each row's trivial stretch
+            pre.reshape(-1)[trivial] = stretch
+            for j in range(first, last):
+                tj = targets[j]
+                hit = np.flatnonzero((tnow < tj) & (end >= tj))
+                # the rows of the lanes that reach tj in this block: where
+                # each ends, in time and in position; S is an integer below
+                # 2^53, so it is exact as a float
+                d, u, p = td[:, hit], tu[:, hit], pre[:, hit]
+                span = p + d + u
+                ends = tnow[hit] + span.cumsum(axis=0)
+                walk = pos[hit] + (u - d).cumsum(axis=0)
+                # the row that reaches tj follows every row ending before it
+                c = (np.count_nonzero(ends < tj, axis=0), np.arange(len(hit)))
+                o = tj - ends[c] + span[c]      # tj's step within its row
+                s = o - p[c]                    # and past its trivial stretch
+                d = d[c]
+                rec[lane[hit], j] = walk[c] - (u[c] - d) - np.where(
+                    s <= 0, o & 1, np.minimum(s, d) - np.maximum(0, s - d))
+            del pre
+        tnow, pos = end, pos + su - sd
+        # freed here, so the next block's arrays do not pile onto these
+        del vd, vu, td, tu, trivial, stretch
+        if last == len(targets):
+            keep = np.flatnonzero(tnow <= tmax)
             lane, tnow, pos = lane[keep], tnow[keep], pos[keep]
     return rec
 

@@ -212,16 +212,21 @@ def test_density_to_file(tmp_path, capsys):
 
 
 def test_density_validation(capsys):
-    # the library's checks, except --npoints which is the command's
+    # the library's checks, except --npoints which is the command's; the
+    # error line is all that reaches stderr, with no warning before it
     for extra, message in ((["--alpha", "1.2"], "alpha must lie in (0, 1)"),
                            (["--m", "1"], "drift must lie in (-1, 1)"),
                            (["--t", "-1"], "t must be positive"),
                            (["--t", "nan"], "t must be positive"),
+                           (["--t", "inf"], "t must be positive"),
                            (["--npoints", "1"], "need at least 2")):
-        assert cli.main(["density", "--alpha", "0.5"] + extra) == 2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["density", "--alpha", "0.5"] + extra) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(f"error: {message}")
+        assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from numpy.testing import assert_array_equal
 from scipy.stats import chisquare
 
 from combwalk import (
@@ -117,7 +118,7 @@ def test_marginals_lattice_and_momenta():
     assert rec[:, 1].mean() == pytest.approx(0.25 * 200, abs=3.0)
 
 
-def test_marginals_threads_and_batch_layout_are_invisible():
+def test_marginals_threads_and_batch_layout_are_invisible(monkeypatch):
     comb = power_comb(1.5, c=1.0)
     base = walk_marginals(comb, [10, 100], 9000, seed=77, threads=1)
     for threads in (2, 4):
@@ -125,12 +126,17 @@ def test_marginals_threads_and_batch_layout_are_invisible():
         assert np.array_equal(base, again)
     assert np.array_equal(
         base, walk_marginals(comb, [100, 10], 9000, seed=77, threads=3))
+    # each row depends only on its own uniforms, whatever the block size
+    for rows in (1, 3, 16):
+        monkeypatch.setattr(walk_sim, "_CYCLES", rows)
+        assert np.array_equal(
+            base, walk_marginals(comb, [10, 100], 9000, seed=77, threads=2))
 
 
 def _cycle_by_cycle(comb, targets, rng, batch):
     """The marginals kernel one run cycle at a time over every lane, with
     a search of the full cdf table per draw: the reference for the
-    blocked kernel and the guide."""
+    blocked kernel and the guide on combs without trivial (1, 1) cycles."""
     tmax = targets[-1]
     cap = int(tmax) + 2
     down, up = (law.cdf_table(cap - 1) for law in (comb.down_law, comb.up_law))
@@ -157,6 +163,59 @@ def _cycle_by_cycle(comb, targets, rng, batch):
     return rec
 
 
+def _event_by_event(comb, targets, rng, batch):
+    """The marginals kernel one row at a time over every lane, with a
+    search of the full cdf table per draw: the reference for the blocked
+    kernel, the guide and the collapse of trivial (1, 1) cycles.
+
+    A row whose uniforms both fall below cdf[1] stands for K + 1 trivial
+    cycles and then one cycle that is not trivial, redrawn from the same
+    two uniforms with the kernel's arithmetic."""
+    tmax = targets[-1]
+    cap = int(tmax) + 2
+    down, up = (law.cdf_table(cap - 1) for law in (comb.down_law, comb.up_law))
+    p_d, p_u = down[1], up[1]
+    q = p_d * p_u
+    below_one = np.nextafter(1.0, 0.0)
+
+    pos = np.zeros(batch, dtype=np.int64)
+    tnow = np.zeros(batch, dtype=np.int64)
+    rec = np.full((batch, len(targets)), np.nan)
+    while np.any(tnow <= tmax):
+        vd, vu = rng.random(batch), rng.random(batch)
+        trivial = (vd < p_d) & (vu < p_u)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            log_q = np.copysign(np.log(q), -1.0)
+            t = (np.log(p_d - vd[trivial]) - np.log(p_d)) / log_q
+        t = np.fmin(t, (cap - 2) // 2)
+        k = np.floor(t)
+        vd[trivial] = np.minimum(1.0 + q - np.exp((t - k) * log_q),
+                                 below_one)
+        y = vu[trivial] / p_u
+        vu[trivial] = np.where(vd[trivial] <= p_d,
+                               np.minimum(p_u + (1.0 - p_u) * y, below_one), y)
+        stretch = np.zeros(batch, dtype=np.int64)
+        stretch[trivial] = 2 * k + 2
+        td = np.minimum(cap, np.searchsorted(down, vd))
+        tu = np.minimum(cap, np.searchsorted(up, vu))
+        for j, tj in enumerate(targets):
+            o = tj - tnow
+            hit = (o >= 1) & (o <= stretch + td + tu)
+            zig = o <= stretch          # inside the trivial stretch
+            s = o - stretch
+            rec[hit, j] = np.where(
+                zig, pos - o % 2,
+                pos - np.minimum(s, td) + np.maximum(0, s - td))[hit]
+        pos += tu - td
+        tnow += stretch + td + tu
+    return rec
+
+
+# a q = 0 comb: its up runs are never 1, so no cycle is trivial
+NO_TRIVIAL_CYCLE = CombSpec(HazardFamily.table([0.0], ("constant", 0.4)),
+                            HazardFamily.constant(0.3))
+
+
 @pytest.mark.parametrize("comb", [
     constant_comb(0.3, 0.5),
     power_comb(0.5),
@@ -167,7 +226,7 @@ def _cycle_by_cycle(comb, targets, rng, batch):
     CombSpec(HazardFamily.table([0.5, 1.0], ("power", 0.5, 0.0)),
              HazardFamily.constant(0.3)),
 ], ids=["constant", "power0.5", "power1.5", "cauchy", "table", "hazard1"])
-def test_blocked_marginals_match_the_cycle_by_cycle_kernel(comb):
+def test_blocked_marginals_match_the_event_by_event_kernel(comb):
     # 1, adjacent and repeated targets; the kernel sorts them
     targets = np.array([1, 2, 2, 3, 700, 1999, 2000, 2000])
     lanes = walk_sim._LANES
@@ -175,11 +234,38 @@ def test_blocked_marginals_match_the_cycle_by_cycle_kernel(comb):
     for n_rep in (1, lanes - 1, lanes + 1):
         want = walk_sim._replicate(
             n_rep, lanes, 11, 1,
-            lambda rng, m: _cycle_by_cycle(comb, targets, rng, lanes))
+            lambda rng, m: _event_by_event(comb, targets, rng, lanes))
         for threads in (1, 2):
             got = walk_marginals(comb, targets[::-1], n_rep, seed=11,
                                  threads=threads)
             assert got.tobytes() == want.tobytes()
+
+
+def test_combs_without_trivial_cycles_keep_the_cycle_by_cycle_bytes():
+    targets = np.array([1, 2, 2, 3, 700, 1999, 2000, 2000])
+    lanes = walk_sim._LANES
+    for n_rep in (1, lanes - 1, lanes + 1):
+        want = walk_sim._replicate(
+            n_rep, lanes, 11, 1,
+            lambda rng, m: _cycle_by_cycle(NO_TRIVIAL_CYCLE, targets, rng,
+                                           lanes))
+        for threads in (1, 2):
+            got = walk_marginals(NO_TRIVIAL_CYCLE, targets[::-1], n_rep,
+                                 seed=11, threads=threads)
+            assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("comb", [
+    CombSpec(HazardFamily.table([1.0]), HazardFamily.table([1.0])),
+    CombSpec(HazardFamily.table([1.0, 0.5], ("power", 0.5, 0.0)),
+             HazardFamily.table([1.0, 0.0, 0.2], ("constant", 0.3))),
+], ids=["zigzag", "mixed-prefix"])
+def test_marginals_of_walks_that_only_zigzag(comb):
+    # q = 1: every cycle is (1, 1), so S_t = -(t mod 2); each replica is
+    # one row whose trivial stretch passes every target
+    targets = [1, 2, 5, 10, 10**9 + 1]
+    S = walk_marginals(comb, targets, 5000, seed=4, threads=2)
+    assert_array_equal(S, np.tile([-1, 0, -1, 0, -1], (5000, 1)))
 
 
 def exact_law_pvalue(S, n, row):
