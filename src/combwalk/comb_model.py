@@ -521,8 +521,8 @@ class PersistenceLaw:
         out = np.multiply(u, _GUIDE, out=np.empty(u.shape, np.int64),
                           casting="unsafe")
         guide.take(out, out=out, mode="clip")
-        if out.min(initial=0) < 0:
-            cells = np.flatnonzero(out < 0)
+        cells = np.flatnonzero(out < 0)
+        if len(cells):
             # u = 0 falls in the open cell 0 (cdf[0] = 0 is its edge), and
             # every other u is above cdf[0]: runs last at least one step
             out.reshape(-1)[cells] = np.searchsorted(cdf[1:],
