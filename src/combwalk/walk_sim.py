@@ -162,7 +162,7 @@ def _collapse(vd, vu, p_d, p_u, cap):
         t -= np.log(p_d)
         t /= log_q                          # log(1 - x) / log q
     np.fmin(t, (cap - 2) // 2, out=t)
-    k = np.floor(t)
+    k = np.floor(t).astype(np.int64)
     t -= k
     t *= log_q
     np.exp(t, out=t)                        # r = q^(t - K)
@@ -175,9 +175,34 @@ def _collapse(vd, vu, p_d, p_u, cap):
     t += p_u
     np.putmask(y, lift, np.minimum(t, _BELOW_ONE, out=t))
     vu[rows] = y
-    k += 1.0
-    k *= 2.0
-    return rows, k.astype(np.int64)
+    k += 1
+    k *= 2
+    return rows, k
+
+
+def _positions(tj, hit, tnow, pos, td, tu, pre):
+    """S at time tj of the lanes `hit`, which reach it within this block:
+    td, tu and pre hold every lane's down runs, up runs and trivial
+    stretches row by row, tnow and pos its time and position before them.
+    S is an integer below 2^53, so it is exact as a float."""
+    # where each of their rows ends, in time and in position
+    ends = pre[:, hit]
+    ends += td[:, hit]
+    ends += tu[:, hit]
+    np.cumsum(ends, axis=0, out=ends)
+    ends += tnow[hit]
+    walk = tu[:, hit]
+    walk -= td[:, hit]
+    np.cumsum(walk, axis=0, out=walk)
+    walk += pos[hit]
+    # the row that reaches tj follows every row ending before it
+    row = np.count_nonzero(ends < tj, axis=0)
+    at = (row, np.arange(len(hit)))
+    d, u, p = (a[row, hit] for a in (td, tu, pre))
+    o = tj - ends[at] + p + d + u       # tj's step within its row
+    s = o - p                           # and past its trivial stretch
+    return walk[at] - (u - d) - np.where(
+        s <= 0, o & 1, np.minimum(s, d) - np.maximum(0, s - d))
 
 
 def _chunk_marginals(comb, targets, rng, batch):
@@ -203,6 +228,7 @@ def _chunk_marginals(comb, targets, rng, batch):
         trivial, stretch = _collapse(vd, vu, p_d, p_u, cap)
         td = comb.down_law.invert(vd, cap)
         tu = comb.up_law.invert(vu, cap)
+        del vd, vu
         sd, su = td.sum(axis=0), tu.sum(axis=0)
         # a trivial stretch adds time but no displacement
         end = tnow + sd + su
@@ -214,26 +240,14 @@ def _chunk_marginals(comb, targets, rng, batch):
             pre = np.zeros_like(td)         # each row's trivial stretch
             pre.reshape(-1)[trivial] = stretch
             for j in range(first, last):
-                tj = targets[j]
-                hit = np.flatnonzero((tnow < tj) & (end >= tj))
-                # the rows of the lanes that reach tj in this block: where
-                # each ends, in time and in position; S is an integer below
-                # 2^53, so it is exact as a float
-                d, u, p = td[:, hit], tu[:, hit], pre[:, hit]
-                span = p + d + u
-                ends = tnow[hit] + span.cumsum(axis=0)
-                walk = pos[hit] + (u - d).cumsum(axis=0)
-                # the row that reaches tj follows every row ending before it
-                c = (np.count_nonzero(ends < tj, axis=0), np.arange(len(hit)))
-                o = tj - ends[c] + span[c]      # tj's step within its row
-                s = o - p[c]                    # and past its trivial stretch
-                d = d[c]
-                rec[lane[hit], j] = walk[c] - (u[c] - d) - np.where(
-                    s <= 0, o & 1, np.minimum(s, d) - np.maximum(0, s - d))
+                hit = np.flatnonzero((tnow < targets[j]) & (end >= targets[j]))
+                rec[lane[hit], j] = _positions(targets[j], hit, tnow, pos,
+                                               td, tu, pre)
             del pre
         tnow, pos = end, pos + su - sd
-        # freed here, so the next block's arrays do not pile onto these
-        del vd, vu, td, tu, trivial, stretch
+        # freed here, so that the arrays of one block do not pile onto
+        # those of the next
+        del td, tu, trivial, stretch
         if last == len(targets):
             keep = np.flatnonzero(tnow <= tmax)
             lane, tnow, pos = lane[keep], tnow[keep], pos[keep]
