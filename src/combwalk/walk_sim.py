@@ -11,7 +11,7 @@ both in memory bounded whatever the horizon:
                     deterministically chunked so results are identical
                     for any thread count
 
-walk_marginals runs 4096 lanes per chunk and draws 16 rows at a time,
+walk_marginals runs 4096 lanes per chunk and draws 8 rows at a time,
 each block one inverter call per direction through the laws' guide
 tables.  A row is one down and one up uniform per lane, and it stands for
 one cycle that is not the trivial (1, 1) one together with the trivial
@@ -37,7 +37,7 @@ import concurrent.futures
 import numpy as np
 
 _LANES = 4096
-_CYCLES = 16                # rows per block of walk_marginals
+_CYCLES = 8                 # rows per block of walk_marginals
 _BLOCK = 64                 # down-runs and up-runs drawn per block
 _BELOW_ONE = np.nextafter(1.0, 0.0)     # the largest double below 1
 

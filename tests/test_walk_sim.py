@@ -127,7 +127,7 @@ def test_marginals_threads_and_batch_layout_are_invisible(monkeypatch):
     assert np.array_equal(
         base, walk_marginals(comb, [100, 10], 9000, seed=77, threads=3))
     # each row depends only on its own uniforms, whatever the block size
-    for rows in (1, 3, 8):
+    for rows in (1, 3, 16):
         monkeypatch.setattr(walk_sim, "_CYCLES", rows)
         assert np.array_equal(
             base, walk_marginals(comb, [10, 100], 9000, seed=77, threads=2))
