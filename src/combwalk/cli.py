@@ -396,9 +396,10 @@ def cmd_selftest(args):
     check("one-sided stable Laplace transform", dev < 0.01,
           f"max dev={dev:.4f}")
 
+    # two chunks, so threads=4 runs two tasks; the second keeps one lane
     comb = constant_comb(0.3, 0.5)
-    a = walk_marginals(comb, [2000], 2000, seed=9, threads=1)
-    b = walk_marginals(comb, [2000], 2000, seed=9, threads=4)
+    a = walk_marginals(comb, [2000], 4097, seed=9, threads=1)
+    b = walk_marginals(comb, [2000], 4097, seed=9, threads=4)
     check("thread-count determinism", np.array_equal(a, b))
 
     gf_comb = power_comb(0.5, c=3.0, a_d=0.5, c_d=1.0)

@@ -172,26 +172,105 @@ def _var_cycle(comb, m):
     return (1.0 - m) ** 2 * vu + (1.0 + m) ** 2 * vd
 
 
-def _smallest_int(pred):
-    """Smallest n >= 1 with pred(n), by doubling then integer bisection.
-    A short downward scan guards against local non-monotonicity."""
-    hi = 1
-    while not pred(hi):
-        hi *= 2
-        if hi > 1 << 62:
-            raise RuntimeError("normalizer search exceeded 2^62")
-    if hi > 1:
-        lo = hi // 2
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if pred(mid):
-                hi = mid
-            else:
-                lo = mid
-    for k in range(max(1, hi - 3), hi):
-        if pred(k):
-            return k
-    return hi
+_POWERS = 8         # powers of two asked per call while doubling
+_DEPTH = 4          # bisection levels asked per call (2^4 - 1 midpoints)
+_TOP = 62           # the doubling gives up past 2^62
+_TWOS = 1 << np.arange(_TOP + 1)
+_WIDTHS = tuple(2 ** k for k in reversed(range(_DEPTH)))     # 8, 4, 2, 1
+# inner point j of a bisection grid halves the interval from j - s to
+# j + s, with s the lowest set bit of j
+_INNER = np.arange(1, 2 ** _DEPTH)
+_LEFT, _RIGHT = _INNER - (_INNER & -_INNER), _INNER + (_INNER & -_INNER)
+
+
+def _ask(pred, rows, n, valid):
+    """pred at the cells `valid` of the candidates n (one line per search
+    of `rows`), False at the others."""
+    out = np.zeros(n.shape, dtype=bool)
+    r, c = np.nonzero(valid)
+    if len(r):
+        out[r, c] = pred(rows[r], n[r, c])
+    return out
+
+
+def _first(holds):
+    """Per line, the column of the first True (0 if none) and whether
+    there is one."""
+    j = np.argmax(holds, axis=1)
+    return j, holds[np.arange(len(j)), j]
+
+
+def _smallest_int(pred, rows):
+    """Smallest n >= 1 with pred(n) for `rows` independent searches, by
+    doubling, then integer bisection, then a downward scan of the three
+    integers below that guards against local non-monotonicity.  A search
+    whose doubling passes 2^62 gives 0.
+
+    pred(i, n) tells for the searches i whether they hold at the
+    candidates n (int64 arrays of one length).  The searches run in
+    lockstep, and pred is asked in batches: 8 powers of two per call, the
+    next 4 levels of the bisection tree (15 midpoints) per call, and the
+    3 scan points in one call.  Each search then reads the answers in the
+    order of the one-probe-at-a-time search, so the result is that
+    search's for any predicate, monotone or not.  Candidates that search
+    would not reach are asked too (always within [1, 2^62]); pred must
+    answer them without raising.
+    """
+    hi = np.zeros(rows, dtype=np.int64)
+    todo = np.arange(rows)
+    for e in range(0, _TOP + 1, _POWERS):
+        powers = _TWOS[e:e + _POWERS]
+        n = np.broadcast_to(powers, (len(todo), len(powers)))
+        j, found = _first(_ask(pred, todo, n, np.ones(n.shape, dtype=bool)))
+        hi[todo[found]] = powers[j[found]]
+        todo = todo[~found]
+        if not len(todo):
+            break
+    lo = hi // 2
+    act = np.flatnonzero(hi - lo > 1)
+    while len(act):
+        # the grid of the next _DEPTH bisection levels from lo to hi; an
+        # interval with hi - lo <= 1 is closed: it is not asked, and its
+        # midpoint is lo, so the walk's step right keeps it
+        B = np.empty((len(act), 2 ** _DEPTH + 1), dtype=np.int64)
+        B[:, 0], B[:, -1] = lo[act], hi[act]
+        for w in _WIDTHS:
+            B[:, w:-1:2 * w] = (B[:, :-w:2 * w] + B[:, 2 * w::2 * w]) // 2
+        holds = _ask(pred, act, B[:, 1:-1], B[:, _RIGHT] - B[:, _LEFT] > 1)
+        # each search walks down the grid as its own bisection would,
+        # halving (B[p], B[p + 2w]) at B[p + w]
+        line = np.arange(len(act))
+        p = np.zeros(len(act), dtype=np.intp)
+        for w in _WIDTHS:
+            p += w * ~holds[line, p + (w - 1)]
+        lo[act], hi[act] = B[line, p], B[line, p + 1]
+        act = act[hi[act] - lo[act] > 1]
+    scan = hi[:, None] - np.arange(3, 0, -1)
+    j, found = _first(_ask(pred, np.arange(rows), scan,
+                           (scan >= 1) & (hi[:, None] > 0)))
+    return np.where(found, scan[np.arange(rows), j], hi)
+
+
+def _least_double(u):
+    """The least doubles >= u (numbers, or an int64 array), so that for
+    doubles x, x >= _least_double(u) is Python's exact x >= u."""
+    f = np.asarray(u, dtype=float)
+    up = f.astype(object) < np.asarray(u, dtype=object)
+    return np.where(up, np.nextafter(f, np.inf), f)
+
+
+def _bounds(u):
+    """u as an array of least doubles >= it, once it is checked positive."""
+    if np.any(np.asarray(u) <= 0):
+        raise ValueError("normalizer argument must be positive")
+    return np.atleast_1d(_least_double(u))
+
+
+def _settled(n, u):
+    """The normalizers n of the arguments u: an int for a number u."""
+    if not n.all():
+        raise RuntimeError("normalizer search exceeded 2^62")
+    return int(n[0]) if np.ndim(u) == 0 else n
 
 
 class NormalizerSet:
@@ -225,26 +304,37 @@ class NormalizerSet:
     def tail_sum(self, t):
         return self.comb.up_law.tail(t) + self.comb.down_law.tail(t)
 
+    def _space(self, lim):
+        """space at the bounds lim; 0 where its search passes 2^62."""
+
+        def ok(i, n):
+            nf = n.astype(float)
+            s2 = self.sigma2(nf)
+            sq = nf * nf
+            big = n > 1 << 53       # whose float rounds: square exactly
+            sq[big] = [float(k * k) for k in n[big].tolist()]
+            with np.errstate(divide="ignore"):
+                return (s2 > 0.0) & (sq / s2 >= lim[i])
+
+        return _smallest_int(ok, len(lim))
+
     def space(self, u):
-        """Smallest n with Sigma^2(n) > 0 and n^2/Sigma^2(n) >= u."""
-        if u <= 0:
-            raise ValueError("normalizer argument must be positive")
-
-        def ok(n):
-            s2 = self.sigma2(float(n))
-            return s2 > 0.0 and n * n / s2 >= u
-
-        return _smallest_int(ok)
+        """Smallest n with Sigma^2(n) > 0 and n^2/Sigma^2(n) >= u; at
+        every entry of an array u, all searched in lockstep."""
+        return _settled(self._space(_bounds(u)), u)
 
     def time(self, u):
-        """Smallest t with theta_sum(space(t)) * t >= u."""
-        if u <= 0:
-            raise ValueError("normalizer argument must be positive")
+        """Smallest t with theta_sum(space(t)) * t >= u (elementwise)."""
+        lim = _bounds(u)
 
-        def ok(t):
-            return self.theta_sum(float(self.space(t))) * t >= u
+        def ok(i, t):
+            # a probe whose space search fails (n = 0) does not hold; as
+            # space fails at every t past one where it fails, time's own
+            # search then fails too, where the scalar search raises
+            n = self._space(_least_double(t))
+            return self.theta_sum(n.astype(float)) * t.astype(float) >= lim[i]
 
-        return _smallest_int(ok)
+        return _settled(_smallest_int(ok, len(lim)), u)
 
     def walk(self, u):
         return self.space(self.time(u))
@@ -257,10 +347,9 @@ class NormalizerSet:
     def cauchy_norm(self, u):
         """Exact spatial prefactor in the Cauchy regime:
         u * Xi_1(time(u)) / D(u), with D(u) the total cycle mean when
-        finite and (Theta_u + Theta_d)(walk(u)) otherwise."""
+        finite and (Theta_u + Theta_d)(walk(u)) otherwise; Xi_1(time(u))
+        is walk(u) (T_u + T_d)(walk(u)), so walk(u) is searched once."""
+        n = self.walk(u)
         dT = total_mean_cycle(self.comb)
-        if np.isfinite(dT):
-            den = dT
-        else:
-            den = self.theta_sum(float(self.walk(u)))
-        return u * self.xi1(self.time(u)) / den
+        den = dT if np.isfinite(dT) else self.theta_sum(float(n))
+        return u * (n * self.tail_sum(float(n))) / den

@@ -23,12 +23,16 @@ row stands for ~50 cycles).  The recycled down uniform has a resolution
 of 2^-53 / (p_d q^K) after K further trivial cycles, against 2^-53 for a
 fresh one.  Each target is located by counting the row ends below it; a
 target inside a trivial stretch reads its position from the parity of
-its offset.  Lanes past the last target still draw their uniforms, so
-the random stream is that of one row at a time, but are dropped from
-inversion and arithmetic.  Every row depends only on its own two
-uniforms, and times and positions are integers below 2^53, so the
-output does not depend on the block size.  A comb with q = 0 has no
-trivial row, and its output is that of one cycle at a time.
+its offset.  Lanes past the last target are dropped from inversion and
+arithmetic, but the stream still passes over their uniforms, so it is
+that of one row of all 4096 lanes at a time.  A short chunk keeps its
+first m lanes: each row draws their m down uniforms, skips the other
+4096 - m with PCG64.advance (random() takes one 64-bit output per
+double), and does the same for the up uniforms.  Every row depends only
+on its own two uniforms, and times and positions are integers below
+2^53, so the output does not depend on the block size or on how many
+lanes a chunk keeps.  A comb with q = 0 has no trivial row, and its
+output is that of one cycle at a time.
 """
 
 import bisect
@@ -113,9 +117,9 @@ def simulate_prw(comb, horizon, seed=None, rng=None):
 def _replicate(n_rep, chunk, seed, threads, work):
     """Rows of work(rng, m) for n_rep replicas, in chunk order.
 
-    Each chunk of `chunk` replicas gets its own child seed of `seed`;
-    work may return more than m rows (only the first m are kept), so
-    the output is identical for any `threads` value.
+    Each chunk of `chunk` replicas gets its own child seed of `seed`
+    and work returns its m rows, so the output is identical for any
+    `threads` value.
     """
     if n_rep < 0:
         raise ValueError("n_rep must be >= 0")
@@ -125,7 +129,7 @@ def _replicate(n_rep, chunk, seed, threads, work):
 
     def run(i):
         m = min(chunk, n_rep - i * chunk)
-        return work(np.random.default_rng(kids[i]), m)[:m]
+        return work(np.random.default_rng(kids[i]), m)
 
     workers = max(1, threads)
     with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as ex:
@@ -205,25 +209,30 @@ def _positions(tj, hit, tnow, pos, td, tu, pre):
         s <= 0, o & 1, np.minimum(s, d) - np.maximum(0, s - d))
 
 
-def _chunk_marginals(comb, targets, rng, batch):
+def _chunk_marginals(comb, targets, rng, m):
+    """S at `targets` for the first m lanes of a chunk of _LANES."""
     tmax = targets[-1]
     cap = int(tmax) + 2         # any run this long passes every target
     p_d, p_u = (law.lookup_table(cap)[0][1]
                 for law in (comb.down_law, comb.up_law))
-    rec = np.full((batch, len(targets)), np.nan)
-    lane = np.arange(batch)     # lanes not yet past tmax, with their
-    tnow = np.zeros(batch, dtype=np.int64)   # time and position at the
-    pos = np.zeros(batch, dtype=np.int64)    # start of the block
-    down, up = np.empty((2, _CYCLES, batch))
+    rec = np.full((m, len(targets)), np.nan)
+    lane = np.arange(m)         # lanes not yet past tmax, with their
+    tnow = np.zeros(m, dtype=np.int64)      # time and position at the
+    pos = np.zeros(m, dtype=np.int64)       # start of the block
+    down, up = np.empty((2, _CYCLES, m))
+    skip = _LANES - m
     while len(lane):
-        # the stream of rng.random((_CYCLES, 2, batch)): row by row, the
-        # down uniforms of every lane, then their up uniforms; finished
-        # lanes draw theirs too, but skip the rest
+        # the stream of rng.random((_CYCLES, 2, _LANES)): row by row, the
+        # down uniforms of every lane, then their up uniforms; those of
+        # the m kept lanes are drawn (finished lanes' too, which skip the
+        # rest of the block) and the others skipped
         for c in range(_CYCLES):
-            rng.random(out=down[c])
-            rng.random(out=up[c])
+            for buf in (down, up):
+                rng.random(out=buf[c])
+                if skip:
+                    rng.bit_generator.advance(skip)
         n = len(lane)
-        vd, vu = ((down, up) if n == batch
+        vd, vu = ((down, up) if n == m
                   else (down.take(lane, axis=1), up.take(lane, axis=1)))
         trivial, stretch = _collapse(vd, vu, p_d, p_u, cap)
         td = comb.down_law.invert(vd, cap)
@@ -266,8 +275,8 @@ def walk_marginals(comb, targets, n_rep, seed, threads=1):
         raise ValueError("targets must be integers >= 1")
 
     def work(rng, m):
-        # all lanes are simulated even in a short last chunk, so the
-        # random stream does not depend on n_rep
-        return _chunk_marginals(comb, targets, rng, _LANES)
+        # a short last chunk simulates only its m lanes and skips the
+        # uniforms of the rest, so the stream does not depend on n_rep
+        return _chunk_marginals(comb, targets, rng, m)
 
     return _replicate(n_rep, _LANES, seed, threads, work)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from combwalk import (
     CombSpec,
@@ -16,6 +17,7 @@ from combwalk import (
     tail_balance,
     total_mean_cycle,
 )
+from combwalk.scaling_laws import _smallest_int
 
 # c tuned so the up tail constant is 7/3 times the down one (balance 0.4)
 C_BALANCED = 1.4655561545081737
@@ -254,6 +256,208 @@ def test_normalizer_validation():
     onesided = CombSpec(HazardFamily.constant(0.5), HazardFamily.power(0.5))
     with pytest.raises(ValueError):
         NormalizerSet(onesided)
+
+
+# ---------------------------------------------------------------------------
+# the batched normalizer search against the one-probe-at-a-time search
+
+
+def scalar_smallest_int(pred):
+    """Smallest n >= 1 with pred(n), by doubling then integer bisection,
+    one probe at a time; a short downward scan guards against local
+    non-monotonicity.  The oracle of the batched search."""
+    hi = 1
+    while not pred(hi):
+        hi *= 2
+        if hi > 1 << 62:
+            raise RuntimeError("normalizer search exceeded 2^62")
+    if hi > 1:
+        lo = hi // 2
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if pred(mid):
+                hi = mid
+            else:
+                lo = mid
+    for k in range(max(1, hi - 3), hi):
+        if pred(k):
+            return k
+    return hi
+
+
+def answer(spec, n):
+    """n >= t, with the answers at `flips` flipped and, given a salt,
+    those within 64 of t drawn from a hash of n and the salt."""
+    t, flips, salt = spec
+    if salt is not None and abs(n - t) <= 64:
+        return ((n ^ salt) * 2654435761) % (1 << 32) >= 1 << 31
+    return (n >= t) != (n in flips)
+
+
+def oracle(spec):
+    try:
+        return scalar_smallest_int(lambda n: answer(spec, n))
+    except RuntimeError:
+        return 0
+
+
+_NEAR_POWER = st.integers(0, 63).flatmap(
+    lambda e: st.integers(max(1, (1 << e) - 3), (1 << e) + 3))
+_POINT = st.one_of(_NEAR_POWER, st.integers(1, 1 << 63))
+
+
+@st.composite
+def predicates(draw):
+    t = draw(_POINT)
+    near = st.one_of(st.integers(max(1, t - 40), t + 40), _NEAR_POWER)
+    return (t, draw(st.frozensets(near, max_size=8)),
+            draw(st.none() | st.integers(0, 1 << 32)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(predicates(), min_size=1, max_size=4))
+def test_batched_search_answers_as_the_scalar_search(specs):
+    # monotone or not, flipping near a power of two, or passing 2^62
+    def pred(i, n):
+        return np.array([answer(specs[r], k) for r, k in
+                         zip(i.tolist(), n.tolist())], dtype=bool)
+
+    got = _smallest_int(pred, len(specs))
+    assert got.tolist() == [oracle(spec) for spec in specs]
+
+
+# space, time, walk, xi1 and cauchy_norm at u = 10^0 .. 10^9, from the
+# one-probe-at-a-time search; None: the search exceeds 2^62
+C = C_BALANCED
+PINNED_COMBS = {
+    "constant(0.3, 0.5)": constant_comb(0.3, 0.5),
+    "constant(0.25, 0.4)": constant_comb(0.25, 0.4),
+    "power(1.5, c=1)": power_comb(1.5, c=1.0),
+    "power(1.0, c=0.01)": power_comb(1.0, c=0.01),
+    "power(0.5)": power_comb(0.5),
+    "power(0.5, c=C, a_d=0.5, c_d=0)": power_comb(0.5, c=C, a_d=0.5, c_d=0.0),
+}
+PINNED = {
+    'constant(0.3, 0.5)': [
+        (3, 1, 3, 1.4039999999999997, 0.26324999999999993),
+        (9, 3, 5, 0.3807605879999998, 1.8686249999999993),
+        (28, 19, 12, 0.0012880666104536265, 3.1692212608499974),
+        (87, 188, 38, 2.904348544332706e-12, 0.009257881236206493),
+        (274, 1875, 119, 9.876737848197022e-41, 8.226497975285445e-14),
+        (867, 18750, 375, 4.345300242904474e-132, 5.738488889678476e-52),
+        (2739, 187500, 1186, 0.0, 4.2989403391133524e-176),
+        (8661, 1875000, 3750, 0.0, 0.0),
+        (27387, 18750000, 11859, 0.0, 0.0),
+        (86603, 187500000, 37500, 0.0, 0.0),
+    ],
+    'constant(0.25, 0.4)': [
+        (4, 1, 4, 1.7840249999999997, 0.27446538461538456),
+        (12, 2, 6, 0.40623761232094047, 2.0735493749999994),
+        (36, 16, 15, 0.0011445872310168342, 3.19237984493863),
+        (114, 154, 45, 6.514616846176361e-13, 0.016522468232795014),
+        (358, 1539, 141, 6.695998086416848e-43, 5.247396656551194e-13),
+        (1131, 15385, 444, 5.59437405276708e-139, 2.299696686073123e-49),
+        (3576, 153847, 1403, 0.0, 1.1094222022928325e-167),
+        (11306, 1538462, 4435, 0.0, 0.0),
+        (35751, 15384616, 14023, 0.0, 0.0),
+        (113054, 153846154, 44344, 0.0, 0.0),
+    ],
+    'power(1.5, c=1)': [
+        (2, 1, 2, 0.5000000000000001, 0.12500000000000003),
+        (9, 4, 5, 0.33384704589843717, 1.0253906250000002),
+        (44, 29, 18, 0.1658575016405931, 6.255502084968591),
+        (214, 267, 87, 0.07673081473826227, 29.857128637293005),
+        (1022, 2572, 408, 0.03525751954219704, 139.27359489939818),
+        (4803, 25327, 1910, 0.01627785033979004, 645.0934646552848),
+        (22427, 251504, 8909, 0.007534382820065083, 2988.3107005015327),
+        (104391, 2506948, 41445, 0.0034923587514445885, 13856.29776261344),
+        (485170, 25032183, 192577, 0.0016199704134226144, 64282.139398773485),
+        (2253321, 250149239, 894312, 0.0007516978532134353, 298297.76045809564),
+    ],
+    'power(1.0, c=0.01)': [
+        (2, 1, 2, 0.019900497512437828, 0.009852697297824614),
+        (5, 5, 4, 0.019960079840319386, 0.09796776937229487),
+        (16, 49, 11, 0.019987507807620365, 0.9708064231255554),
+        (57, 481, 37, 0.01999649184353669, 9.59815833414755),
+        (276, 4734, 158, 0.019999275388572296, 94.67270899087522),
+        (2101, 46515, 1026, 0.019999904807679172, 930.2768780486819),
+        (20108, 455829, 9223, 0.019999990055196724, 9116.567512263093),
+        (200111, 4465800, 89426, 0.019999999013266836, 89315.97066420689),
+        (2000113, 43766219, 875437, 0.01999999999976302, 875324.359420733),
+        (20000114, 429088604, 8581887, 0.020000000917642827, 8581772.157612922),
+    ],
+    'power(0.5)': [
+        (2, 1, 2, 1.5000000000000002, 0.5),
+        (18, 3, 4, 4.754181584576137, 4.999999999999998),
+        (1419, 11, 21, 42.501866219370115, 49.99999999999999),
+        (141475, 35, 177, 424.41871584116507, 499.9999999999941),
+        (14147111, 109, 1685, 4244.132706777854, 5000.000000004167),
+        (1414700898, 344, 16745, 42441.20305308519, 49999.99999921565),
+        (141168713085, 1086, 166855, 424079.9734455909, 500000.0001852797),
+        (14931189565350, 3433, 1667310, 4593351.918745266, 5000000.005545547),
+        (134103314528767, 10855, 16669680, 6734666.191284072, 49999999.69540275),
+        (None, 34324, 166672065, None, 500000155.5707545),
+    ],
+    'power(0.5, c=C, a_d=0.5, c_d=0)': [
+        (1, 1, 1, 1.29720599788986, 0.6486029989449297),
+        (1, 5, 1, 1.29720599788986, 6.486029989449297),
+        (3161, 14, 60, 105.71300859709645, 54.62267877683126),
+        (316318, 23, 165, 1057.7058008843921, 528.9281839105303),
+        (31632017, 70, 1548, 10577.114965061788, 5097.631274131914),
+        (3163325446, 219, 15169, 105773.84599570258, 50314.969795584075),
+        (319035606782, 689, 150161, 1062766.5235828885, 501004.1193039889),
+        (96791600072162, 2175, 1496389, 36215385.78969308, 5003183.870912617),
+        (None, 6877, 14959762, None, 50010071.524818726),
+        (None, 21743, 149542396, None, 500031908.5687862),
+    ],
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name", list(PINNED))
+def test_normalizers_equal_the_scalar_search(name):
+    # the bundled scenarios' combs and the benchmark's
+    ns = NormalizerSet(PINNED_COMBS[name])
+    for k, row in enumerate(PINNED[name]):
+        for f, want in zip(("space", "time", "walk", "xi1", "cauchy_norm"),
+                           row):
+            if want is None:
+                with pytest.raises(RuntimeError, match="exceeded 2"):
+                    getattr(ns, f)(10 ** k)
+            else:
+                got = getattr(ns, f)(10 ** k)
+                assert type(got) is type(want) and got == want, (f, k)
+
+
+def test_space_rounds_as_the_scalar_search():
+    # past 2^53 not every integer is a double: the scalar search squares
+    # n exactly before it rounds, and compares an integer u exactly
+    ns = NormalizerSet(constant_comb(0.3, 0.5))
+    for u, n in ((2.3284899251731064e+35, 1321501965144142129),
+                 (3.1835912524366026e+33, 154521630826478510),
+                 (21411991418372523819009, 400736741064),
+                 (19202068382395496660993, 379493758669)):
+        assert scalar_smallest_int(
+            lambda k: k * k / ns.sigma2(float(k)) >= u) == n
+        assert ns.space(u) == n
+
+
+@pytest.mark.filterwarnings("error")
+def test_search_fails_only_where_the_scalar_search_does():
+    ns = NormalizerSet(power_comb(0.5))
+    with pytest.raises(RuntimeError, match="exceeded 2"):
+        ns.space(2 ** 30)
+    # time's doubling also asks 2^25 .. 2^31, whose space searches pass
+    # 2^62, but the scalar search stops at 2^24
+    assert ns.time(2 * 10 ** 14) == 13041354
+    with pytest.raises(RuntimeError, match="exceeded 2"):
+        ns.time(10 ** 16)
+    assert ns.space([10, 2 ** 20]).tolist() == [18, ns.space(2 ** 20)]
+    with pytest.raises(RuntimeError, match="exceeded 2"):
+        ns.space([10, 2 ** 30])
+    # the doubling's last probe is 2^62
+    assert _smallest_int(lambda i, n: n >= 1 << 62, 1).tolist() == [1 << 62]
+    assert _smallest_int(lambda i, n: n > 1 << 62, 1).tolist() == [0]
 
 
 # ---------------------------------------------------------------------------

@@ -234,7 +234,7 @@ def test_blocked_marginals_match_the_event_by_event_kernel(comb):
     for n_rep in (1, lanes - 1, lanes + 1):
         want = walk_sim._replicate(
             n_rep, lanes, 11, 1,
-            lambda rng, m: _event_by_event(comb, targets, rng, lanes))
+            lambda rng, m: _event_by_event(comb, targets, rng, lanes)[:m])
         for threads in (1, 2):
             got = walk_marginals(comb, targets[::-1], n_rep, seed=11,
                                  threads=threads)
@@ -248,11 +248,64 @@ def test_combs_without_trivial_cycles_keep_the_cycle_by_cycle_bytes():
         want = walk_sim._replicate(
             n_rep, lanes, 11, 1,
             lambda rng, m: _cycle_by_cycle(NO_TRIVIAL_CYCLE, targets, rng,
-                                           lanes))
+                                           lanes)[:m])
         for threads in (1, 2):
             got = walk_marginals(NO_TRIVIAL_CYCLE, targets[::-1], n_rep,
                                  seed=11, threads=threads)
             assert got.tobytes() == want.tobytes()
+
+
+def test_advance_skips_the_doubles_it_would_draw(monkeypatch):
+    # a short chunk skips the uniforms of its surplus lanes with advance,
+    # which PCG64 steps one 64-bit output per double
+    seen = []
+    chunk = walk_sim._chunk_marginals
+
+    def spy(comb, targets, rng, m):
+        seen.append(type(rng.bit_generator))
+        return chunk(comb, targets, rng, m)
+
+    monkeypatch.setattr(walk_sim, "_chunk_marginals", spy)
+    walk_marginals(constant_comb(0.3, 0.5), [5], 10, seed=0)
+    assert seen == [np.random.PCG64]
+    for k in (1, 2, 7, 4095):
+        drawn, skipped = (np.random.default_rng(np.random.SeedSequence(3))
+                          for _ in range(2))
+        drawn.random(k)
+        skipped.bit_generator.advance(k)
+        assert drawn.random(9).tobytes() == skipped.random(9).tobytes()
+
+
+@pytest.mark.parametrize("comb", [
+    constant_comb(0.3, 0.5),
+    power_comb(1.5, c=1.0),
+    power_comb(0.5),
+    power_comb(1.0, c=0.01),
+], ids=["constant", "power1.5", "power0.5", "cauchy"])
+def test_short_chunks_match_drawing_every_lane(comb):
+    # the draw-all oracle: every chunk simulates all its lanes, and only
+    # the first m rows are kept
+    targets = np.array([3, 700, 2000])
+    lanes = walk_sim._LANES
+    for n_rep in (0, 1, 3000, lanes - 1, lanes, lanes + 1, 10_000):
+        want = walk_sim._replicate(
+            n_rep, lanes, 5, 1,
+            lambda rng, m: walk_sim._chunk_marginals(comb, targets, rng,
+                                                     lanes)[:m])
+        for threads in (1, 2):
+            got = walk_marginals(comb, targets, n_rep, seed=5,
+                                 threads=threads)
+            assert got.shape == (n_rep, len(targets))
+            assert got.tobytes() == want.tobytes()
+
+
+def test_fewer_replicas_are_a_prefix_of_more():
+    comb = power_comb(1.5, c=1.0)
+    lanes = walk_sim._LANES
+    full = walk_marginals(comb, [10, 500], 2 * lanes + 3, seed=8)
+    for n in (0, 1, 17, lanes - 1, lanes, lanes + 1, 2 * lanes + 2):
+        part = walk_marginals(comb, [10, 500], n, seed=8, threads=2)
+        assert part.tobytes() == full[:n].tobytes()
 
 
 @pytest.mark.parametrize("comb", [
