@@ -56,7 +56,7 @@ def _load_comb(path):
         raise _CliError(f"bad comb file {path}: {e}")
 
 
-_CSV_CHUNK = 1 << 16     # rows formatted by one % string
+_CSV_CHUNK = 1 << 16     # rows of CSV text built at a time
 
 
 @contextlib.contextmanager
@@ -94,18 +94,81 @@ def _rewound(out):
 def _write_csv(out, preamble, names, *cols):
     """Write `preamble`, the header row `names` and one row per index of
     the equal-length columns to the stream `out` from _output: integer
-    columns as %d, floats as %.17g (the text of _fmt), the rest as %s."""
+    columns as %d, floats as %.17g (the text of _fmt), the rest as %s.
+
+    Rows go _CSV_CHUNK at a time.  When every column is an integer or
+    one-character ASCII text (simulate's files), _text_rows builds each
+    chunk's text with numpy; otherwise one % string formats it (Python's
+    float formatter is the only repr-exact one)."""
     cols = [np.asarray(c) for c in cols]
-    row = ",".join("%d" if c.dtype.kind in "iu" else
-                   "%.17g" if c.dtype.kind == "f" else "%s"
-                   for c in cols) + "\n"
+    if all(c.dtype.kind in "iu" or c.dtype == "U1"
+           and c.view(np.uint32).max(initial=0) < 128 for c in cols):
+        rows = _text_rows
+    else:
+        row = ",".join("%d" if c.dtype.kind in "iu" else
+                       "%.17g" if c.dtype.kind == "f" else "%s"
+                       for c in cols) + "\n"
+
+        def rows(chunk):
+            chunk = [c.tolist() for c in chunk]
+            return (row * len(chunk[0])
+                    % tuple(itertools.chain.from_iterable(zip(*chunk))))
     out = _rewound(out)
     out.write(preamble + ",".join(names) + "\n")
     for lo in range(0, len(cols[0]), _CSV_CHUNK):
-        chunk = [c[lo:lo + _CSV_CHUNK].tolist() for c in cols]
-        out.write(row * len(chunk[0])
-                  % tuple(itertools.chain.from_iterable(zip(*chunk))))
+        out.write(rows([c[lo:lo + _CSV_CHUNK] for c in cols]))
     out.flush()     # before a later _rewound of the same file empties it
+
+
+# r = 0..99 as two ASCII digits where more digits follow on the left;
+# + 100 as the leading pair of a number (no leading zero, and 0 is no
+# digit at all); + 200 as the leading pair that is also the last (0 is 0)
+_PAIRS = np.tile(np.array([divmod(r, 10) for r in range(100)], np.uint8)
+                 + ord("0"), (3, 1))
+_PAIRS[100:110, 0] = _PAIRS[200:210, 0] = 0
+_PAIRS[100, 1] = 0
+_PAIRS = _PAIRS.view(np.uint16).reshape(-1)     # one pair per uint16
+
+
+def _text_rows(chunk):
+    """The CSV text of the rows of integer and one-character ASCII
+    columns, built in one uint8 matrix.  A field is a separator byte
+    (none before the first), a head byte (the character, or the sign of
+    an integer) and the integer's digits right-aligned in pairs, one per
+    uint16; "\n" and a 0 end the row.  The bytes that no character
+    fills stay 0 and are dropped."""
+    fields = []
+    for c in chunk:
+        if c.dtype.kind == "U":
+            fields.append((c.view(np.uint32), None, 0))
+            continue
+        head = 0
+        if c.dtype.kind == "i":
+            head = (c < 0) * np.uint8(ord("-"))
+            # abs wraps -2^63 to itself, whose uint64 bits are 2^63
+            mag = np.abs(c, dtype=np.int64).view(np.uint64)
+        else:
+            mag = c.astype(np.uint64)
+        fields.append((head, mag, len(str(mag.max())) + 1 >> 1))
+    M = np.zeros((len(chunk[0]), 2 + sum(2 + 2 * n for _, _, n in fields)),
+                 dtype=np.uint8)
+    M16 = M.view(np.uint16)
+    at = 0                                  # in uint16
+    for head, v, pairs in fields:
+        if at:
+            M[:, 2 * at] = ord(",")
+        M[:, 2 * at + 1] = head
+        at += 1 + pairs
+        for k in range(1, pairs + 1):
+            q = v // 100
+            r = q * 100
+            np.subtract(v, r, out=r)
+            # the leading pair is the one that leaves no quotient
+            np.add(r, 200 if k == 1 else 100, out=r, where=q == 0)
+            M16[:, at - k] = _PAIRS.take(r)
+            v = q
+    M[:, -2] = ord("\n")
+    return M[M != 0].tobytes().decode("ascii")
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,12 @@ both in memory bounded whatever the horizon:
                     deterministically chunked so results are identical
                     for any thread count
 
+simulate_prw draws blocks of 64 down-runs and 64 up-runs in batches of
+1, 2, 4, ... up to 1024 blocks, one rng.random call and one inverter
+call per direction each.  That is the stream of one block at a time and,
+inversion being elementwise, its run lengths; only a passed-in rng is
+left further along, past the rest of the last batch.
+
 walk_marginals runs 4096 lanes per chunk and draws 8 rows at a time,
 each block one inverter call per direction through the laws' guide
 tables.  A row is one down and one up uniform per lane, and it stands for
@@ -43,6 +49,7 @@ import numpy as np
 _LANES = 4096
 _CYCLES = 8                 # rows per block of walk_marginals
 _BLOCK = 64                 # down-runs and up-runs drawn per block
+_BATCH = 1024               # most blocks of simulate_prw drawn at once
 _BELOW_ONE = np.nextafter(1.0, 0.0)     # the largest double below 1
 
 
@@ -90,24 +97,37 @@ class Trajectory:
 def simulate_prw(comb, horizon, seed=None, rng=None):
     """One trajectory out to `horizon` steps, held as its exact run record.
 
-    Runs are drawn 64 down-runs then 64 up-runs at a time.
-    Trajectory.steps()/positions()/ages() expand it into per-step arrays
-    of length `horizon` when asked.
+    `horizon` must be an integer in [1, 2^53] (ValueError before any
+    draw otherwise): runs are drawn up to 2^53 steps long, so a longer
+    horizon could not be honoured.  A block of runs is 64 down-runs then
+    64 up-runs, from 64 down uniforms then 64 up uniforms; a batch of nb
+    blocks draws rng.random((nb, 2, 64)), which is that same stream, and
+    inverts each direction's uniforms in one call.  nb doubles from 1 up
+    to _BATCH (1 MB of uniforms), and the run lengths are those of one
+    block at a time for the same seed.  A passed-in `rng` is left past
+    the whole last batch, so it may have drawn beyond the runs that are
+    kept.  Trajectory.steps()/positions()/ages() expand the run record
+    into per-step arrays of length `horizon` when asked.
     """
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
+    if not (1 <= horizon <= 1 << 53 and horizon == int(horizon)):
+        raise ValueError("horizon must be an integer in [1, 2^53]")
+    horizon = int(horizon)
     if rng is None:
         rng = np.random.default_rng(seed)
-    blocks = []
+    batches = []
     total = 0
+    nb = 1
     while total < horizon:
-        runs = np.empty(2 * _BLOCK, dtype=np.int64)
-        runs[0::2] = comb.down_law.sample(rng, _BLOCK)
-        runs[1::2] = comb.up_law.sample(rng, _BLOCK)
+        v = rng.random((nb, 2, _BLOCK))
+        runs = np.empty((nb, 2 * _BLOCK), dtype=np.int64)
+        runs[:, 0::2] = comb.down_law.invert(v[:, 0])
+        runs[:, 1::2] = comb.up_law.invert(v[:, 1])
+        runs = runs.reshape(-1)
         ends = total + np.cumsum(runs)
-        blocks.append(runs[:np.searchsorted(ends, horizon) + 1])
+        batches.append(runs[:np.searchsorted(ends, horizon) + 1])
         total = ends[-1]
-    return Trajectory(np.concatenate(blocks), horizon)
+        nb = min(2 * nb, _BATCH)
+    return Trajectory(np.concatenate(batches), horizon)
 
 
 # ---------------------------------------------------------------------------

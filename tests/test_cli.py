@@ -432,6 +432,78 @@ def test_writer_across_a_chunk_edge_and_with_no_rows():
     assert written_csv(empty, empty, empty) == "# pre\ni,x,dir\n"
 
 
+def per_row_text(*cols):
+    return "".join(",".join(str(v) for v in row) + "\n"
+                   for row in zip(*(c.tolist() for c in cols)))
+
+
+def written_int_csv(*cols):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf), cli._output(None) as out:
+        cli._write_csv(out, "# pre\n", [f"c{j}" for j in range(len(cols))],
+                       *cols)
+    head = "# pre\n" + ",".join(f"c{j}" for j in range(len(cols))) + "\n"
+    text = buf.getvalue()
+    assert text.startswith(head)
+    return text[len(head):]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(-2**63, 2**63 - 1), st.sampled_from("ud"),
+                          st.integers(-9, 10**6)), max_size=40))
+@example([(-2**63, "u", 0), (2**63 - 1, "d", -1), (0, "u", 10**6),
+          (-1, "d", 9), (10, "u", -9), (-100, "d", 100)])
+def test_integer_rows_match_per_row_text(rows):
+    # integer and one-character columns only: the rows are built as bytes
+    ints = np.array([r[0] for r in rows], dtype=np.int64)
+    dirs = np.array([r[1] for r in rows], dtype="<U1")
+    small = np.array([r[2] for r in rows], dtype=np.int32)
+    assert written_int_csv(ints, dirs, small) == per_row_text(ints, dirs, small)
+
+
+def test_integer_rows_of_every_digit_count_and_sign():
+    mags = [m for d in range(1, 20) for m in (10**(d - 1), 10**d - 1)]
+    ints = np.array([0, -2**63] + [s * min(m, 2**63 - 1)
+                                   for m in mags for s in (1, -1)])
+    dirs = np.resize(np.array(["u", "d"]), len(ints))
+    assert written_int_csv(ints, dirs) == per_row_text(ints, dirs)
+    big = np.array([0, 9, 10, 2**63, 2**64 - 1], dtype=np.uint64)
+    assert written_int_csv(big) == per_row_text(big)
+    tiny = np.array([-128, 127, -1, 0], dtype=np.int8)
+    assert written_int_csv(tiny) == per_row_text(tiny)
+    # text that is not one ASCII character goes through the % string
+    wide = np.array(["\u00e9", "u"])
+    assert written_int_csv(ints[:2], wide) == per_row_text(ints[:2], wide)
+
+
+@pytest.mark.parametrize("n", [0, cli._CSV_CHUNK - 1, cli._CSV_CHUNK,
+                               cli._CSV_CHUNK + 3])
+def test_integer_rows_across_chunk_edges(n):
+    rng = np.random.default_rng(n)
+    ints = rng.integers(-10**12, 10**12, n)
+    dirs = np.where(rng.random(n) < 0.5, "u", "d")
+    steps = rng.integers(-1, 2, n, dtype=np.int8)
+    assert (written_int_csv(ints, dirs, steps)
+            == per_row_text(ints, dirs, steps))
+
+
+def test_simulate_trajectory_to_stdout(tmp_path, capsys):
+    comb = constant_comb(0.3, 0.5)
+    path = write_comb(tmp_path, comb)
+    rc = cli.main(["simulate", "--comb", path, "--horizon", "3000",
+                   "--seed", "4", "--trajectory", "-",
+                   "--runs", str(tmp_path / "runs.csv")])
+    assert rc == 0
+    out = capsys.readouterr().out
+    traj = combwalk.simulate_prw(comb, 3000, seed=4)
+    rows = per_row_text(np.arange(1, 3001), traj.positions()[1:],
+                        traj.steps(), traj.ages())
+    assert "\nn,position,step,age\n" + rows + "steps: 3000\n" in out
+    runs = per_row_text(np.arange(traj.n_runs), traj.directions, traj.lengths)
+    assert open(tmp_path / "runs.csv").read().endswith(
+        "index,direction,length\n" + runs)
+
+
 # ---------------------------------------------------------------------------
 # verify
 

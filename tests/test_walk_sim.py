@@ -75,6 +75,47 @@ def test_simulation_validation():
     assert traj.horizon == 20000
 
 
+@pytest.mark.parametrize("horizon", [float("nan"), float("inf"), 2.5, 0, -1,
+                                     2**53 + 1])
+def test_horizons_that_cannot_be_honoured_are_refused_before_any_draw(
+        horizon):
+    rng = np.random.default_rng(3)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match="horizon"):
+        simulate_prw(constant_comb(0.3, 0.5), horizon, rng=rng)
+    assert rng.bit_generator.state == state
+
+
+def _block_at_a_time(comb, horizon, rng):
+    """Run lengths drawn one block of 64 down-runs and 64 up-runs at a
+    time, cut at the horizon: the byte oracle of simulate_prw's batches."""
+    blocks, total = [], 0
+    while total < horizon:
+        runs = np.empty(2 * 64, dtype=np.int64)
+        runs[0::2] = comb.down_law.sample(rng, 64)
+        runs[1::2] = comb.up_law.sample(rng, 64)
+        ends = total + np.cumsum(runs)
+        blocks.append(runs[:np.searchsorted(ends, horizon) + 1])
+        total = ends[-1]
+    return np.concatenate(blocks)
+
+
+@pytest.mark.parametrize("comb", [
+    constant_comb(0.3, 0.5),
+    power_comb(1.5, c=1.0),
+    power_comb(0.5),        # draws past the 4096-entry table are bisected
+    CombSpec(HazardFamily.table([1.0]), HazardFamily.table([1.0])),
+], ids=["constant", "power1.5", "power0.5", "zigzag"])
+def test_batched_runs_match_drawing_one_block_at_a_time(comb):
+    for horizon in (1, 63, 64, 65, 127, 128, 129, 10**5):
+        want = _block_at_a_time(comb, horizon, np.random.default_rng(5))
+        by_seed = simulate_prw(comb, horizon, seed=5)
+        by_rng = simulate_prw(comb, horizon, rng=np.random.default_rng(5))
+        assert by_seed.lengths.tobytes() == want.tobytes()
+        assert by_rng.lengths.tobytes() == want.tobytes()
+        assert by_seed.horizon == by_rng.horizon == horizon
+
+
 def test_zigzag_walk_oscillates():
     zig = CombSpec(HazardFamily.table([1.0]), HazardFamily.table([1.0]))
     traj = simulate_prw(zig, 100, seed=0)
