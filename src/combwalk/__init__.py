@@ -21,13 +21,12 @@ from .scaling_laws import (NormalizerSet, RegimeReport, classify_regime,
 from .walk_sim import Trajectory, simulate_prw, walk_marginals
 from .stable_proc import (levy_symbol, sample_positive_stable, sample_stable,
                           stable_cdf_interp)
-from .lamperti_limit import (AnomalousPath, DensityEvaluator,
-                             LabelledSubordinatorPath, cdf_f,
-                             default_jump_cut, density_f,
+from .lamperti_limit import (DensityEvaluator, LabelledSubordinatorPath,
+                             cdf_f, default_jump_cut, density_f,
                              double_gf_limit, flt_f,
                              labelled_subordinator, lamperti_recursion,
-                             renewal_state, sample_anomalous_ensemble,
-                             sample_marginal, sample_ratio)
+                             sample_anomalous_ensemble, sample_marginal,
+                             sample_ratio)
 from .stat_verify import (HillResult, VerificationScenario,
                           empirical_char_fn, format_report, hill_estimate,
                           ks_distance, markov_kernel_check, verify_regime)

@@ -270,7 +270,7 @@ def cmd_sample_limit(args):
             path = lamperti_limit.labelled_subordinator(
                 args.alpha, args.b, t_max, rng=rng)
             ts = np.linspace(0.0, path.total(), n)
-            cols = [ts, *lamperti_limit.AnomalousPath(path).evaluate(ts)[:3]]
+            cols = [ts, *path.evaluate(ts)[:3]]
             names = ["t", "S", "label", "age"]
             tag = f"path alpha={a} b={b} t_max={_fmt(t_max)}"
             tail = f" T={_fmt(path.total())}"

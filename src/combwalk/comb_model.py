@@ -47,7 +47,7 @@ class HazardFamily:
     rule of every kind:
       ("constant", p)      alpha_k = p; p in [0, 1]
       ("power", a, c)      alpha_k = min(1, a / (k + c)), tail index a;
-                           a > 0, c >= 0 and a / (L + 1 + c) < 1, so
+                           finite a > 0, c >= 0 and a / (L + 1 + c) < 1, so
                            alpha_{L+1} < 1 (c > a - 1 for power(a, c))
 
     Kinds (the serialized form, kept in `kind` and `params`):
@@ -61,7 +61,7 @@ class HazardFamily:
             values = np.asarray(params["values"], dtype=float)
             if values.ndim != 1 or len(values) == 0:
                 raise ValueError("table needs a nonempty 1-d value list")
-            if np.any((values < 0) | (values > 1)):
+            if not np.all((values >= 0) & (values <= 1)):   # NaN too
                 raise ValueError("table hazards must lie in [0, 1]")
             rule = tuple(params["tail_rule"])
             params.update(values=values, tail_rule=rule)
@@ -75,9 +75,11 @@ class HazardFamily:
                 raise ValueError("constant hazard must lie in [0, 1]")
         elif rule[0] == "power":
             _, a, c = rule
-            if not (a > 0 and c >= 0 and a / (len(values) + 1 + c) < 1.0):
-                raise ValueError("power hazard needs a > 0, c >= 0 and "
-                                 "a / (L + 1 + c) < 1, L the prefix length")
+            if not (0 < a < np.inf and 0 <= c < np.inf
+                    and a / (len(values) + 1 + c) < 1.0):
+                raise ValueError("power hazard needs finite a > 0, c >= 0 "
+                                 "and a / (L + 1 + c) < 1, L the prefix "
+                                 "length")
         else:
             raise ValueError("rule must be ('constant', p) or "
                              "('power', a, c)")
@@ -343,7 +345,8 @@ class _Power:
 
 
 class PersistenceLaw:
-    """Run-length law of one direction: tails, truncated moments, sampling.
+    """Run-length law of one direction: tails, truncated moments, and the
+    one exact inverter `invert` that every run-length draw goes through.
 
     truncated_mean(t)   Theta(t) = sum_{n=1}^{floor t} T(n-1) = E[tau ^ t]
     truncated_second_moment(t)   V(t) = sum_{n<=t} n^2 pmf(n)
@@ -486,11 +489,6 @@ class PersistenceLaw:
                 # 1 - 1e-18 rounds to 1, so the table ends in exactly 1
                 return cdf[: lo + done[0] + 1].copy()
         return cdf
-
-    def sample(self, rng, size=None):
-        """Exact draws of tau (unclipped), heavy tails included."""
-        out = self.invert(rng.random(1 if size is None else int(size)))
-        return int(out[0]) if size is None else out
 
     def invert(self, u, cap=None):
         """min(cap, smallest n >= 1 with 1 - T(n) >= u), elementwise: a

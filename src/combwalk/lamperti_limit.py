@@ -78,7 +78,8 @@ def _draw_jumps(rng, lam, t_max):
 
 class LabelledSubordinatorPath:
     """Subordinator jumps with i.i.d. +-1 labels; drift (sub-epsilon)
-    time is integrated with slope b, the label mean."""
+    time is integrated with slope b, the label mean.  evaluate reads the
+    limit walk S and its renewal state at levels in [0, T(t_max)]."""
 
     def __init__(self, b, t_max, times, jumps, drift, labels):
         if len(labels) != len(jumps):
@@ -103,6 +104,37 @@ class LabelledSubordinatorPath:
         """T(t_max)."""
         return float(self.drift * self.t_max + self._cum_j[-1])
 
+    def evaluate(self, t):
+        """(S, label_value, age, excess, lag, lead, G, H, N) at a scalar
+        level t or elementwise over an array.
+
+        S is the integral of the label process up to t.  G/H are the
+        last/first range points around t, N the number of jump intervals
+        closed by t, and lag/lead are S at G/H.  On the
+        (epsilon-approximate) range G = H = t, the age and excess vanish
+        and the label value is b.
+        """
+        scalar = np.ndim(t) == 0
+        t = np.atleast_1d(np.asarray(t, dtype=float))
+        if not np.all((0.0 <= t) & (t <= self.total())):
+            raise ValueError("level beyond the simulated path")
+        N = np.searchsorted(self.T_after, t, side="right")
+        G, H = t.copy(), t.copy()
+        inside = N < self.n_jumps
+        inside[inside] = self.T_before[N[inside]] < t[inside]
+        G[inside] = self.T_before[N[inside]]
+        H[inside] = self.T_after[N[inside]]
+        age = t - G
+        x_val = np.full(t.shape, float(self.b))
+        x_val[inside] = self.labels[N[inside]]
+        S_t = (self._cum_lj[N] + x_val * age
+               + self.b * (t - self._cum_j[N] - age))
+        lag = self._cum_lj[N] + self.b * (G - self._cum_j[N])
+        lead = lag.copy()
+        lead[inside] += x_val[inside] * self.jumps[N[inside]]
+        out = (S_t, x_val, age, H - t, lag, lead, G, H, N)
+        return tuple(v.item() for v in out) if scalar else out
+
 
 def labelled_subordinator(alpha, b, t_max, epsilon=None, rng=None):
     """Subordinator path with independent +-1 labels, P(+1) = (1+b)/2;
@@ -116,59 +148,6 @@ def labelled_subordinator(alpha, b, t_max, epsilon=None, rng=None):
     lab = np.where(v < (1.0 + b) / 2.0, 1.0, -1.0)
     return LabelledSubordinatorPath(b, t_max, s, eps * u ** (-1.0 / alpha),
                                     drift, lab)
-
-
-def renewal_state(path, t):
-    """(G, H, N, A, excess) of the subordinator range at level t, for a
-    scalar t or elementwise over an array.
-
-    G/H are the last/first range points around t, N the number of jump
-    intervals closed by t.  On the (epsilon-approximate) range
-    G = H = t and the age/excess vanish.
-    """
-    scalar = np.ndim(t) == 0
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    if not np.all((0.0 <= t) & (t <= path.total())):
-        raise ValueError("level beyond the simulated path")
-    N = np.searchsorted(path.T_after, t, side="right")
-    G, H = t.copy(), t.copy()
-    inside = N < path.n_jumps
-    inside[inside] = path.T_before[N[inside]] < t[inside]
-    G[inside] = path.T_before[N[inside]]
-    H[inside] = path.T_after[N[inside]]
-    out = (G, H, N, t - G, H - t)
-    return tuple(v.item() for v in out) if scalar else out
-
-
-class AnomalousPath:
-    """Evaluator view of the labelled path: the limit walk S(t) and its
-    renewal decorations, valid for t in [0, T(t_max)]."""
-
-    def __init__(self, path):
-        self.path = path
-
-    def S(self, t):
-        """Integral of the label process up to t."""
-        return self.evaluate(t)[0]
-
-    def evaluate(self, t):
-        """Full decoration at a scalar t or elementwise over an array:
-        (S, label_value, age, excess, lag, lead, G, H, N).
-
-        The label value is b on the range; lag/lead are S at G/H."""
-        p = self.path
-        scalar = np.ndim(t) == 0
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        G, H, N, age, exc = renewal_state(p, t)
-        inside = age > 0.0
-        x_val = np.full(t.shape, float(p.b))
-        x_val[inside] = p.labels[N[inside]]
-        S_t = p._cum_lj[N] + x_val * age + p.b * (t - p._cum_j[N] - age)
-        lag = p._cum_lj[N] + p.b * (G - p._cum_j[N])
-        lead = lag.copy()
-        lead[inside] += x_val[inside] * p.jumps[N[inside]]
-        out = (S_t, x_val, age, exc, lag, lead, G, H, N)
-        return tuple(v.item() for v in out) if scalar else out
 
 
 def default_t_max(alpha, level=1.0):

@@ -260,9 +260,11 @@ def _least_double(u):
 
 
 def _bounds(u):
-    """u as an array of least doubles >= it, once it is checked positive."""
-    if np.any(np.asarray(u) <= 0):
-        raise ValueError("normalizer argument must be positive")
+    """u as an array of least doubles >= it, once it is checked positive
+    and finite."""
+    f = np.asarray(u, dtype=float)
+    if not np.all((f > 0) & (f < np.inf)):
+        raise ValueError("normalizer argument must be positive and finite")
     return np.atleast_1d(_least_double(u))
 
 

@@ -108,11 +108,12 @@ def markov_kernel_check(pair, t, a_bin, alpha):
     """Conditional law of the excess given the age at level t against
     the closed-form kernel CDF 1 - (a/(a+h))^alpha.
 
-    `pair` holds the (age, excess) arrays at level t, as returned by
-    lamperti_limit.renewal_state or sample_anomalous_ensemble; every
-    age must lie in [0, t].  Applying each sample's own age to the
-    kernel CDF gives an exact uniform pivot; the KS of that pivot is
-    reported, alongside the cruder bin-midpoint comparison.
+    `pair` holds the (age, excess) arrays at level t, as read from
+    LabelledSubordinatorPath.evaluate or returned by
+    sample_anomalous_ensemble; every age must lie in [0, t].  Applying
+    each sample's own age to the kernel CDF gives an exact uniform pivot;
+    the KS of that pivot is reported, alongside the cruder bin-midpoint
+    comparison.
     """
     if len(pair) != 2:
         raise ValueError("expected an (age, excess) pair")
@@ -146,26 +147,36 @@ class VerificationScenario:
 
     def __init__(self, comb, regime, u, replicas, times, tol_ks,
                  seed=0, name="scenario", reference=None, tol_increment=None):
-        if replicas < 1000:
-            raise ValueError("need at least 10^3 replicas")
-        if u <= 0:
-            raise ValueError("scale u must be positive")
+        if not 1000 <= replicas < np.inf:
+            raise ValueError("need a finite count of at least 10^3 replicas")
+        if not 0 < u < np.inf:
+            raise ValueError("scale u must be positive and finite")
         times = sorted(float(t) for t in times)
-        if not times or times[0] <= 0:
-            raise ValueError("times must be positive")
-        if int(u * times[-1]) < 1:
-            raise ValueError("u * max(times) must cover at least one step")
+        if not times or times[0] <= 0 or not np.all(np.isfinite(times)):
+            raise ValueError("times must be positive and finite")
+        tol_ks = float(tol_ks)
+        tol_increment = (tol_ks if tol_increment is None
+                         else float(tol_increment))
+        if not (np.isfinite(tol_ks) and np.isfinite(tol_increment)):
+            raise ValueError("tolerances must be finite")
+        if not 1.0 <= u * times[-1] < np.inf:
+            raise ValueError("u * max(times) must cover at least one step "
+                             "and be finite")
+        if isinstance(seed, float) and not np.isfinite(seed):
+            raise ValueError("seed must be finite")
+        reference = dict(reference) if reference else {}
+        if not all(np.isfinite(float(v)) for v in reference.values()):
+            raise ValueError("reference-law parameters must be finite")
         self.comb = comb
         self.regime = regime
         self.u = float(u)
         self.replicas = int(replicas)
         self.times = times
-        self.tol_ks = float(tol_ks)
-        self.tol_increment = float(tol_increment if tol_increment is not None
-                                   else tol_ks)
+        self.tol_ks = tol_ks
+        self.tol_increment = tol_increment
         self.seed = int(seed)
         self.name = name
-        self.reference = dict(reference) if reference else {}
+        self.reference = reference
 
     def to_dict(self):
         d = {"name": self.name, "comb": self.comb.to_dict(),

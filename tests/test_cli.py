@@ -123,6 +123,23 @@ def test_simulate_error_paths(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("hazard", [
+    {"kind": "power", "a": 0.5, "c": float("inf")},
+    {"kind": "table", "values": [0.2, float("nan"), 0.3],
+     "tail_rule": ["constant", 0.5]},
+], ids=["power-c-infinity", "table-nan"])
+def test_simulate_refuses_non_finite_hazards(tmp_path, capsys, hazard):
+    # an infinite c makes every up-hazard 0: a config error, exit 2
+    comb = tmp_path / "comb.json"
+    comb.write_text(json.dumps({"up": hazard,
+                                "down": {"kind": "constant", "p": 0.5}}))
+    out = str(tmp_path / "w")
+    assert cli.main(["simulate", "--comb", str(comb), "--horizon", "100",
+                     "--out", out]) == 2
+    assert "hazard" in capsys.readouterr().err
+    assert not os.path.exists(out + "_trajectory.csv")
+
+
 def test_simulate_outputs_are_opened_before_the_run(tmp_path, monkeypatch,
                                                     capsys):
     comb = write_comb(tmp_path, constant_comb(0.5, 0.5))
@@ -299,10 +316,9 @@ def test_sample_limit_path_rows_match_scalar_evaluation(capsys):
                                   "--b", "0.3", "--n", "300", "--seed", "7"])
     path = lamperti_limit.labelled_subordinator(
         0.4, 0.3, 3.0, rng=np.random.default_rng(7))
-    ap = lamperti_limit.AnomalousPath(path)
     expect = []
     for t in np.linspace(0.0, path.total(), 300):
-        S_t, lab, age = ap.evaluate(float(t))[:3]
+        S_t, lab, age = path.evaluate(float(t))[:3]
         expect.append([cli._fmt(v) for v in (t, S_t, lab, age)])
     assert rows == expect
     # t = 0 is a range point: zero age, label value b
@@ -552,6 +568,24 @@ def test_verify_error_paths(tmp_path, capsys):
     assert cli.main(["verify", "--scenario", str(mismatch)]) == 2
     err = capsys.readouterr().err
     assert "scenario rejected" in err
+
+
+@pytest.mark.parametrize("key, bad", [
+    ("u", float("inf")), ("times", [1.0, float("inf")]),
+    ("tol_ks", float("nan")),
+], ids=["u-infinity", "time-infinity", "tol-nan"])
+def test_verify_non_finite_scenario_is_a_config_error(tmp_path, capsys,
+                                                      key, bad):
+    # exit 1 means a failed criterion; a non-finite value is a config
+    # error, exit 2
+    scenario = {"name": "non-finite", "comb": constant_comb(0.5, 0.5).to_dict(),
+                "regime": "gaussian", "u": 500, "replicas": 1000,
+                "times": [1.0], "tol_ks": 0.1}
+    scenario[key] = bad
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(scenario))
+    assert cli.main(["verify", "--scenario", str(path)]) == 2
+    assert "bad scenario file" in capsys.readouterr().err
 
 
 def test_verify_out_is_opened_before_the_run(tmp_path, monkeypatch, capsys):

@@ -95,6 +95,26 @@ def test_hazard_validation_errors():
         HazardFamily.constant(0.5).hazard(0)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: HazardFamily.table([0.2, np.nan, 0.3], ("constant", 0.5)),
+    lambda: HazardFamily.table([np.nan]),
+    lambda: HazardFamily.power(0.5, c=np.inf),
+    lambda: HazardFamily.table([0.5], ("power", 0.4, np.inf)),
+    lambda: HazardFamily.power(np.nan),
+    lambda: HazardFamily.power(0.5, c=np.nan),
+    lambda: HazardFamily.constant(np.nan),
+    lambda: HazardFamily.from_dict(json.loads(
+        '{"kind": "power", "a": 0.5, "c": Infinity}')),
+], ids=["table-nan", "table-nan-default-rule", "power-c-inf",
+        "table-power-c-inf", "power-a-nan", "power-c-nan", "constant-nan",
+        "json-c-infinity"])
+def test_non_finite_hazards_are_refused(make):
+    # NaN fails every comparison, so the range tests must fail on it; an
+    # infinite c would make every hazard 0 and the tail NaN
+    with pytest.raises(ValueError, match="hazard"):
+        make()
+
+
 def _with_prefix(rule, L):
     """The rule on its own (L = 0), or as a table's rule after L hazards."""
     if L == 0:
@@ -449,7 +469,7 @@ def test_cdf_table_shape_and_truncation():
 
 def test_geometric_sampling_matches_numpy():
     law = PersistenceLaw(HazardFamily.constant(0.4))
-    draws = law.sample(np.random.default_rng(11), size=200000)
+    draws = law.invert(np.random.default_rng(11).random(200000))
     assert draws.min() >= 1
     assert draws.mean() == pytest.approx(2.5, abs=0.02)
     same = np.random.default_rng(11).geometric(0.4, size=200000)
@@ -458,12 +478,13 @@ def test_geometric_sampling_matches_numpy():
 
 @pytest.mark.parametrize("p", [0.3, 0.4, 1e-3])
 def test_constant_sampling_is_invert(p):
-    # one sampler for every law: draws are the inverse of the same
-    # uniforms, past the 4096-entry table too (p = 1e-3)
+    # one inverter for every law: draws are the full cdf table's inverse
+    # of the same uniforms, past the 4096-entry cached table too
+    # (p = 1e-3; its table reaches 1 before 50 000 entries)
     law = PersistenceLaw(HazardFamily.constant(p))
-    draws = law.sample(np.random.default_rng(8), size=20000)
     u = np.random.default_rng(8).random(20000)
-    assert draws.tobytes() == law.invert(u).tobytes()
+    draws = law.invert(u)
+    assert draws.tobytes() == _full_table_inverse(law, u, 50_000).tobytes()
     assert draws.min() >= 1
 
 
@@ -471,8 +492,8 @@ def test_constant_sampling_matches_geometric_pmf():
     # below p = 1/3, numpy's geometric draws another stream; this pins
     # the law of the inverted one: bins 1..25 and one tail bin
     n, K = 200_000, 25
-    draws = PersistenceLaw(HazardFamily.constant(0.3)).sample(
-        np.random.default_rng(0), size=n)
+    draws = PersistenceLaw(HazardFamily.constant(0.3)).invert(
+        np.random.default_rng(0).random(n))
     observed = np.bincount(np.minimum(draws, K + 1), minlength=K + 2)[1:]
     k = np.arange(1, K + 1)
     expected = n * np.append(0.3 * 0.7 ** (k - 1), 0.7 ** K)
@@ -481,8 +502,7 @@ def test_constant_sampling_matches_geometric_pmf():
 
 def test_heavy_tail_sampling_frequencies():
     law = PersistenceLaw(HazardFamily.power(0.7))
-    rng = np.random.default_rng(5)
-    draws = law.sample(rng, size=200000)
+    draws = law.invert(np.random.default_rng(5).random(200000))
     assert draws.min() >= 1
     for n in (1, 10, 100, 1000, 5000):
         p = law.tail(float(n))
@@ -492,18 +512,11 @@ def test_heavy_tail_sampling_frequencies():
     assert draws.max() > 4096
 
 
-class _UniformNextToOne:
-    """A generator whose uniforms are all 1 - 2^-53, the largest below 1."""
-
-    def random(self, size):
-        return np.full(size, 1.0 - 2.0 ** -53)
-
-
 def test_uniform_next_to_one_gives_a_positive_draw():
     # T(n) never falls to 2^-53 below n = 2^53 here; the bracket once
     # doubled past int64 and the tail raised on a negative time
     law = PersistenceLaw(HazardFamily.power(0.3))
-    draws = law.sample(_UniformNextToOne(), 3)
+    draws = law.invert(np.full(3, 1.0 - 2.0 ** -53))   # largest below 1
     assert np.all((draws > 0) & (draws <= 2 ** 53))
 
 
@@ -638,18 +651,19 @@ def test_cdf_table_growth_is_thread_safe():
     assert len(law._table[0]) == 20_000
 
 
-def test_sampling_scalar_and_wrapper():
+def test_invert_scalar_uniform():
+    # a scalar uniform gives one integer draw, that of a one-entry array
     law = PersistenceLaw(HazardFamily.power(0.5))
-    x = law.sample(np.random.default_rng(0))
-    assert isinstance(x, int) and x >= 1
-    y = law.sample(np.random.default_rng(0))
-    assert y == x
+    u = np.random.default_rng(0).random()
+    x = law.invert(u)
+    assert isinstance(x, np.integer) and x >= 1
+    assert x == law.invert(np.array([u]))[0]
 
 
 def test_table_sampling_hits_exact_pmf():
     fam = HazardFamily.table([0.5, 1.0])
     law = PersistenceLaw(fam)
-    draws = law.sample(np.random.default_rng(3), size=50000)
+    draws = law.invert(np.random.default_rng(3).random(50000))
     assert set(np.unique(draws)) == {1, 2}
     assert np.mean(draws == 1) == pytest.approx(0.5, abs=0.01)
 

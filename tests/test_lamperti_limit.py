@@ -3,7 +3,6 @@ import pytest
 from scipy import integrate, special
 
 from combwalk import (
-    AnomalousPath,
     DensityEvaluator,
     LabelledSubordinatorPath,
     cdf_f,
@@ -17,7 +16,6 @@ from combwalk import (
     lamperti_recursion,
     markov_kernel_check,
     power_comb,
-    renewal_state,
     sample_anomalous_ensemble,
     sample_marginal,
     sample_positive_stable,
@@ -408,7 +406,8 @@ def test_gf_limit_validation():
 def thinned_sum(path, t, sign):
     """T^u(t) (sign=+1) or T^d(t) (sign=-1): labelled jump mass by
     subordinator time t, plus the label-share of drift time.  An oracle
-    for AnomalousPath.S through S(T(t)) = T^u(t) - T^d(t)."""
+    for S (LabelledSubordinatorPath.evaluate) through
+    S(T(t)) = T^u(t) - T^d(t)."""
     t = float(t)
     assert 0.0 <= t <= path.t_max
     k = np.searchsorted(path.times, t, side="right")
@@ -430,19 +429,18 @@ def test_hand_path_levels_and_positions():
     assert p.total() == pytest.approx(2.1)
     assert p.T_before[0] == pytest.approx(0.05)
     assert p.T_after[0] == pytest.approx(2.05)
-    ap = AnomalousPath(p)
     ts = np.array([0.0, 0.02, 0.05, 1.0, 2.05, 2.1])
     expect = np.array([0.0, 0.006, 0.015, -0.935, -1.985, -1.97])
-    assert np.allclose(ap.S(ts), expect, atol=1e-14)
+    assert np.allclose(p.evaluate(ts)[0], expect, atol=1e-14)
     # scalar calls agree with the vectorized form
-    assert float(ap.S(1.0)) == pytest.approx(-0.935)
+    assert float(p.evaluate(1.0)[0]) == pytest.approx(-0.935)
     with pytest.raises(ValueError):
-        ap.S(2.2)
+        p.evaluate(2.2)
 
 
 def test_hand_path_evaluate_decorations():
-    ap = AnomalousPath(hand_path())
-    S, x_val, age, exc, lag, lead, G, H, N = ap.evaluate(1.0)
+    p = hand_path()
+    S, x_val, age, exc, lag, lead, G, H, N = p.evaluate(1.0)
     assert S == pytest.approx(-0.935)
     assert x_val == -1.0
     assert age == pytest.approx(0.95)
@@ -451,7 +449,7 @@ def test_hand_path_evaluate_decorations():
     assert lead == pytest.approx(-1.985)
     assert (G, H, N) == (pytest.approx(0.05), pytest.approx(2.05), 0)
     # on the range the label value falls back to the residual slope
-    S2, x2, a2, e2, lag2, lead2, G2, H2, N2 = ap.evaluate(0.02)
+    S2, x2, a2, e2, lag2, lead2, G2, H2, N2 = p.evaluate(0.02)
     assert (a2, e2) == (0.0, 0.0)
     assert x2 == pytest.approx(0.3)
     assert lag2 == lead2 == pytest.approx(S2)
@@ -460,17 +458,20 @@ def test_hand_path_evaluate_decorations():
 
 def test_renewal_state_range_points_and_errors():
     p = hand_path()
-    assert renewal_state(p, 0.05) == (0.05, 0.05, 0, 0.0, 0.0)
-    assert renewal_state(p, 2.05) == (2.05, 2.05, 1, 0.0, 0.0)
-    G, H, N, a, e = renewal_state(p, 0.06)
+
+    def state(t):       # (G, H, N, age, excess)
+        v = p.evaluate(t)
+        return v[6], v[7], v[8], v[2], v[3]
+
+    assert state(0.05) == (0.05, 0.05, 0, 0.0, 0.0)
+    assert state(2.05) == (2.05, 2.05, 1, 0.0, 0.0)
+    G, H, N, a, e = state(0.06)
     assert (G, H, N) == (pytest.approx(0.05), pytest.approx(2.05), 0)
     assert a == pytest.approx(0.01) and e == pytest.approx(1.99)
     for bad in (2.2, -0.1, np.nan, [0.0, 2.2], [1.0, np.nan]):
         with pytest.raises(ValueError):
-            renewal_state(p, bad)
-        with pytest.raises(ValueError):
-            AnomalousPath(p).evaluate(bad)
-    empty = AnomalousPath(p).evaluate(np.empty(0))
+            p.evaluate(bad)
+    empty = p.evaluate(np.empty(0))
     assert len(empty) == 9 and all(v.shape == (0,) for v in empty)
 
 
@@ -486,27 +487,17 @@ def test_array_forms_equal_stacked_scalar_calls(make):
                          np.random.default_rng(0).random(400) * tot,
                          p.T_before, p.T_after, [tot]])
     ts = ts[ts <= tot]
-    ap = AnomalousPath(p)
-    state = renewal_state(p, ts)
-    scalar = [renewal_state(p, float(t)) for t in ts]
-    assert all(isinstance(v, float) for row in scalar for v in row[:2] + row[3:])
-    assert all(type(row[2]) is int for row in scalar)
-    for k, col in enumerate(state):
-        assert col.shape == ts.shape
-        assert col.tobytes() == np.array([row[k] for row in scalar],
-                                         dtype=col.dtype).tobytes()
-    full = ap.evaluate(ts)
-    scalar = [ap.evaluate(float(t)) for t in ts]
+    full = p.evaluate(ts)
+    scalar = [p.evaluate(float(t)) for t in ts]
+    # N is an int, every other scalar entry a float
+    assert all(isinstance(v, float) for row in scalar for v in row[:8])
+    assert all(type(row[8]) is int for row in scalar)
     for k, col in enumerate(full):
         assert col.shape == ts.shape
         assert col.tobytes() == np.array([row[k] for row in scalar],
                                          dtype=col.dtype).tobytes()
-    assert ap.S(ts).tobytes() == full[0].tobytes()
-    # the grid holds range points and excursion points alike; G, H, N,
-    # age and excess are the renewal state's
+    # the grid holds range points and excursion points alike
     assert np.any(full[2] == 0.0) and np.any(full[2] > 0.0)
-    for k, col in zip((6, 7, 8, 2, 3), state):
-        assert full[k].tobytes() == col.tobytes()
 
 
 def test_thinned_sums_split_the_path():
@@ -516,8 +507,7 @@ def test_thinned_sums_split_the_path():
     assert up == pytest.approx(0.065)
     assert dn == pytest.approx(2.035)
     assert up + dn == pytest.approx(p.total())
-    ap = AnomalousPath(p)
-    assert up - dn == pytest.approx(float(ap.S(p.total())))
+    assert up - dn == pytest.approx(float(p.evaluate(p.total())[0]))
 
 
 def test_subordinator_path_structure():
@@ -582,31 +572,28 @@ def test_simulated_path_invariants():
     assert set(np.unique(p.labels)) <= {-1.0, 1.0}
     frac = np.mean(p.labels == 1.0)
     assert abs(frac - 0.7) < 5 * np.sqrt(0.21 / p.n_jumps)
-    ap = AnomalousPath(p)
     t = np.sort(rng.random(2000)) * p.total()
-    S = ap.S(t)
+    S = p.evaluate(t)[0]
     assert np.all(np.abs(S) <= t + 1e-12)
     assert np.max(np.abs(np.diff(S)) / np.diff(t)) <= 1.0 + 1e-9
     # thinned identity at an interior subordinator time
     assert (thinned_sum(p, 2.0, 1) - thinned_sum(p, 2.0, -1)
-            == pytest.approx(float(ap.S(p.drift * 2.0 + p._cum_j[
-                np.searchsorted(p.times, 2.0, side="right")]))))
+            == pytest.approx(float(p.evaluate(p.drift * 2.0 + p._cum_j[
+                np.searchsorted(p.times, 2.0, side="right")])[0])))
 
 
 def test_degenerate_labels_give_straight_line():
     p = labelled_subordinator(0.5, 1.0, 2.0, rng=np.random.default_rng(3))
     assert np.all(p.labels == 1.0)
-    ap = AnomalousPath(p)
     t = np.linspace(0.0, p.total(), 50)
-    assert np.allclose(ap.S(t), t, atol=1e-12)
+    assert np.allclose(p.evaluate(t)[0], t, atol=1e-12)
 
 
 def test_interpolation_identity_inside_excursions():
     p = labelled_subordinator(0.4, -0.2, 3.0, rng=np.random.default_rng(8))
-    ap = AnomalousPath(p)
     rng = np.random.default_rng(9)
     for t in rng.random(40) * p.total():
-        S, x_val, age, exc, lag, lead, G, H, N = ap.evaluate(float(t))
+        S, x_val, age, exc, lag, lead, G, H, N = p.evaluate(float(t))
         if age > 0:
             com = (exc * lag + age * lead) / (age + exc)
             assert S == pytest.approx(com, abs=1e-12)
@@ -723,7 +710,7 @@ def test_ensemble_matches_labelled_path_evaluation():
     rng = np.random.default_rng(np.random.SeedSequence(9).spawn(1)[0])
     for r in range(60):
         path = labelled_subordinator(alpha, b, t_max, rng=rng)
-        S_t, _, age, excess = AnomalousPath(path).evaluate(level)[:4]
+        S_t, _, age, excess = path.evaluate(level)[:4]
         assert (A[r], H[r]) == (age, excess)
         # cumsum against pairwise summation of the labelled jumps
         assert abs(S[r] - S_t) < 1e-12
@@ -799,9 +786,9 @@ def test_kernel_check_from_path_objects():
     rng = np.random.default_rng(31)
     paths = [labelled_subordinator(0.5, 0.0, 3.0, rng=rng) for _ in range(900)]
     t = 1.0
-    states = [renewal_state(p, t) for p in paths]
-    A = np.array([s[3] for s in states])
-    H = np.array([s[4] for s in states])
+    states = [p.evaluate(t) for p in paths]
+    A = np.array([s[2] for s in states])
+    H = np.array([s[3] for s in states])
     out = markov_kernel_check((A, H), t, (0.0, 2.0), alpha=0.5)
     assert out["n"] >= 800
     assert out["ks"] < 0.06

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -256,6 +258,22 @@ def test_normalizer_validation():
     onesided = CombSpec(HazardFamily.constant(0.5), HazardFamily.power(0.5))
     with pytest.raises(ValueError):
         NormalizerSet(onesided)
+
+
+@pytest.mark.parametrize("method", ["space", "time", "walk", "xi1",
+                                    "cauchy_norm"])
+@pytest.mark.parametrize("u", [np.nan, np.inf, -np.inf,
+                               np.array([10.0, np.nan]),
+                               np.array([np.inf, 10.0])],
+                         ids=["nan", "inf", "-inf", "array-nan", "array-inf"])
+def test_normalizers_refuse_non_finite_arguments(method, u):
+    # refused before any search, so nothing warns (a warning would be
+    # raised as an error here)
+    ns = NormalizerSet(power_comb(1.0, c=0.01))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="positive and finite"):
+            getattr(ns, method)(u)
 
 
 # ---------------------------------------------------------------------------
@@ -535,8 +553,8 @@ def test_cycle_tail_against_simulation():
     m = effective_drift(comb)
     rng = np.random.default_rng(9)
     n = 200000
-    tc = ((1 - m) * comb.up_law.sample(rng, size=n)
-          - (1 + m) * comb.down_law.sample(rng, size=n))
+    tc = ((1 - m) * comb.up_law.invert(rng.random(n))
+          - (1 + m) * comb.down_law.invert(rng.random(n)))
     for t in (2.0, 5.0, 12.0):
         val, err = cycle_tail(comb, t)
         emp = np.mean(np.abs(tc) > t)
@@ -549,8 +567,8 @@ def test_cycle_truncated_second_moment_against_simulation():
     comb = power_comb(1.5, c=1.0)
     rng = np.random.default_rng(21)
     n = 400000
-    tc = (comb.up_law.sample(rng, size=n).astype(float)
-          - comb.down_law.sample(rng, size=n))
+    tc = (comb.up_law.invert(rng.random(n)).astype(float)
+          - comb.down_law.invert(rng.random(n)))
     t = 10.0
     val, err = cycle_truncated_second_moment(comb, t)
     kept = tc[np.abs(tc) <= t] ** 2

@@ -79,7 +79,7 @@ def test_hill_is_scale_free():
 
 def test_hill_on_run_length_draws():
     law = power_comb(0.7).down_law
-    x = law.sample(np.random.default_rng(6), size=200000)
+    x = law.invert(np.random.default_rng(6).random(200000))
     res = hill_estimate(x, 0.01)
     assert res.alpha == pytest.approx(0.7, abs=0.06)
 
@@ -217,6 +217,25 @@ def test_scenario_validation():
         VerificationScenario.from_dict(d)
 
 
+@pytest.mark.parametrize("key, bad", [
+    ("u", float("inf")), ("u", float("nan")),
+    ("times", [2.0, float("inf")]), ("times", [float("nan")]),
+    ("times", [0.5, float("nan"), 1.0]),
+    ("tol_ks", float("nan")), ("tol_ks", float("inf")),
+    ("tol_increment", float("nan")), ("tol_increment", float("-inf")),
+    ("replicas", float("inf")), ("seed", float("inf")),
+    ("reference", {"scale": float("inf")}),
+    ("reference", {"alpha": 1.5, "scale": float("nan")}),
+    ("u", 1e308), ("times", [1e307]),    # finite, but u * t overflows
+])
+def test_scenario_refuses_non_finite_values(key, bad):
+    # int(u * t) overflows at an infinite product, and a NaN tolerance
+    # fails every check: each is a config error
+    d = dict(scenario_dict(), **{key: bad})
+    with pytest.raises(ValueError):
+        VerificationScenario.from_dict(d)
+
+
 def test_scenario_json_io(tmp_path):
     p = tmp_path / "s.json"
     p.write_text(json.dumps(scenario_dict()))
@@ -276,6 +295,23 @@ def test_verify_deterministic_across_threads():
     assert rep3["seed"] == 99
     assert [c["ks"] for c in rep3["checks"]] != \
         [c["ks"] for c in rep1["checks"]]
+
+
+def test_verify_report_is_the_same_for_any_thread_count_across_chunks():
+    # 8193 replicas are three 4096-lane chunks (the last keeps one lane),
+    # so the thread pool runs several chunks at once
+    sc = VerificationScenario.from_dict(dict(scenario_dict(), replicas=8193))
+
+    def report(threads):
+        rep = verify_regime(sc, threads=threads)
+        assert rep["threads"] == threads
+        del rep["runtime_s"], rep["threads"]
+        return json.dumps(rep, sort_keys=True).encode()
+
+    one = report(1)
+    assert json.loads(one)["replicas"] == 8193
+    for threads in (2, 4):
+        assert report(threads) == one
 
 
 def test_report_formatting():

@@ -92,8 +92,8 @@ def _block_at_a_time(comb, horizon, rng):
     blocks, total = [], 0
     while total < horizon:
         runs = np.empty(2 * 64, dtype=np.int64)
-        runs[0::2] = comb.down_law.sample(rng, 64)
-        runs[1::2] = comb.up_law.sample(rng, 64)
+        runs[0::2] = comb.down_law.invert(rng.random(64))
+        runs[1::2] = comb.up_law.invert(rng.random(64))
         ends = total + np.cumsum(runs)
         blocks.append(runs[:np.searchsorted(ends, horizon) + 1])
         total = ends[-1]
