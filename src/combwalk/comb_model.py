@@ -154,6 +154,8 @@ class HazardFamily:
 
     @classmethod
     def from_dict(cls, d):
+        if not isinstance(d, dict):
+            raise ValueError("a hazard family must be a JSON object")
         kind = d.get("kind")
         if kind == "constant":
             return cls.constant(d["p"])
@@ -417,7 +419,7 @@ class PersistenceLaw:
     def tail(self, t):
         """T(t) = P(tau > t), a right-continuous step function of t."""
         out = self._tail(self._floor(t))
-        return float(out[0]) if np.isscalar(t) else out
+        return float(out[0]) if np.ndim(t) == 0 else out
 
     def pmf(self, n):
         n = np.asarray(n)
@@ -428,13 +430,13 @@ class PersistenceLaw:
     def truncated_mean(self, t):
         """Theta(t) = E[min(tau, floor t)].  Scalar or array t."""
         out = self._theta(self._floor(t))
-        return float(out[0]) if np.isscalar(t) else out
+        return float(out[0]) if np.ndim(t) == 0 else out
 
     def truncated_second_moment(self, t):
         """V(t) = E[tau^2 1{tau <= floor t}].  Scalar or array t."""
         N = self._floor(t)
         out = 2.0 * self._dsum(N) + self._theta(N) - N ** 2 * self._tail(N)
-        return float(out[0]) if np.isscalar(t) else out
+        return float(out[0]) if np.ndim(t) == 0 else out
 
     def _complete(self, head, rest):
         """head + T(L) * rest(); nothing is added when runs end in the prefix."""
@@ -605,6 +607,8 @@ class CombSpec:
 
     @classmethod
     def from_dict(cls, d):
+        if not isinstance(d, dict):
+            raise ValueError("a comb must be a JSON object")
         try:
             return cls(HazardFamily.from_dict(d["up"]),
                        HazardFamily.from_dict(d["down"]))

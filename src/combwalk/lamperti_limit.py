@@ -249,7 +249,7 @@ def density_f(alpha, m, t, x):
     if not -1.0 < m < 1.0:
         raise ValueError("drift must lie in (-1, 1)")
     _check_time(t)
-    scalar = np.isscalar(x)
+    scalar = np.ndim(x) == 0
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if np.any(np.abs(x) >= t):
         raise ValueError("density supported on (-t, t)")
@@ -329,7 +329,7 @@ class DensityEvaluator:
 
     def cdf(self, x, t=1.0):
         _check_time(t)
-        scalar = np.isscalar(x)
+        scalar = np.ndim(x) == 0
         z = np.clip(np.atleast_1d(np.asarray(x, dtype=float)) / t, -1.0, 1.0)
         out = np.empty_like(z)
         left = z <= 0.0
@@ -342,7 +342,7 @@ class DensityEvaluator:
     def ppf(self, q, t=1.0):
         """Exact inverse of the cached CDF (piecewise linear in y)."""
         _check_time(t)
-        scalar = np.isscalar(q)
+        scalar = np.ndim(q) == 0
         q = np.atleast_1d(np.asarray(q, dtype=float)) * self.mass
         out = np.empty_like(q)
         left = q <= self._FL[-1]

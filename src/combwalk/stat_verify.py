@@ -137,16 +137,30 @@ def markov_kernel_check(pair, t, a_bin, alpha):
 # verification scenarios
 
 
+# the keys of a scenario file, and the `reference` keys that each regime's
+# limit law in verify_regime reads
+_SCENARIO_KEYS = frozenset(("name", "comb", "regime", "u", "replicas",
+                            "times", "tol_ks", "seed", "reference"))
+_REFERENCE_KEYS = {"gaussian": (), "generic": ("alpha", "beta", "scale"),
+                   "cauchy": ("scale",), "anomalous": ("alpha",)}
+
+
 class VerificationScenario:
     """One end-to-end regime check: comb, expected regime, rescaling
-    scale u, replica count, observation times, KS tolerance.
+    scale u, replica count, observation times and the KS tolerance
+    `tol_ks` that every check of the report is held to.
 
     `reference` optionally overrides parameters of the comparison law
-    (a deliberate-mismatch knob for negative-control scenarios).
+    (a deliberate-mismatch knob for negative-control scenarios).  It may
+    set only the keys the regime's law reads: alpha, beta and scale
+    (generic), scale as the Cauchy c0 (cauchy), alpha (anomalous), none
+    (gaussian); any other key is a ValueError.
     """
 
     def __init__(self, comb, regime, u, replicas, times, tol_ks,
-                 seed=0, name="scenario", reference=None, tol_increment=None):
+                 seed=0, name="scenario", reference=None):
+        if regime not in _REFERENCE_KEYS:
+            raise ValueError(f"unknown regime {regime!r}")
         if not 1000 <= replicas < np.inf:
             raise ValueError("need a finite count of at least 10^3 replicas")
         if not 0 < u < np.inf:
@@ -155,16 +169,20 @@ class VerificationScenario:
         if not times or times[0] <= 0 or not np.all(np.isfinite(times)):
             raise ValueError("times must be positive and finite")
         tol_ks = float(tol_ks)
-        tol_increment = (tol_ks if tol_increment is None
-                         else float(tol_increment))
-        if not (np.isfinite(tol_ks) and np.isfinite(tol_increment)):
-            raise ValueError("tolerances must be finite")
+        if not np.isfinite(tol_ks):
+            raise ValueError("tol_ks must be finite")
         if not 1.0 <= u * times[-1] < np.inf:
             raise ValueError("u * max(times) must cover at least one step "
                              "and be finite")
         if isinstance(seed, float) and not np.isfinite(seed):
             raise ValueError("seed must be finite")
+        if reference is not None and not isinstance(reference, dict):
+            raise ValueError("reference must be an object of law parameters")
         reference = dict(reference) if reference else {}
+        unread = sorted(set(reference) - set(_REFERENCE_KEYS[regime]))
+        if unread:
+            raise ValueError(f"the {regime} law reads no reference key "
+                             f"{', '.join(unread)}")
         if not all(np.isfinite(float(v)) for v in reference.values()):
             raise ValueError("reference-law parameters must be finite")
         self.comb = comb
@@ -173,7 +191,6 @@ class VerificationScenario:
         self.replicas = int(replicas)
         self.times = times
         self.tol_ks = tol_ks
-        self.tol_increment = tol_increment
         self.seed = int(seed)
         self.name = name
         self.reference = reference
@@ -181,23 +198,29 @@ class VerificationScenario:
     def to_dict(self):
         d = {"name": self.name, "comb": self.comb.to_dict(),
              "regime": self.regime, "u": self.u, "replicas": self.replicas,
-             "times": self.times, "tol_ks": self.tol_ks,
-             "tol_increment": self.tol_increment, "seed": self.seed}
+             "times": self.times, "tol_ks": self.tol_ks, "seed": self.seed}
         if self.reference:
             d["reference"] = self.reference
         return d
 
     @classmethod
     def from_dict(cls, d):
+        if not isinstance(d, dict):
+            raise ValueError("a scenario must be a JSON object")
+        unknown = sorted(set(d) - _SCENARIO_KEYS)
+        if unknown:
+            raise ValueError(f"unknown scenario key(s) {', '.join(unknown)}")
         try:
             comb = CombSpec.from_dict(d["comb"])
             return cls(comb, d["regime"], d["u"], d["replicas"], d["times"],
                        d["tol_ks"], seed=d.get("seed", 0),
                        name=d.get("name", "scenario"),
-                       reference=d.get("reference"),
-                       tol_increment=d.get("tol_increment"))
+                       reference=d.get("reference"))
         except KeyError as e:
             raise ValueError(f"scenario file missing key {e}") from None
+        except TypeError as e:
+            raise ValueError(f"scenario value of the wrong type: {e}") \
+                from None
 
     @classmethod
     def from_json(cls, path):
@@ -213,8 +236,10 @@ class VerificationScenario:
 def verify_regime(scenario, seed=None, threads=1):
     """Simulate the scenario's walk ensemble, rescale the marginals with
     the module-computed normalizers, and KS-test against the regime's
-    limit law at every observation time (plus increment checks between
-    consecutive times).  Deterministic given (scenario, seed, comb).
+    limit law at every observation time, plus the increments between
+    consecutive times in the gaussian, generic and cauchy regimes.  Every
+    check is a KS distance held to the scenario's `tol_ks`.
+    Deterministic given (scenario, seed, comb).
 
     Returns a report dict with one entry per check and an overall flag.
     """
@@ -239,14 +264,9 @@ def verify_regime(scenario, seed=None, threads=1):
     sigma = float(ref.get("scale", stable_sigma(alpha) if 1.0 < alpha < 2.0
                           else 1.0))
 
-    checks = []
-
-    def add(name, stat, tol):
-        checks.append({"name": name, "ks": float(stat), "tol": float(tol),
-                       "pass": bool(stat < tol)})
-
     # limit law of the rescaled walk: (normalizer, centring, CDF at time s);
-    # the anomalous limit carries the drift m itself, so it is not centred
+    # the anomalous limit carries the drift m itself, so it is not centred.
+    # The reference keys each law reads are _REFERENCE_KEYS[regime].
     c0 = float(ref.get("scale", np.pi / 2.0))
     laws = {
         "gaussian": (ns.walk, m, lambda s: lambda x: ndtr(x / np.sqrt(s))),
@@ -259,24 +279,25 @@ def verify_regime(scenario, seed=None, threads=1):
     }
     normalizer, centre, law_at = laws[regime]
     lam = normalizer(u)
+    tol = scenario.tol_ks
+    checks = []
+
+    def add(name, z, s):
+        stat = ks_distance(z, law_at(s))
+        checks.append({"name": name, "ks": float(stat), "tol": tol,
+                       "pass": bool(stat < tol)})
+
     for j, t in enumerate(scenario.times):
-        z = (S[:, j] - centre * targets[j]) / lam
-        add(f"marginal t={t:g}", ks_distance(z, law_at(t)), scenario.tol_ks)
-    for j in range(len(targets) - 1):
-        dn = targets[j + 1] - targets[j]
-        if dn < 1:
-            continue
-        span = f"t={scenario.times[j]:g}->{scenario.times[j+1]:g}"
-        if regime == "anomalous":
-            # rescaled paths are 1-Lipschitz exactly; record the modulus
-            mod = float(np.max(np.abs(S[:, j + 1] - S[:, j])) / dn)
-            checks.append({"name": f"Lipschitz modulus {span}", "ks": mod,
-                           "tol": 1.0 + 1e-12,
-                           "pass": bool(mod <= 1.0 + 1e-12)})
-        else:
-            z = (S[:, j + 1] - S[:, j] - centre * dn) / lam
-            add(f"increment {span}", ks_distance(z, law_at(dn / u)),
-                scenario.tol_increment)
+        add(f"marginal t={t:g}", (S[:, j] - centre * targets[j]) / lam, t)
+    # the three Levy limits have stationary independent increments; the
+    # anomalous limit is not a Levy process, so its marginals are its checks
+    if regime != "anomalous":
+        for j in range(len(targets) - 1):
+            dn = targets[j + 1] - targets[j]
+            if dn >= 1:
+                span = f"t={scenario.times[j]:g}->{scenario.times[j+1]:g}"
+                add(f"increment {span}",
+                    (S[:, j + 1] - S[:, j] - centre * dn) / lam, dn / u)
 
     return {"name": scenario.name, "regime": regime, "u": u,
             "replicas": scenario.replicas, "times": scenario.times,

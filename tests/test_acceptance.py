@@ -274,9 +274,11 @@ def test_12b_time_normalizer_asymptotics():
 
 def test_13_thread_count_determinism():
     comb = constant_comb(0.25, 0.4)
-    base = walk_marginals(comb, [2000], 2000, seed=9, threads=1).tobytes()
+    # 8193 replicas are three 4096-lane chunks (the last keeps one lane),
+    # so the pool runs several chunks at once and their order can show
+    base = walk_marginals(comb, [2000], 8193, seed=9, threads=1).tobytes()
     for th in (2, 4):
-        assert walk_marginals(comb, [2000], 2000, seed=9,
+        assert walk_marginals(comb, [2000], 8193, seed=9,
                               threads=th).tobytes() == base
 
     ens = sample_anomalous_ensemble(0.5, 0.3, 2000, seed=11, threads=1)
@@ -287,7 +289,7 @@ def test_13_thread_count_determinism():
 
     # full verification reports agree byte-for-byte once the wall-clock
     # stamp and the thread count itself are stripped
-    sc = VerificationScenario(comb, "gaussian", 500, 2000, [1.0], 0.2,
+    sc = VerificationScenario(comb, "gaussian", 500, 8193, [1.0], 0.2,
                               seed=7)
     stripped = []
     for th in (1, 2, 4):

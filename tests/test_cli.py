@@ -588,6 +588,46 @@ def test_verify_non_finite_scenario_is_a_config_error(tmp_path, capsys,
     assert "bad scenario file" in capsys.readouterr().err
 
 
+def _scenario(**changes):
+    return dict({"name": "shape", "comb": constant_comb(0.5, 0.5).to_dict(),
+                 "regime": "gaussian", "u": 500, "replicas": 1000,
+                 "times": [1.0], "tol_ks": 0.1}, **changes)
+
+
+@pytest.mark.parametrize("scenario, message", [
+    ([1, 2], "JSON object"),
+    (_scenario(comb=[1, 2]), "JSON object"),
+    (_scenario(tol_increment=0.1), "unknown scenario key"),
+    (_scenario(reference={"alpha": 1.2}), "reads no reference key"),
+], ids=["list", "comb-list", "tol_increment", "gaussian-reference-alpha"])
+def test_verify_scenario_of_the_wrong_shape_is_a_config_error(
+        tmp_path, capsys, scenario, message):
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(scenario))
+    assert cli.main(["verify", "--scenario", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "bad scenario file" in err and message in err
+
+
+def test_simulate_comb_of_the_wrong_shape_is_a_config_error(tmp_path,
+                                                           capsys):
+    comb = tmp_path / "comb.json"
+    comb.write_text(json.dumps({"up": [1], "down": [2]}))
+    out = str(tmp_path / "w")
+    assert cli.main(["simulate", "--comb", str(comb), "--horizon", "10",
+                     "--out", out]) == 2
+    assert "JSON object" in capsys.readouterr().err
+    assert not os.path.exists(out + "_trajectory.csv")
+
+
+def test_verify_anomalous_smoke_reports_its_marginals_only(capsys):
+    assert cli.main(["verify", "--scenario", "anomalous-smoke"]) == 0
+    out = capsys.readouterr().out
+    assert "Lipschitz" not in out
+    assert [ln.split()[1] for ln in out.splitlines()
+            if ln.startswith("  [")] == ["marginal", "marginal"]
+
+
 def test_verify_out_is_opened_before_the_run(tmp_path, monkeypatch, capsys):
     real = cli.verify_regime
 

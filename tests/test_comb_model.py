@@ -738,6 +738,35 @@ def test_from_dict_missing_keys():
         HazardFamily.from_dict({"kind": "tabel", "values": [0.5]})
 
 
+@pytest.mark.parametrize("d", [[1, 2], "constant", 0.5, None],
+                         ids=["list", "string", "number", "null"])
+def test_from_dict_refuses_what_is_not_an_object(d):
+    # a config file of the wrong shape is a ValueError (a config error
+    # at the command line), not an AttributeError or a TypeError
+    with pytest.raises(ValueError, match="JSON object"):
+        HazardFamily.from_dict(d)
+    with pytest.raises(ValueError, match="JSON object"):
+        CombSpec.from_dict(d)
+    with pytest.raises(ValueError, match="JSON object"):
+        CombSpec.from_dict({"up": d, "down": {"kind": "constant", "p": 0.5}})
+
+
+@pytest.mark.parametrize("fam", [HazardFamily.power(0.5),
+                                 HazardFamily.constant(0.3)],
+                         ids=["power", "constant"])
+@pytest.mark.parametrize("name", ["tail", "truncated_mean",
+                                  "truncated_second_moment"])
+def test_law_returns_a_float_at_any_0d_input(fam, name):
+    f = getattr(PersistenceLaw(fam), name)
+    want = f(7.5)
+    assert type(want) is float
+    for x in (np.float64(7.5), np.array(7.5), np.array(7)):
+        got = f(x)
+        assert type(got) is float and got == f(float(x))
+    arr = f(np.array([7.5]))
+    assert arr.shape == (1,) and arr[0] == want
+
+
 def test_zigzag_comb_is_representable():
     comb = CombSpec(HazardFamily.table([1.0]), HazardFamily.table([1.0]))
     assert comb.up_law.pmf(1) == 1.0

@@ -160,6 +160,22 @@ def test_evaluator_sampling():
     assert np.isscalar(one)
 
 
+@pytest.mark.parametrize("f", [
+    lambda x: density_f(0.5, 0.2, 1.0, x),
+    lambda x: DensityEvaluator(0.5, 0.2).cdf(x, t=2.0),
+    lambda x: cdf_f(0.5, 0.2, 2.0, x),
+    lambda q: DensityEvaluator(0.5, 0.2).ppf(q, t=2.0),
+], ids=["density_f", "cdf", "cdf_f", "ppf"])
+def test_marginal_law_returns_a_float_at_any_0d_input(f):
+    want = f(0.3)
+    assert type(want) is float
+    for x in (np.float64(0.3), np.array(0.3)):
+        got = f(x)
+        assert type(got) is float and got == want
+    arr = f(np.array([0.3]))
+    assert arr.shape == (1,) and arr[0] == want
+
+
 def test_ratio_sampler_agrees_with_density():
     draws = sample_ratio(0.5, 0.4, np.random.default_rng(7), size=50000)
     assert np.all(np.abs(draws) < 1.0)

@@ -186,7 +186,7 @@ def test_scenario_roundtrip():
     d = sc.to_dict()
     assert d["u"] == 400.0 and d["replicas"] == 3000
     assert d["times"] == [2.0, 4.0]
-    assert d["tol_increment"] == d["tol_ks"]
+    assert set(d) == set(scenario_dict())
     again = VerificationScenario.from_dict(d)
     assert again.comb.to_dict() == sc.comb.to_dict()
     assert again.seed == 3
@@ -222,7 +222,7 @@ def test_scenario_validation():
     ("times", [2.0, float("inf")]), ("times", [float("nan")]),
     ("times", [0.5, float("nan"), 1.0]),
     ("tol_ks", float("nan")), ("tol_ks", float("inf")),
-    ("tol_increment", float("nan")), ("tol_increment", float("-inf")),
+    ("tol_ks", float("-inf")), ("seed", float("nan")),
     ("replicas", float("inf")), ("seed", float("inf")),
     ("reference", {"scale": float("inf")}),
     ("reference", {"alpha": 1.5, "scale": float("nan")}),
@@ -232,6 +232,65 @@ def test_scenario_refuses_non_finite_values(key, bad):
     # int(u * t) overflows at an infinite product, and a NaN tolerance
     # fails every check: each is a config error
     d = dict(scenario_dict(), **{key: bad})
+    if key == "reference":
+        d["regime"], d["comb"] = "generic", power_comb(1.5, 1.0).to_dict()
+    with pytest.raises(ValueError):
+        VerificationScenario.from_dict(d)
+
+
+@pytest.mark.parametrize("key", ["tol_increment", "tol", "Seed"])
+def test_scenario_refuses_keys_outside_the_schema(key):
+    # a file that still sets the retired tol_increment, or misspells a
+    # key, fails loudly instead of running at some other setting
+    d = dict(scenario_dict(), **{key: 0.1})
+    with pytest.raises(ValueError, match=f"unknown scenario key.*{key}"):
+        VerificationScenario.from_dict(d)
+
+
+@pytest.mark.parametrize("regime, comb, reference", [
+    ("gaussian", constant_comb(0.5, 0.5), {"alpha": 1.2}),
+    ("gaussian", constant_comb(0.5, 0.5),
+     {"alpha": 1.2, "beta": 0.9, "scale": 7}),
+    ("cauchy", power_comb(1.0, 0.01), {"alpha": 1.7, "beta": 1}),
+    ("cauchy", power_comb(1.0, 0.01), {"alpha": 1.7}),
+    ("anomalous", power_comb(0.5), {"scale": 2.0}),
+    ("anomalous", power_comb(0.5), {"alpha": 0.5, "beta": 0.3}),
+    ("generic", power_comb(1.5, 1.0), {"alph": 1.9}),
+], ids=["gaussian-alpha", "gaussian-every-key", "cauchy-alpha-beta",
+        "cauchy-alpha", "anomalous-scale", "anomalous-beta", "generic-typo"])
+def test_scenario_refuses_reference_keys_its_law_does_not_read(
+        regime, comb, reference):
+    # a negative control built on a key the law ignores would pass
+    with pytest.raises(ValueError, match="reads no reference key"):
+        VerificationScenario(comb, regime, 400, 1000, [1.0], 0.05,
+                             reference=reference)
+
+
+@pytest.mark.parametrize("regime, comb, reference", [
+    ("gaussian", constant_comb(0.5, 0.5), {}),
+    ("cauchy", power_comb(1.0, 0.01), {"scale": 2.0}),
+    ("anomalous", power_comb(0.5), {"alpha": 0.8}),
+    ("generic", power_comb(1.5, 1.0), {"alpha": 1.9, "beta": 0.2,
+                                       "scale": 1.1}),
+], ids=["gaussian", "cauchy", "anomalous", "generic"])
+def test_scenario_accepts_the_reference_keys_its_law_reads(
+        regime, comb, reference):
+    sc = VerificationScenario(comb, regime, 400, 1000, [1.0], 0.05,
+                              reference=reference)
+    assert sc.reference == reference
+
+
+@pytest.mark.parametrize("d", [
+    [1, 2], "scenario", 3, None,
+    dict(scenario_dict(), comb=[1, 2]),
+    dict(scenario_dict(), comb={"up": [1], "down": [2]}),
+    dict(scenario_dict(), reference=[1]),
+    dict(scenario_dict(), times=5),
+    dict(scenario_dict(), regime=["gaussian"]),
+    dict(scenario_dict(), regime="brownian"),
+], ids=["list", "string", "number", "null", "comb-list", "hazard-list",
+        "reference-list", "times-number", "regime-list", "regime-unknown"])
+def test_scenario_of_the_wrong_shape_is_a_value_error(d):
     with pytest.raises(ValueError):
         VerificationScenario.from_dict(d)
 
@@ -266,8 +325,52 @@ def test_verify_anomalous_scenario_passes():
                               [1.0, 2.0], 0.08, seed=5)
     rep = verify_regime(sc)
     assert rep["pass"] is True
-    mods = [c for c in rep["checks"] if c["name"].startswith("Lipschitz")]
-    assert len(mods) == 1 and mods[0]["ks"] <= 1.0 + 1e-12
+    # the limit is not a Levy process: its checks are its marginals
+    assert [c["name"] for c in rep["checks"]] == ["marginal t=1",
+                                                  "marginal t=2"]
+    assert all(c["tol"] == 0.08 for c in rep["checks"])
+
+
+_ONE_OF_EACH_REGIME = [
+    ("gaussian", constant_comb(0.5, 0.5)),
+    ("generic", power_comb(1.5, 1.0)),
+    ("cauchy", power_comb(1.0, 0.01)),
+    ("anomalous", power_comb(0.5)),
+]
+
+
+@pytest.mark.parametrize("regime, comb", _ONE_OF_EACH_REGIME,
+                         ids=[r for r, _ in _ONE_OF_EACH_REGIME])
+def test_verify_every_check_is_a_ks_check_at_tol_ks(regime, comb):
+    sc = VerificationScenario(comb, regime, 400, 1000, [0.5, 1.0, 2.0],
+                              0.5, seed=4)
+    checks = verify_regime(sc)["checks"]
+    marginals = ["marginal t=0.5", "marginal t=1", "marginal t=2"]
+    increments = ["increment t=0.5->1", "increment t=1->2"]
+    assert [c["name"] for c in checks] == marginals + (
+        increments if regime != "anomalous" else [])
+    assert all(c["tol"] == 0.5 for c in checks)
+
+
+@pytest.mark.parametrize("regime, comb", _ONE_OF_EACH_REGIME,
+                         ids=[r for r, _ in _ONE_OF_EACH_REGIME])
+def test_verify_fails_on_a_nan_in_the_walk(monkeypatch, regime, comb):
+    # a NaN position makes that time's marginal KS read nan, and nan < tol
+    # is False: the walk is caught by its marginals in every regime
+    real = stat_verify.walk_marginals
+
+    def with_nan(*args, **kwargs):
+        S = real(*args, **kwargs).astype(float)
+        S[17, -1] = np.nan
+        return S
+
+    monkeypatch.setattr(stat_verify, "walk_marginals", with_nan)
+    sc = VerificationScenario(comb, regime, 400, 1000, [0.5, 1.0], 10.0,
+                              seed=4)
+    rep = verify_regime(sc)
+    assert rep["pass"] is False
+    last = [c for c in rep["checks"] if c["name"] == "marginal t=1"]
+    assert np.isnan(last[0]["ks"]) and last[0]["pass"] is False
 
 
 def test_verify_negative_control_fails():
