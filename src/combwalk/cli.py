@@ -28,9 +28,7 @@ from .walk_sim import simulate_prw, walk_marginals
 
 
 class _CliError(Exception):
-    def __init__(self, message, code=2):
-        super().__init__(message)
-        self.code = code
+    """A refused input or output; main reports it and exits 2."""
 
 
 def _fmt(x):
@@ -560,10 +558,7 @@ def main(argv=None):
             elif args.func is not cmd_verify:
                 args.seed = 0   # verify falls back to the scenario's seed
         return args.func(args)
-    except _CliError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return e.code
-    except (ValueError, RuntimeError) as e:
+    except (_CliError, ValueError, RuntimeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -96,10 +96,6 @@ class LabelledSubordinatorPath:
         self._cum_j = cum
         self._cum_lj = np.concatenate([[0.0], np.cumsum(labels * jumps)])
 
-    @property
-    def n_jumps(self):
-        return len(self.jumps)
-
     def total(self):
         """T(t_max)."""
         return float(self.drift * self.t_max + self._cum_j[-1])
@@ -120,7 +116,7 @@ class LabelledSubordinatorPath:
             raise ValueError("level beyond the simulated path")
         N = np.searchsorted(self.T_after, t, side="right")
         G, H = t.copy(), t.copy()
-        inside = N < self.n_jumps
+        inside = N < len(self.jumps)
         inside[inside] = self.T_before[N[inside]] < t[inside]
         G[inside] = self.T_before[N[inside]]
         H[inside] = self.T_after[N[inside]]
@@ -136,14 +132,13 @@ class LabelledSubordinatorPath:
         return tuple(v.item() for v in out) if scalar else out
 
 
-def labelled_subordinator(alpha, b, t_max, epsilon=None, rng=None):
+def labelled_subordinator(alpha, b, t_max, epsilon=None, *, rng):
     """Subordinator path with independent +-1 labels, P(+1) = (1+b)/2;
-    jumps below epsilon enter as drift (subordinator_jumps)."""
+    jumps below epsilon enter as drift (subordinator_jumps).  Every draw
+    comes from the Generator `rng`."""
     if not -1.0 <= b <= 1.0:
         raise ValueError("label bias must lie in [-1, 1]")
     eps, lam, drift = subordinator_jumps(alpha, t_max, epsilon)
-    if rng is None:
-        rng = np.random.default_rng()
     s, u, v = _draw_jumps(rng, lam, t_max)
     lab = np.where(v < (1.0 + b) / 2.0, 1.0, -1.0)
     return LabelledSubordinatorPath(b, t_max, s, eps * u ** (-1.0 / alpha),

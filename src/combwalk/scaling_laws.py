@@ -341,11 +341,6 @@ class NormalizerSet:
     def walk(self, u):
         return self.space(self.time(u))
 
-    def xi1(self, v):
-        """a(v) * (T_u + T_d)(a(v)) -- the Cauchy-regime space scale."""
-        n = self.space(v)
-        return n * self.tail_sum(float(n))
-
     def cauchy_norm(self, u):
         """Exact spatial prefactor in the Cauchy regime:
         u * Xi_1(time(u)) / D(u), with D(u) the total cycle mean when

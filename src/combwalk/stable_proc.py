@@ -20,12 +20,10 @@ import numpy as np
 from .scaling_laws import stable_scale, stable_sigma
 
 
-def levy_symbol(alpha, beta, u, scale=None):
-    """log E exp(iu X_1) for the limit process, vectorized over u."""
-    if scale is None:
-        coef = stable_scale(alpha)
-    else:
-        coef = float(scale) ** alpha
+def levy_symbol(alpha, beta, u):
+    """log E exp(iu X_1) for the limit process, of scale
+    stable_sigma(alpha), vectorized over u."""
+    coef = stable_scale(alpha)
     u = np.asarray(u, dtype=float)
     au = np.abs(u)
     if abs(alpha - 1.0) < 1e-12:

@@ -111,9 +111,9 @@ def markov_kernel_check(pair, t, a_bin, alpha):
     `pair` holds the (age, excess) arrays at level t, as read from
     LabelledSubordinatorPath.evaluate or returned by
     sample_anomalous_ensemble; every age must lie in [0, t].  Applying
-    each sample's own age to the kernel CDF gives an exact uniform pivot;
-    the KS of that pivot is reported, alongside the cruder bin-midpoint
-    comparison.
+    each sample's own age to the kernel CDF gives an exact uniform pivot.
+    Returns {"n": samples in the age bin, "ks": KS distance of that
+    pivot from the uniform law}.
     """
     if len(pair) != 2:
         raise ValueError("expected an (age, excess) pair")
@@ -128,9 +128,7 @@ def markov_kernel_check(pair, t, a_bin, alpha):
                          "widen the bin or add replicas")
     a, h = A[sel], H[sel]
     ks = ks_distance(1.0 - (a / (a + h)) ** alpha, lambda u: u)
-    amid = 0.5 * (lo + hi)
-    ks_mid = ks_distance(1.0 - (amid / (amid + h)) ** alpha, lambda u: u)
-    return {"n": n, "ks": ks, "ks_midpoint": ks_mid}
+    return {"n": n, "ks": ks}
 
 
 # ---------------------------------------------------------------------------
@@ -195,14 +193,6 @@ class VerificationScenario:
         self.name = name
         self.reference = reference
 
-    def to_dict(self):
-        d = {"name": self.name, "comb": self.comb.to_dict(),
-             "regime": self.regime, "u": self.u, "replicas": self.replicas,
-             "times": self.times, "tol_ks": self.tol_ks, "seed": self.seed}
-        if self.reference:
-            d["reference"] = self.reference
-        return d
-
     @classmethod
     def from_dict(cls, d):
         if not isinstance(d, dict):
@@ -259,7 +249,7 @@ def verify_regime(scenario, seed=None, threads=1):
     m = ns.m
     ref = scenario.reference
     regime = rep.regime
-    alpha = float(ref.get("alpha", rep.alpha if rep.alpha else 2.0))
+    alpha = float(ref.get("alpha", rep.alpha))
     beta = float(ref.get("beta", rep.beta))
     sigma = float(ref.get("scale", stable_sigma(alpha) if 1.0 < alpha < 2.0
                           else 1.0))

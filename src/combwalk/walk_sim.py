@@ -14,8 +14,7 @@ both in memory bounded whatever the horizon:
 simulate_prw draws blocks of 64 down-runs and 64 up-runs in batches of
 1, 2, 4, ... up to 1024 blocks, one rng.random call and one inverter
 call per direction each.  That is the stream of one block at a time and,
-inversion being elementwise, its run lengths; only a passed-in rng is
-left further along, past the rest of the last batch.
+inversion being elementwise, its run lengths.
 
 walk_marginals runs 4096 lanes per chunk and draws 8 rows at a time,
 each block one inverter call per direction through the laws' guide
@@ -94,8 +93,9 @@ class Trajectory:
         return np.arange(1, self.horizon + 1) - np.repeat(starts, self._reps)
 
 
-def simulate_prw(comb, horizon, seed=None, rng=None):
-    """One trajectory out to `horizon` steps, held as its exact run record.
+def simulate_prw(comb, horizon, seed):
+    """One trajectory out to `horizon` steps, held as its exact run record;
+    a pure function of (comb, horizon, seed).
 
     `horizon` must be an integer in [1, 2^53] (ValueError before any
     draw otherwise): runs are drawn up to 2^53 steps long, so a longer
@@ -103,17 +103,15 @@ def simulate_prw(comb, horizon, seed=None, rng=None):
     64 up-runs, from 64 down uniforms then 64 up uniforms; a batch of nb
     blocks draws rng.random((nb, 2, 64)), which is that same stream, and
     inverts each direction's uniforms in one call.  nb doubles from 1 up
-    to _BATCH (1 MB of uniforms), and the run lengths are those of one
-    block at a time for the same seed.  A passed-in `rng` is left past
-    the whole last batch, so it may have drawn beyond the runs that are
-    kept.  Trajectory.steps()/positions()/ages() expand the run record
-    into per-step arrays of length `horizon` when asked.
+    to _BATCH (1 MB of uniforms), which bounds the over-draw of a short
+    horizon, and the run lengths are those of one block at a time for
+    the same seed.  Trajectory.steps()/positions()/ages() expand the run
+    record into per-step arrays of length `horizon` when asked.
     """
     if not (1 <= horizon <= 1 << 53 and horizon == int(horizon)):
         raise ValueError("horizon must be an integer in [1, 2^53]")
     horizon = int(horizon)
-    if rng is None:
-        rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     batches = []
     total = 0
     nb = 1

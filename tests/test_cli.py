@@ -12,7 +12,8 @@ from numpy.testing import assert_array_equal
 from hypothesis import example, given, settings, strategies as st
 
 import combwalk
-from combwalk import cli, constant_comb, lamperti_limit, power_comb
+from combwalk import (HillResult, cli, constant_comb, lamperti_limit,
+                      power_comb)
 
 
 @pytest.fixture(autouse=True)
@@ -708,6 +709,33 @@ def test_estimate_degenerate_runs_decline_hill(tmp_path, capsys):
     assert "declined" in out
     assert "implied regime : gaussian" in out
     assert "near-)deterministic" in out
+
+
+def test_estimate_too_few_exceedances_is_undetermined(tmp_path, capsys):
+    # mean runs of 20 steps: ~50 completed runs per direction, so the
+    # default --k-frac 0.1 leaves fewer than 10 exceedances in each
+    rc, out = simulate_then_estimate(tmp_path, capsys,
+                                     constant_comb(0.05, 0.05), 2000)
+    assert rc == 0
+    assert out.count("exceedances; need at least 10") == 2
+    assert "implied regime : undetermined" in out
+
+
+@pytest.mark.parametrize("alpha, regime", [
+    (0.97, "cauchy (near the alpha = 1 boundary)"),
+    (1.5, "generic"),
+    (2.5, "gaussian"),
+])
+def test_estimate_labels_the_smallest_tail_index(tmp_path, capsys,
+                                                 monkeypatch, alpha, regime):
+    # the up runs get the given index and the down runs a lighter one
+    fits = iter([alpha, alpha + 1.0])
+    monkeypatch.setattr(cli, "hill_estimate", lambda x, k_frac: HillResult(
+        next(fits), (0.0, 9.0), 10))
+    rc, out = simulate_then_estimate(tmp_path, capsys,
+                                     constant_comb(0.25, 0.5), 20000)
+    assert rc == 0
+    assert f"implied regime : {regime}  (min tail index {alpha:.3f};" in out
 
 
 def test_estimate_error_paths(tmp_path, capsys):

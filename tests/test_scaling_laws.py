@@ -227,13 +227,20 @@ def test_anomalous_walk_normalizer_value():
 
 
 def test_cauchy_norm_and_xi1():
+    # cauchy_norm(u) = u * Xi_1(time(u)) / D(u), with Xi_1(v) = a(v) *
+    # (T_u + T_d)(a(v)) and a = space; the comb's cycle mean is infinite,
+    # so D(u) = (Theta_u + Theta_d)(walk(u))
     ns = NormalizerSet(power_comb(1.0, c=0.01))
+    assert np.isinf(total_mean_cycle(ns.comb))
     assert ns.time(100000) == 46515
-    assert ns.xi1(46515) == pytest.approx(0.01999980507011555, rel=1e-12)
+    n = ns.space(46515)
+    assert n == ns.walk(100000)
+    xi1 = n * ns.tail_sum(float(n))
+    assert xi1 == pytest.approx(0.01999980507011555, rel=1e-12)
     assert ns.cauchy_norm(100000) == pytest.approx(930.2768780486813,
                                                    rel=1e-12)
-    n = ns.space(46515)
-    assert ns.xi1(46515) == pytest.approx(n * ns.tail_sum(float(n)), rel=1e-15)
+    assert ns.cauchy_norm(100000) == pytest.approx(
+        100000 * xi1 / ns.theta_sum(float(n)), rel=1e-15)
 
 
 def test_sigma2_truncated_form_uses_rescaled_windows():
@@ -260,8 +267,7 @@ def test_normalizer_validation():
         NormalizerSet(onesided)
 
 
-@pytest.mark.parametrize("method", ["space", "time", "walk", "xi1",
-                                    "cauchy_norm"])
+@pytest.mark.parametrize("method", ["space", "time", "walk", "cauchy_norm"])
 @pytest.mark.parametrize("u", [np.nan, np.inf, -np.inf,
                                np.array([10.0, np.nan]),
                                np.array([np.inf, 10.0])],
@@ -344,8 +350,9 @@ def test_batched_search_answers_as_the_scalar_search(specs):
     assert got.tolist() == [oracle(spec) for spec in specs]
 
 
-# space, time, walk, xi1 and cauchy_norm at u = 10^0 .. 10^9, from the
-# one-probe-at-a-time search; None: the search exceeds 2^62
+# space, time, walk, Xi_1 = space * tail_sum(space) and cauchy_norm at
+# u = 10^0 .. 10^9, from the one-probe-at-a-time search; None: the search
+# exceeds 2^62
 C = C_BALANCED
 PINNED_COMBS = {
     "constant(0.3, 0.5)": constant_comb(0.3, 0.5),
@@ -436,14 +443,19 @@ PINNED = {
 def test_normalizers_equal_the_scalar_search(name):
     # the bundled scenarios' combs and the benchmark's
     ns = NormalizerSet(PINNED_COMBS[name])
+
+    def xi1(v):
+        n = ns.space(v)
+        return n * ns.tail_sum(float(n))
+
+    methods = (ns.space, ns.time, ns.walk, xi1, ns.cauchy_norm)
     for k, row in enumerate(PINNED[name]):
-        for f, want in zip(("space", "time", "walk", "xi1", "cauchy_norm"),
-                           row):
+        for f, want in zip(methods, row):
             if want is None:
                 with pytest.raises(RuntimeError, match="exceeded 2"):
-                    getattr(ns, f)(10 ** k)
+                    f(10 ** k)
             else:
-                got = getattr(ns, f)(10 ** k)
+                got = f(10 ** k)
                 assert type(got) is type(want) and got == want, (f, k)
 
 

@@ -31,12 +31,14 @@ def test_levy_symbol_gaussian_and_cauchy_points():
     assert sym[2] == 0.0
 
 
-def test_levy_symbol_tan_form_and_custom_scale():
+def test_levy_symbol_tan_form():
     u = np.array([0.3, 1.7])
     a, b = 1.4, -0.6
-    expect = -(2.0 ** a) * u ** a * (1 - 1j * b * np.tan(np.pi * a / 2))
-    assert np.allclose(levy_symbol(a, b, u, scale=2.0), expect)
-    assert np.allclose(levy_symbol(a, b, -u, scale=2.0), np.conj(expect))
+    # the limit's scale is stable_sigma(a): log phi = -(sigma |u|)^a (...)
+    expect = (-(stable_sigma(a) * u) ** a
+              * (1 - 1j * b * np.tan(np.pi * a / 2)))
+    assert np.allclose(levy_symbol(a, b, u), expect)
+    assert np.allclose(levy_symbol(a, b, -u), np.conj(expect))
 
 
 def test_char_fn_of_samples_matches_symbol():

@@ -183,13 +183,20 @@ def scenario_dict():
 
 def test_scenario_roundtrip():
     sc = VerificationScenario.from_dict(scenario_dict())
-    d = sc.to_dict()
-    assert d["u"] == 400.0 and d["replicas"] == 3000
-    assert d["times"] == [2.0, 4.0]
-    assert set(d) == set(scenario_dict())
+    assert (sc.name, sc.regime, sc.tol_ks, sc.seed) == ("unit", "gaussian",
+                                                        0.06, 3)
+    assert sc.u == 400.0 and type(sc.u) is float
+    assert sc.replicas == 3000 and sc.times == [2.0, 4.0]
+    assert sc.reference == {}
+    # the attributes, written back by hand, read as the same scenario
+    d = {"name": sc.name, "comb": sc.comb.to_dict(), "regime": sc.regime,
+         "u": sc.u, "replicas": sc.replicas, "times": sc.times,
+         "tol_ks": sc.tol_ks, "seed": sc.seed}
+    assert d == scenario_dict()
     again = VerificationScenario.from_dict(d)
     assert again.comb.to_dict() == sc.comb.to_dict()
-    assert again.seed == 3
+    assert ((again.u, again.replicas, again.times, again.seed)
+            == (sc.u, sc.replicas, sc.times, sc.seed))
 
 
 def test_scenario_sorts_times():

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
@@ -61,10 +63,13 @@ def test_simulation_determinism_and_rng_paths():
     b = simulate_prw(comb, 10000, seed=42)
     assert np.array_equal(a.lengths, b.lengths)
     assert np.array_equal(a.directions, b.directions)
-    c = simulate_prw(comb, 10000, rng=np.random.default_rng(42))
+    c = simulate_prw(comb, 10000, seed=np.random.SeedSequence(42))
     assert np.array_equal(a.lengths, c.lengths)
     d = simulate_prw(comb, 10000, seed=43)
     assert not np.array_equal(a.lengths, d.lengths)
+    # the seed has no default: every trajectory names its stream
+    with pytest.raises(TypeError):
+        simulate_prw(comb, 10000)
 
 
 def test_simulation_validation():
@@ -79,11 +84,13 @@ def test_simulation_validation():
                                      2**53 + 1])
 def test_horizons_that_cannot_be_honoured_are_refused_before_any_draw(
         horizon):
-    rng = np.random.default_rng(3)
-    state = rng.bit_generator.state
+    class NoDraws:
+        def invert(self, v):
+            raise AssertionError("run lengths drawn for a refused horizon")
+
+    comb = SimpleNamespace(up_law=NoDraws(), down_law=NoDraws())
     with pytest.raises(ValueError, match="horizon"):
-        simulate_prw(constant_comb(0.3, 0.5), horizon, rng=rng)
-    assert rng.bit_generator.state == state
+        simulate_prw(comb, horizon, seed=3)
 
 
 def _block_at_a_time(comb, horizon, rng):
@@ -109,11 +116,9 @@ def _block_at_a_time(comb, horizon, rng):
 def test_batched_runs_match_drawing_one_block_at_a_time(comb):
     for horizon in (1, 63, 64, 65, 127, 128, 129, 10**5):
         want = _block_at_a_time(comb, horizon, np.random.default_rng(5))
-        by_seed = simulate_prw(comb, horizon, seed=5)
-        by_rng = simulate_prw(comb, horizon, rng=np.random.default_rng(5))
-        assert by_seed.lengths.tobytes() == want.tobytes()
-        assert by_rng.lengths.tobytes() == want.tobytes()
-        assert by_seed.horizon == by_rng.horizon == horizon
+        traj = simulate_prw(comb, horizon, seed=5)
+        assert traj.lengths.tobytes() == want.tobytes()
+        assert traj.horizon == horizon
 
 
 def test_zigzag_walk_oscillates():
