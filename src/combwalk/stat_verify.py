@@ -135,12 +135,36 @@ def markov_kernel_check(pair, t, a_bin, alpha):
 # verification scenarios
 
 
-# the keys of a scenario file, and the `reference` keys that each regime's
-# limit law in verify_regime reads
 _SCENARIO_KEYS = frozenset(("name", "comb", "regime", "u", "replicas",
                             "times", "tol_ks", "seed", "reference"))
-_REFERENCE_KEYS = {"gaussian": (), "generic": ("alpha", "beta", "scale"),
-                   "cauchy": ("scale",), "anomalous": ("alpha",)}
+
+
+def _stable_cdf(m, alpha, beta, scale):
+    # strictly stable for alpha != 1: F_s(x) = F_1(x / s^(1/alpha))
+    F = stable_cdf_interp(alpha, beta, scale)
+    return lambda x, s: F(x / s ** (1.0 / alpha))
+
+
+# Each regime's limit law: (params, norm, levy, build).  params: the law's
+# parameters, the only keys `reference` may set, each defaulting to a
+# function of the RegimeReport r and the params before it.  norm: the
+# NormalizerSet method rescaling the walk (None: u itself).  levy: centre
+# the walk by m and check its increments (the anomalous limit carries m
+# itself and is not a Levy process).  build(m, **params) makes the CDF once
+# per scenario, cdf(x, s) at time s; it looks functions up when it runs.
+_LAWS = {
+    "gaussian": ({}, "walk", True,
+                 lambda m: lambda x, s: ndtr(x / np.sqrt(s))),
+    "generic": ({"alpha": lambda r, p: r.alpha, "beta": lambda r, p: r.beta,
+                 "scale": lambda r, p: stable_sigma(p["alpha"])},
+                "walk", True, _stable_cdf),
+    "cauchy": ({"scale": lambda r, p: np.pi / 2.0}, "cauchy_norm", True,
+               lambda m, scale: lambda x, s:
+               0.5 + np.arctan(x / (scale * s)) / np.pi),
+    "anomalous": ({"alpha": lambda r, p: r.alpha}, None, False,
+                  lambda m, alpha: lambda x, s:
+                  lamperti_limit.cdf_f(alpha, m, s, x)),
+}
 
 
 class VerificationScenario:
@@ -150,14 +174,14 @@ class VerificationScenario:
 
     `reference` optionally overrides parameters of the comparison law
     (a deliberate-mismatch knob for negative-control scenarios).  It may
-    set only the keys the regime's law reads: alpha, beta and scale
-    (generic), scale as the Cauchy c0 (cauchy), alpha (anomalous), none
-    (gaussian); any other key is a ValueError.
+    set only the params of the regime's row of `_LAWS`; the generic
+    scale defaults to stable_sigma(alpha).  Any other key, and a generic
+    alpha of 1 (the S1 location slips with the scale), is a ValueError.
     """
 
     def __init__(self, comb, regime, u, replicas, times, tol_ks,
                  seed=0, name="scenario", reference=None):
-        if regime not in _REFERENCE_KEYS:
+        if regime not in _LAWS:
             raise ValueError(f"unknown regime {regime!r}")
         if not 1000 <= replicas < np.inf:
             raise ValueError("need a finite count of at least 10^3 replicas")
@@ -177,21 +201,18 @@ class VerificationScenario:
         if reference is not None and not isinstance(reference, dict):
             raise ValueError("reference must be an object of law parameters")
         reference = dict(reference) if reference else {}
-        unread = sorted(set(reference) - set(_REFERENCE_KEYS[regime]))
+        unread = sorted(set(reference) - set(_LAWS[regime][0]))
         if unread:
             raise ValueError(f"the {regime} law reads no reference key "
                              f"{', '.join(unread)}")
         if not all(np.isfinite(float(v)) for v in reference.values()):
             raise ValueError("reference-law parameters must be finite")
-        self.comb = comb
-        self.regime = regime
-        self.u = float(u)
-        self.replicas = int(replicas)
-        self.times = times
-        self.tol_ks = tol_ks
-        self.seed = int(seed)
-        self.name = name
-        self.reference = reference
+        if regime == "generic" and float(reference.get("alpha", 0)) == 1.0:
+            raise ValueError("the generic law needs a reference alpha "
+                             "other than 1")
+        self.comb, self.regime, self.name = comb, regime, name
+        self.u, self.replicas, self.times = float(u), int(replicas), times
+        self.tol_ks, self.seed, self.reference = tol_ks, int(seed), reference
 
     @classmethod
     def from_dict(cls, d):
@@ -201,10 +222,9 @@ class VerificationScenario:
         if unknown:
             raise ValueError(f"unknown scenario key(s) {', '.join(unknown)}")
         try:
-            comb = CombSpec.from_dict(d["comb"])
-            return cls(comb, d["regime"], d["u"], d["replicas"], d["times"],
-                       d["tol_ks"], seed=d.get("seed", 0),
-                       name=d.get("name", "scenario"),
+            return cls(CombSpec.from_dict(d["comb"]), d["regime"], d["u"],
+                       d["replicas"], d["times"], d["tol_ks"],
+                       seed=d.get("seed", 0), name=d.get("name", "scenario"),
                        reference=d.get("reference"))
         except KeyError as e:
             raise ValueError(f"scenario file missing key {e}") from None
@@ -233,55 +253,35 @@ def verify_regime(scenario, seed=None, threads=1):
 
     Returns a report dict with one entry per check and an overall flag.
     """
-    t0 = time.time()
+    t0 = time.perf_counter()
     comb = scenario.comb
     rep = classify_regime(comb)
     if rep.regime != scenario.regime:
         raise ValueError(f"scenario expects regime '{scenario.regime}' but "
                          f"the comb classifies as '{rep.regime}'")
-    if seed is None:
-        seed = scenario.seed
+    seed = scenario.seed if seed is None else seed
     u = scenario.u
     targets = [max(1, int(np.floor(u * t))) for t in scenario.times]
     S = walk_marginals(comb, targets, scenario.replicas, seed,
                        threads=threads)
     ns = NormalizerSet(comb)
-    m = ns.m
-    ref = scenario.reference
-    regime = rep.regime
-    alpha = float(ref.get("alpha", rep.alpha))
-    beta = float(ref.get("beta", rep.beta))
-    sigma = float(ref.get("scale", stable_sigma(alpha) if 1.0 < alpha < 2.0
-                          else 1.0))
-
-    # limit law of the rescaled walk: (normalizer, centring, CDF at time s);
-    # the anomalous limit carries the drift m itself, so it is not centred.
-    # The reference keys each law reads are _REFERENCE_KEYS[regime].
-    c0 = float(ref.get("scale", np.pi / 2.0))
-    laws = {
-        "gaussian": (ns.walk, m, lambda s: lambda x: ndtr(x / np.sqrt(s))),
-        "generic": (ns.walk, m, lambda s: stable_cdf_interp(
-            alpha, beta, sigma * s ** (1.0 / alpha))),
-        "cauchy": (ns.cauchy_norm, m, lambda s: lambda x:
-                   0.5 + np.arctan(x / (c0 * s)) / np.pi),
-        "anomalous": (lambda u: u, 0.0, lambda s: lambda x:
-                      lamperti_limit.cdf_f(alpha, m, s, x)),
-    }
-    normalizer, centre, law_at = laws[regime]
-    lam = normalizer(u)
-    tol = scenario.tol_ks
-    checks = []
+    params, norm, levy, build = _LAWS[rep.regime]
+    m, ref, p = ns.m, scenario.reference, {}
+    for key, default in params.items():
+        p[key] = float(ref[key] if key in ref else default(rep, p))
+    lam = getattr(ns, norm)(u) if norm else u
+    centre = m if levy else 0.0
+    cdf = build(m, **p)
+    tol, checks = scenario.tol_ks, []
 
     def add(name, z, s):
-        stat = ks_distance(z, law_at(s))
+        stat = ks_distance(z, lambda x: cdf(x, s))
         checks.append({"name": name, "ks": float(stat), "tol": tol,
                        "pass": bool(stat < tol)})
 
     for j, t in enumerate(scenario.times):
         add(f"marginal t={t:g}", (S[:, j] - centre * targets[j]) / lam, t)
-    # the three Levy limits have stationary independent increments; the
-    # anomalous limit is not a Levy process, so its marginals are its checks
-    if regime != "anomalous":
+    if levy:
         for j in range(len(targets) - 1):
             dn = targets[j + 1] - targets[j]
             if dn >= 1:
@@ -289,11 +289,11 @@ def verify_regime(scenario, seed=None, threads=1):
                 add(f"increment {span}",
                     (S[:, j + 1] - S[:, j] - centre * dn) / lam, dn / u)
 
-    return {"name": scenario.name, "regime": regime, "u": u,
+    return {"name": scenario.name, "regime": rep.regime, "u": u,
             "replicas": scenario.replicas, "times": scenario.times,
             "seed": int(seed), "threads": int(threads),
             "checks": checks, "pass": all(c["pass"] for c in checks),
-            "runtime_s": round(time.time() - t0, 3)}
+            "runtime_s": round(time.perf_counter() - t0, 3)}
 
 
 def format_report(report):

@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -16,6 +17,9 @@ from combwalk import (
     verify_regime,
 )
 from combwalk import stat_verify
+from combwalk.scaling_laws import NormalizerSet, classify_regime, stable_sigma
+from combwalk.stable_proc import stable_cdf_interp
+from combwalk.walk_sim import walk_marginals
 
 
 # ---------------------------------------------------------------------------
@@ -287,6 +291,18 @@ def test_scenario_accepts_the_reference_keys_its_law_reads(
     assert sc.reference == reference
 
 
+def test_generic_reference_alpha_of_one_is_refused():
+    # at alpha = 1 the S1 location slips with the scale, so no one table
+    # serves every time; the scenario fails when it loads
+    with pytest.raises(ValueError, match="alpha other than 1"):
+        VerificationScenario(power_comb(1.5, 1.0), "generic", 400, 1000,
+                             [1.0], 0.05, reference={"alpha": 1.0})
+    d = dict(scenario_dict(), regime="generic",
+             comb=power_comb(1.5, 1.0).to_dict(), reference={"alpha": 1})
+    with pytest.raises(ValueError, match="alpha other than 1"):
+        VerificationScenario.from_dict(d)
+
+
 @pytest.mark.parametrize("d", [
     [1, 2], "scenario", 3, None,
     dict(scenario_dict(), comb=[1, 2]),
@@ -386,6 +402,56 @@ def test_verify_negative_control_fails():
                               reference={"alpha": 0.85})
     rep = verify_regime(sc)
     assert rep["pass"] is False
+
+
+def bundled(name, **changes):
+    path = os.path.join(os.path.dirname(stat_verify.__file__), "scenarios",
+                        f"{name}.json")
+    with open(path) as fh:
+        return VerificationScenario.from_dict(dict(json.load(fh), **changes))
+
+
+@pytest.mark.parametrize("sc, seed", [
+    (bundled("generic-smoke"), 0),
+    (bundled("generic-smoke"), 7),
+    (VerificationScenario(power_comb(1.5, c=1.0, c_d=3.0), "generic", 20000,
+                          3000, [0.5, 1.0, 2.0], 0.06), 5),
+], ids=["generic-smoke-seed0", "generic-smoke-seed7", "skewed-three-times"])
+def test_generic_checks_equal_per_time_stable_tables(sc, seed):
+    # one table at scale sigma, read at x / s^(1/alpha), gives every check
+    # the KS it has against a table built at scale sigma s^(1/alpha)
+    rep = classify_regime(sc.comb)
+    alpha, beta, sigma = rep.alpha, rep.beta, stable_sigma(rep.alpha)
+    if len(sc.times) == 3:
+        assert beta == pytest.approx(-0.212, abs=5e-4)
+    ns = NormalizerSet(sc.comb)
+    targets = [max(1, int(np.floor(sc.u * t))) for t in sc.times]
+    S = walk_marginals(sc.comb, targets, sc.replicas, seed)
+    lam, m = ns.walk(sc.u), ns.m
+
+    def ks(z, s):
+        return ks_distance(z, stable_cdf_interp(alpha, beta,
+                                                sigma * s ** (1.0 / alpha)))
+
+    want = [ks((S[:, j] - m * targets[j]) / lam, t)
+            for j, t in enumerate(sc.times)]
+    for j in range(len(targets) - 1):
+        dn = targets[j + 1] - targets[j]
+        want.append(ks((S[:, j + 1] - S[:, j] - m * dn) / lam, dn / sc.u))
+    got = [c["ks"] for c in verify_regime(sc, seed=seed)["checks"]]
+    assert len(got) == 2 * len(sc.times) - 1
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "the critical regime is centred by m u and compared with a symmetric "
+    "Cauchy(pi/2) law; an asymmetric critical comb needs the paper's "
+    "generalized drift"))
+def test_verify_asymmetric_critical_comb_passes():
+    sc = bundled("cauchy-smoke",
+                 comb=power_comb(1.0, c=0.01, c_d=1.0).to_dict())
+    assert classify_regime(sc.comb).drift != 0.0
+    assert verify_regime(sc)["pass"] is True
 
 
 def test_verify_regime_mismatch_raises():
