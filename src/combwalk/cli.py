@@ -244,9 +244,9 @@ def cmd_sample_limit(args):
     names, tail = ["sample"], ""
     with _output(args.out) as out:
         if args.kind == "marginal":
-            cols = [lamperti_limit.sample_marginal(args.alpha, args.m, args.t,
+            cols = [lamperti_limit.sample_marginal(args.alpha, args.b, args.t,
                                                    rng, size=n)]
-            tag = f"marginal alpha={a} m={_fmt(args.m)} t={_fmt(args.t)}"
+            tag = f"marginal alpha={a} m={b} t={_fmt(args.t)}"
         elif args.kind == "ratio":
             cols = [lamperti_limit.sample_ratio(args.alpha, args.b, rng,
                                                 size=n)]
@@ -509,8 +509,8 @@ def _build_parser():
                    choices=["marginal", "ratio", "stable", "positive-stable",
                             "ensemble", "path"])
     p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--m", type=float, default=0.0)
-    p.add_argument("--b", type=float, default=0.0)
+    p.add_argument("--b", "--m", dest="b", type=float, default=0.0,
+                   help="label bias b, also the marginal's drift m")
     p.add_argument("--beta", type=float, default=0.0)
     p.add_argument("--scale", type=float, default=None)
     p.add_argument("--t", type=float, default=1.0,

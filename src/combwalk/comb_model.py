@@ -36,6 +36,7 @@ _ONE_BITS = np.float64(1.0).view(np.uint64)     # bit pattern of 1.0
 
 
 _RULE_PARAMS = {"constant": ("p",), "power": ("a", "c")}   # names of rule[1:]
+_FIELDS = dict(_RULE_PARAMS, table=("values", "tail_rule"))  # of each kind
 
 
 class HazardFamily:
@@ -157,13 +158,17 @@ class HazardFamily:
         if not isinstance(d, dict):
             raise ValueError("a hazard family must be a JSON object")
         kind = d.get("kind")
+        if not isinstance(kind, str) or kind not in _FIELDS:
+            raise ValueError(f"unknown hazard kind {kind!r}")
+        unknown = sorted(set(d) - {"kind", *_FIELDS[kind]})
+        if unknown:
+            raise ValueError(f"unknown {kind} hazard key(s) "
+                             f"{', '.join(unknown)}")
         if kind == "constant":
             return cls.constant(d["p"])
         if kind == "power":
             return cls.power(d["a"], d.get("c", 0.0))
-        if kind == "table":
-            return cls.table(d["values"], d.get("tail_rule"))
-        raise ValueError(f"unknown hazard kind {kind!r}")
+        return cls.table(d["values"], d.get("tail_rule"))
 
 
 # ---------------------------------------------------------------------------
@@ -609,6 +614,9 @@ class CombSpec:
     def from_dict(cls, d):
         if not isinstance(d, dict):
             raise ValueError("a comb must be a JSON object")
+        unknown = sorted(set(d) - {"up", "down"})
+        if unknown:
+            raise ValueError(f"unknown comb key(s) {', '.join(unknown)}")
         try:
             return cls(HazardFamily.from_dict(d["up"]),
                        HazardFamily.from_dict(d["down"]))

@@ -16,6 +16,10 @@ on (-1, 1) with r = (1+m)/(1-m), reducing to the arcsine law at
 a = 1/2, m = 0.  The (1 -+ x)^{a-1} endpoint singularities carry real
 mass: all quadrature and interpolation here run in the substituted
 coordinates y = (1 +- x)^a where the density is tame.
+
+The marginal is sampled exactly by Lamperti's representation S(t) =
+t (p^{1/a} T1 - q^{1/a} T2) / (p^{1/a} T1 + q^{1/a} T2), p = (1+m)/2 = 1 - q,
+with T1, T2 independent positive a-stable.
 """
 
 import functools
@@ -232,6 +236,13 @@ def sample_anomalous_ensemble(alpha, b, n_rep, seed, level=1.0, t_max=None,
 # the marginal law
 
 
+def _check_law(alpha, m):
+    if not 0.0 < alpha < 1.0:
+        raise ValueError("alpha must lie in (0, 1)")
+    if not -1.0 < m < 1.0:
+        raise ValueError("drift must lie in (-1, 1)")
+
+
 def _check_time(t):
     if not 0.0 < t < np.inf:
         raise ValueError("t must be positive and finite")
@@ -239,10 +250,7 @@ def _check_time(t):
 
 def density_f(alpha, m, t, x):
     """Density of S(t): supported on (-t, t), self-similar of index 1."""
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie in (0, 1)")
-    if not -1.0 < m < 1.0:
-        raise ValueError("drift must lie in (-1, 1)")
+    _check_law(alpha, m)
     _check_time(t)
     scalar = np.ndim(x) == 0
     x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -283,7 +291,7 @@ def _edge_integrand(alpha, m, y, side):
 
 
 class DensityEvaluator:
-    """Quadrature cache for one (alpha, m): CDF, inverse CDF, moments.
+    """Quadrature cache for one (alpha, m): CDF and moments.
 
     Panels are uniform in the edge coordinate y = (1 -+ x)^alpha of the
     nearer endpoint, where the integrand is bounded; interpolation also
@@ -292,10 +300,7 @@ class DensityEvaluator:
     """
 
     def __init__(self, alpha, m, nhalf=2500):
-        if not 0.0 < alpha < 1.0:
-            raise ValueError("alpha must lie in (0, 1)")
-        if not -1.0 < m < 1.0:
-            raise ValueError("drift must lie in (-1, 1)")
+        _check_law(alpha, m)
         self.alpha = alpha
         self.m = m
         yb = np.linspace(0.0, 1.0, nhalf + 1)
@@ -320,8 +325,6 @@ class DensityEvaluator:
         self.mass = float(self._FL[-1] + self._GR[-1])
         self.mean = self._meanL + self._meanR
 
-    # -- CDF / inverse ------------------------------------------------------
-
     def cdf(self, x, t=1.0):
         _check_time(t)
         scalar = np.ndim(x) == 0
@@ -333,26 +336,6 @@ class DensityEvaluator:
         yq = (1.0 - z[~left]) ** self.alpha
         out[~left] = self.mass - np.interp(yq, self._yb, self._GR)
         return float(out[0]) if scalar else out
-
-    def ppf(self, q, t=1.0):
-        """Exact inverse of the cached CDF (piecewise linear in y)."""
-        _check_time(t)
-        scalar = np.ndim(q) == 0
-        q = np.atleast_1d(np.asarray(q, dtype=float)) * self.mass
-        out = np.empty_like(q)
-        left = q <= self._FL[-1]
-        # x = z - 1 and 1 - z, not side (1 - z): z = 1 must give +0.0
-        out[left] = self._edge_power(self._FL, q[left]) - 1.0
-        out[~left] = 1.0 - self._edge_power(self._GR, self.mass - q[~left])
-        out *= t
-        return float(out[0]) if scalar else out
-
-    def _edge_power(self, cum, c):
-        """y^(1/alpha) where the edge mass `cum`, linear in y, equals c."""
-        yb = self._yb
-        i = np.clip(np.searchsorted(cum, c, side="right") - 1, 0, len(yb) - 2)
-        y = yb[i] + (c - cum[i]) * (yb[i + 1] - yb[i]) / (cum[i + 1] - cum[i])
-        return y ** (1.0 / self.alpha)
 
 
 @functools.lru_cache(maxsize=64)
@@ -366,8 +349,10 @@ def cdf_f(alpha, m, t, x):
 
 
 def sample_marginal(alpha, m, t, rng, size=None):
-    """Inversion sampler for the marginal law of S(t)."""
-    return _evaluator(alpha, m).ppf(rng.random(size), t=t)
+    """Exact draws of S(t) = t S(1), S(1) by Lamperti's ratio."""
+    _check_law(alpha, m)
+    _check_time(t)
+    return t * sample_ratio(alpha, m, rng, size)
 
 
 def sample_ratio(alpha, b, rng, size=None):

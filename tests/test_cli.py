@@ -284,6 +284,29 @@ def test_sample_limit_kinds_and_determinism(capsys):
         assert again == rows
 
 
+def test_sample_limit_marginal_at_t_one_is_the_ratio(capsys):
+    # S(t) = t S(1) with S(1) drawn by Lamperti's ratio; --m and --b
+    # are one parameter, so either spelling samples the same law
+    _, marginal = run_sample(capsys, ["--kind", "marginal", "--alpha", "0.6",
+                                      "--m", "0.3", "--t", "1", "--n", "200",
+                                      "--seed", "8"])
+    _, ratio = run_sample(capsys, ["--kind", "ratio", "--alpha", "0.6",
+                                   "--b", "0.3", "--n", "200", "--seed", "8"])
+    assert marginal == ratio
+    _, ratio_m = run_sample(capsys, ["--kind", "ratio", "--alpha", "0.6",
+                                     "--m", "0.3", "--n", "200", "--seed", "8"])
+    assert ratio_m == ratio
+
+
+def test_sample_limit_marginal_tags_its_drift(capsys):
+    for flag in ("--m", "--b"):
+        assert cli.main(["sample-limit", "--kind", "marginal", "--alpha",
+                         "0.5", flag, "0.25", "--t", "2", "--n", "1"]) == 0
+        header = capsys.readouterr().out.splitlines()[0]
+        assert header == ("# combwalk sample-limit marginal alpha=0.5 "
+                          "m=0.25 t=2 seed=0")
+
+
 def test_sample_limit_ensemble(capsys):
     argv = ["--kind", "ensemble", "--alpha", "0.5", "--b", "0.2",
             "--n", "300", "--seed", "2"]
@@ -618,6 +641,27 @@ def test_simulate_comb_of_the_wrong_shape_is_a_config_error(tmp_path,
     assert cli.main(["simulate", "--comb", str(comb), "--horizon", "10",
                      "--out", out]) == 2
     assert "JSON object" in capsys.readouterr().err
+    assert not os.path.exists(out + "_trajectory.csv")
+
+
+@pytest.mark.parametrize("comb, message", [
+    ({"up": {"kind": "power", "a": 0.5, "C": 3},
+      "down": {"kind": "constant", "p": 0.5}}, "unknown power hazard key"),
+    ({"up": {"kind": "table", "values": [0.2],
+             "tailrule": ["power", 0.5, 0.5]},
+      "down": {"kind": "constant", "p": 0.5}}, "unknown table hazard key"),
+    ({"up": {"kind": "constant", "p": 0.5},
+      "down": {"kind": "constant", "p": 0.5}, "dwon": {}},
+     "unknown comb key"),
+], ids=["power-C", "table-tailrule", "comb-dwon"])
+def test_simulate_comb_with_an_unknown_key_is_a_config_error(
+        tmp_path, capsys, comb, message):
+    path = tmp_path / "comb.json"
+    path.write_text(json.dumps(comb))
+    out = str(tmp_path / "w")
+    assert cli.main(["simulate", "--comb", str(path), "--horizon", "10",
+                     "--out", out]) == 2
+    assert message in capsys.readouterr().err
     assert not os.path.exists(out + "_trajectory.csv")
 
 

@@ -2,6 +2,7 @@ import concurrent.futures
 import glob
 import json
 import os
+import re
 import sys
 import time
 from unittest import mock
@@ -736,6 +737,29 @@ def test_from_dict_missing_keys():
         CombSpec.from_dict({"up": {"kind": "constant", "p": 0.5}})
     with pytest.raises(ValueError):
         HazardFamily.from_dict({"kind": "tabel", "values": [0.5]})
+
+
+@pytest.mark.parametrize("d, message", [
+    ({"kind": "power", "a": 0.5, "C": 3}, "unknown power hazard key(s) C"),
+    ({"kind": "table", "values": [0.2], "tailrule": ["power", 0.5, 0.5]},
+     "unknown table hazard key(s) tailrule"),
+    ({"kind": "constant", "p": 0.5, "a": 0.5},
+     "unknown constant hazard key(s) a"),
+], ids=["power-C", "table-tailrule", "constant-a"])
+def test_hazard_from_dict_refuses_unknown_keys(d, message):
+    # a misspelt key would otherwise load as its default (c = 0, or the
+    # last table hazard continued forever)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        HazardFamily.from_dict(d)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        CombSpec.from_dict({"up": d, "down": {"kind": "constant", "p": 0.5}})
+
+
+def test_comb_from_dict_refuses_unknown_keys():
+    d = power_comb(0.5).to_dict()
+    d["dwon"] = d["down"]
+    with pytest.raises(ValueError, match=r"unknown comb key\(s\) dwon"):
+        CombSpec.from_dict(d)
 
 
 @pytest.mark.parametrize("d", [[1, 2], "constant", 0.5, None],
