@@ -27,7 +27,7 @@ import functools
 import numpy as np
 
 from .scaling_laws import classify_regime
-from .stable_proc import sample_positive_stable
+from .stable_proc import _log_positive_stable
 from .walk_sim import _replicate
 
 _JUMP_CAP = 50_000_000
@@ -356,15 +356,16 @@ def sample_marginal(alpha, m, t, rng, size=None):
 
 
 def sample_ratio(alpha, b, rng, size=None):
-    """(T_u - T_d)/(T_u + T_d) with T_u, T_d independent positive stable
-    weighted by the label probabilities -- same law as S(1)."""
+    """S(1) as (T_u - T_d)/(T_u + T_d), T_u, T_d independent positive stable
+    weighted by the label probabilities, formed as tanh((log T_u - log T_d)/2)
+    so that it stays finite where T_u or T_d overflows (alpha below ~0.02)."""
     if not -1.0 <= b <= 1.0:
         raise ValueError("label bias must lie in [-1, 1]")
-    p1 = sample_positive_stable(alpha, size, rng)
-    p2 = sample_positive_stable(alpha, size, rng)
-    tu = ((1.0 + b) / 2.0) ** (1.0 / alpha) * p1
-    td = ((1.0 - b) / 2.0) ** (1.0 / alpha) * p2
-    return (tu - td) / (tu + td)
+    lu = _log_positive_stable(alpha, size, rng)
+    ld = _log_positive_stable(alpha, size, rng)
+    with np.errstate(divide="ignore"):      # b = +-1: one weight is 0
+        shift = (np.log1p(b) - np.log1p(-b)) / alpha
+    return np.tanh((shift + lu - ld) / 2.0)
 
 
 def flt_f(alpha, m, s, y):

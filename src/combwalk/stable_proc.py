@@ -66,19 +66,23 @@ def sample_stable(alpha, beta, size, rng, scale=None):
 
 
 def sample_positive_stable(alpha, size, rng):
-    """Positive strictly stable draws with Laplace transform exp(-lam^alpha):
-    Kanter's B^(1/alpha) E^((alpha-1)/alpha), finite up to alpha -> 1, with
-    B = sin(alpha th)^alpha sin((1-alpha) th)^(1-alpha) / sin th,
-    th ~ U(0, pi), E ~ Exp(1)."""
+    """Positive strictly stable draws with Laplace transform exp(-lam^alpha);
+    they pass the float range often for alpha below ~0.02."""
+    return np.exp(_log_positive_stable(alpha, size, rng))
+
+
+def _log_positive_stable(alpha, size, rng):
+    """Logs of positive stable draws by Kanter's T = B^(1/alpha)
+    E^((alpha-1)/alpha), B = sin(alpha th)^alpha sin((1-alpha) th)^(1-alpha)
+    / sin th, th ~ U(0, pi), E ~ Exp(1): finite at any alpha in (0, 1)."""
     if not 0.0 < alpha < 1.0:
         raise ValueError("positive stable laws need alpha in (0, 1)")
     th = np.pi * rng.random(size)
     E = rng.standard_exponential(size)
-    X = (np.sin(alpha * th) ** alpha * np.sin((1.0 - alpha) * th) ** (1.0 - alpha)
-         / np.sin(th)) ** (1.0 / alpha)
-    # E's power is the one new array and the product is formed in it, as
-    # (A/E) was: other orders raised limit-side's peak RSS by ~2.5 MB
-    return E ** ((alpha - 1.0) / alpha) * X
+    logB = (alpha * np.log(np.sin(alpha * th))
+            + (1.0 - alpha) * np.log(np.sin((1.0 - alpha) * th))
+            - np.log(np.sin(th)))
+    return (logB + (alpha - 1.0) * np.log(E)) / alpha
 
 
 # ---------------------------------------------------------------------------

@@ -121,22 +121,22 @@ def test_evaluator_time_scaling():
 
 
 def test_evaluator_sampling():
-    draws = sample_marginal(0.5, 0.0, 2.0, np.random.default_rng(1),
-                            size=20000)
-    assert np.all(np.abs(draws) < 2.0)
-    assert ks_distance(draws, lambda v: cdf_f(0.5, 0.0, 2.0, v)) < 0.012
+    # t S(1) by Lamperti's ratio.  Near alpha = 1 the law is a narrow peak
+    # around m t; near alpha = 0 most of its mass lies within an ulp of
+    # +-t, so draws round to the ends, where cdf_f is 0 and 1: the ECDF is
+    # compared on a grid that reaches within 1e-12 t of each end
+    edge = np.logspace(-12, 0, 49)
+    x = np.concatenate([-1 + edge, np.linspace(-1, 1, 201)[1:-1], 1 - edge])
+    for alpha, m in ((0.5, 0.0), (0.01, 0.3), (0.3, 0.3), (0.7, 0.3),
+                     (0.995, 0.3)):
+        draws = np.sort(sample_marginal(alpha, m, 2.0,
+                                        np.random.default_rng(1),
+                                        size=20000))
+        assert np.all(np.isfinite(draws)) and np.all(np.abs(draws) <= 2.0)
+        ecdf = np.searchsorted(draws, 2.0 * x, side="right") / draws.size
+        assert np.max(np.abs(ecdf - cdf_f(alpha, m, 2.0, 2.0 * x))) < 0.012
     one = sample_marginal(0.5, 0.0, 1.0, np.random.default_rng(1))
     assert np.isscalar(one)
-
-
-@pytest.mark.parametrize("alpha", [0.3, 0.7, 0.995])
-def test_marginal_sampler_matches_the_cdf(alpha):
-    # t S(1) by Lamperti's ratio; near alpha = 1 the law is a narrow peak
-    # around m t, and the positive-stable draws behind it stay finite
-    draws = sample_marginal(alpha, 0.3, 2.0, np.random.default_rng(4),
-                            size=20000)
-    assert np.all(np.abs(draws) <= 2.0)
-    assert ks_distance(draws, lambda v: cdf_f(alpha, 0.3, 2.0, v)) < 0.012
 
 
 @pytest.mark.parametrize("alpha, m, message", [
