@@ -66,15 +66,14 @@ class Trajectory:
         self._disp = np.concatenate(
             [[0], np.cumsum(self._signs * self.lengths)])
 
-    @property
-    def n_runs(self):
-        return len(self.lengths)
-
     def position_at(self, n):
         """S_n for integer step(s) n in [0, horizon]."""
-        n = np.asarray(n, dtype=np.int64)
+        n = np.asarray(n)
+        if np.any(n != np.trunc(n)):
+            raise ValueError("step must be an integer")
         if np.any(n < 0) or np.any(n > self.horizon):
             raise ValueError("step outside simulated horizon")
+        n = n.astype(np.int64)
         r = np.searchsorted(self._ends, n, side="left")
         start = self._ends[r] - self.lengths[r]
         return self._disp[r] + self._signs[r] * (n - start)

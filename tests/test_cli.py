@@ -539,7 +539,8 @@ def test_simulate_trajectory_to_stdout(tmp_path, capsys):
     rows = per_row_text(np.arange(1, 3001), traj.positions()[1:],
                         traj.steps(), traj.ages())
     assert "\nn,position,step,age\n" + rows + "steps: 3000\n" in out
-    runs = per_row_text(np.arange(traj.n_runs), traj.directions, traj.lengths)
+    runs = per_row_text(np.arange(len(traj.lengths)), traj.directions,
+                        traj.lengths)
     assert open(tmp_path / "runs.csv").read().endswith(
         "index,direction,length\n" + runs)
 

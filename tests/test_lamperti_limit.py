@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import mpmath
 from scipy import integrate, special
 
 from combwalk import (
@@ -93,7 +94,7 @@ def test_density_integrates_to_one_and_mean_m():
 
 
 # ---------------------------------------------------------------------------
-# quadrature evaluator
+# the closed-form CDF and the quadrature check of the density
 
 
 def test_evaluator_mass_and_mean():
@@ -103,16 +104,79 @@ def test_evaluator_mass_and_mean():
         assert ev.mean == pytest.approx(m, abs=1e-12)
 
 
-def test_evaluator_cdf_matches_arcsine():
-    ev = DensityEvaluator(0.5, 0.0)
+def test_cdf_matches_arcsine():
     x = np.linspace(-1.0, 1.0, 201)
     closed = 2.0 / np.pi * np.arcsin(np.sqrt((1.0 + x) / 2.0))
-    assert np.max(np.abs(ev.cdf(x) - closed)) < 5e-8
-    assert ev.cdf(-1.0) == pytest.approx(0.0, abs=1e-12)
-    assert ev.cdf(1.0) == pytest.approx(1.0, abs=1e-12)
+    assert np.max(np.abs(cdf_f(0.5, 0.0, 1.0, x) - closed)) < 1e-14
+    assert cdf_f(0.5, 0.0, 1.0, -1.0) == 0.0
+    assert cdf_f(0.5, 0.0, 1.0, 1.0) == 1.0
     # scipy's Beta(1/2, 1/2) is the same law on (0, 1)
-    assert ev.cdf(0.36) == pytest.approx(
-        special.betainc(0.5, 0.5, (1 + 0.36) / 2), abs=1e-8)
+    assert cdf_f(0.5, 0.0, 1.0, 0.36) == pytest.approx(
+        special.betainc(0.5, 0.5, (1 + 0.36) / 2), abs=1e-14)
+
+
+def _mp_cdf(alpha, m, z):
+    """Lamperti's arctangent CDF of S(1) at z, in mpmath."""
+    a, z = mpmath.mpf(alpha), mpmath.mpf(z)
+    r = (1 + mpmath.mpf(m)) / (1 - mpmath.mpf(m))
+    tp, tm = (1 + z) ** a, (1 - z) ** a
+    return mpmath.atan2(mpmath.sin(mpmath.pi * a) * tp,
+                        r * tm + mpmath.cos(mpmath.pi * a) * tp) / (
+                            mpmath.pi * a)
+
+
+def _mp_density(alpha, m, z):
+    """density_f's formula at t = 1, in mpmath."""
+    a, z = mpmath.mpf(alpha), mpmath.mpf(z)
+    r = (1 + mpmath.mpf(m)) / (1 - mpmath.mpf(m))
+    tp, tm = (1 + z) ** a, (1 - z) ** a
+    den = (r * tm * tm + 2 * mpmath.cos(mpmath.pi * a) * tm * tp
+           + tp * tp / r)
+    return (2 * mpmath.sin(mpmath.pi * a) / mpmath.pi
+            * (1 - z) ** (a - 1) * (1 + z) ** (a - 1) / den)
+
+
+def test_cdf_is_the_closed_form_antiderivative_of_the_density():
+    with mpmath.workdps(50):
+        for alpha, m in ((0.01, 0.3), (0.5, 0.0), (0.7, -0.6), (0.995, 0.9)):
+            for z in (-0.999, -0.4, 0.0, 0.25, 0.9):
+                want = _mp_density(alpha, m, z)
+                got = mpmath.diff(lambda v: _mp_cdf(alpha, m, v), z)
+                assert abs(got - want) <= mpmath.mpf(10) ** -35 * want
+                assert density_f(alpha, m, 1.0, z) == pytest.approx(
+                    float(want), rel=1e-12)
+
+
+def test_cdf_matches_the_closed_form_to_the_edges():
+    # the grid reaches within 1e-15 t of each end, where the interpolated
+    # CDF of a quadrature table erred by up to 1e-3 (alpha = 0.995)
+    edge = np.logspace(-15, 0, 61)
+    z = np.concatenate([-1 + edge, np.linspace(-1, 1, 41)[1:-1], 1 - edge])
+    worst = 0.0
+    with mpmath.workdps(50):
+        for alpha in (0.01, 0.5, 0.9, 0.995):
+            for m in (-0.9, 0.0, 0.9):
+                for t in (1.0, 3.0):
+                    x = t * z
+                    got = cdf_f(alpha, m, t, x)
+                    want = [_mp_cdf(alpha, m, mpmath.mpf(v) / t) for v in x]
+                    worst = max(worst, max(abs(float(g - w))
+                                           for g, w in zip(got, want)))
+                    assert cdf_f(alpha, m, t, -t) == 0.0
+                    assert cdf_f(alpha, m, t, t) == 1.0
+    assert worst < 1e-12
+
+
+def test_cdf_outside_the_support_and_at_nan():
+    x = np.array([-np.inf, -5.0, -2.0, np.nan, 2.0, 5.0, np.inf])
+    F = cdf_f(0.7, 0.3, 2.0, x)
+    assert F[[0, 1, 2]].tolist() == [0.0, 0.0, 0.0]
+    assert np.isnan(F[3])
+    assert F[[4, 5, 6]].tolist() == [1.0, 1.0, 1.0]
+    # m -> -m reflects the law: F(x; m) + F(-x; -m) = 1
+    x = np.linspace(-2.0, 2.0, 41)
+    assert np.max(np.abs(cdf_f(0.7, 0.3, 2.0, x)
+                         + cdf_f(0.7, -0.3, 2.0, -x) - 1.0)) < 1e-15
 
 
 def test_evaluator_time_scaling():
@@ -150,9 +214,8 @@ def test_marginal_sampler_checks_the_law(alpha, m, message):
 
 @pytest.mark.parametrize("f", [
     lambda x: density_f(0.5, 0.2, 1.0, x),
-    lambda x: DensityEvaluator(0.5, 0.2).cdf(x, t=2.0),
     lambda x: cdf_f(0.5, 0.2, 2.0, x),
-], ids=["density_f", "cdf", "cdf_f"])
+], ids=["density_f", "cdf_f"])
 def test_marginal_law_returns_a_float_at_any_0d_input(f):
     want = f(0.3)
     assert type(want) is float
@@ -181,12 +244,10 @@ def test_ratio_sampler_validation():
 
 @pytest.mark.parametrize("t", [-1.0, 0.0, np.nan, np.inf])
 def test_marginal_law_checks_the_time(t):
-    ev = DensityEvaluator(0.5, 0.0, nhalf=50)
     for call in (lambda: cdf_f(0.5, 0.0, t, 0.3),
                  lambda: sample_marginal(0.5, 0.0, t,
                                          np.random.default_rng(0), size=3),
-                 lambda: density_f(0.5, 0.0, t, 0.0),
-                 lambda: ev.cdf(0.3, t=t)):
+                 lambda: density_f(0.5, 0.0, t, 0.0)):
         with pytest.raises(ValueError, match="t must be positive"):
             call()
 
@@ -200,6 +261,19 @@ def test_transform_at_zero_frequency():
         assert flt_f(0.6, 0.3, s, 0.0) == pytest.approx(1.0 / s, rel=1e-14)
     with pytest.raises(ValueError):
         flt_f(0.6, 0.3, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("alpha, m, s, message", [
+    (1.5, 0.3, 1.0, "alpha must lie in"),
+    (0.6, 3.0, 1.0, "drift must lie in"),
+    (0.6, np.nan, 1.0, "drift must lie in"),
+    (0.6, 0.3, -1.0, "Laplace variable"),
+    (0.6, 0.3, np.nan, "Laplace variable"),
+    (0.6, 0.3, np.inf, "Laplace variable"),
+])
+def test_transform_checks_its_arguments(alpha, m, s, message):
+    with pytest.raises(ValueError, match=message):
+        flt_f(alpha, m, s, 0.7)
 
 
 def test_transform_symmetry_and_drift_slope():
@@ -394,8 +468,9 @@ def test_gf_limit_validation():
     comb = power_comb(0.5)
     with pytest.raises(ValueError):
         double_gf_limit(comb, 1.2, 1.0)
-    with pytest.raises(ValueError):
-        double_gf_limit(comb, 0.9, -1.0)
+    for lam in (-1.0, 0.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="lam must be positive"):
+            double_gf_limit(comb, 0.9, lam)
     with pytest.raises(ValueError) as err:
         double_gf_limit(comb, 1.0 - 1e-9, 1.0)  # series budget
     assert "terms" in str(err.value)

@@ -43,6 +43,10 @@ def test_steps_and_positions_are_consistent():
         traj.position_at(-1)
     with pytest.raises(ValueError):
         traj.position_at(3001)
+    assert traj.position_at(2.0) == pos[2]
+    for bad in (2.5, [1, 2.5], np.nan):
+        with pytest.raises(ValueError, match="integer"):
+            traj.position_at(bad)
 
 
 def test_ages_track_run_boundaries():
