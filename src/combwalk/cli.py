@@ -3,8 +3,8 @@ trajectory estimation, and verification scenarios.
 
 Exit codes: 0 success / criteria pass, 1 criterion failure, 2 usage or
 config error.  Every command is a pure function of (flags, input
-files); the seed defaults to $COMBWALK_SEED (else 0) and is recorded in
-every output.  CSV floats carry 17 significant digits so files
+files); the seed defaults to 0 (verify: the scenario's seed) and is
+recorded in every output.  CSV floats carry 17 significant digits so files
 round-trip losslessly.
 """
 
@@ -33,16 +33,6 @@ class _CliError(Exception):
 
 def _fmt(x):
     return format(float(x), ".17g")
-
-
-def _env_seed():
-    v = os.environ.get("COMBWALK_SEED")
-    if v is None:
-        return None
-    try:
-        return int(v)
-    except ValueError:
-        raise _CliError("COMBWALK_SEED must be an integer")
 
 
 def _load_comb(path):
@@ -487,7 +477,7 @@ def _build_parser():
     p.add_argument("--comb", required=True, help="comb spec JSON file")
     p.add_argument("--horizon", type=int, required=True,
                    help="number of steps")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default="walk",
                    help="output prefix (default 'walk')")
     p.add_argument("--trajectory", default=None,
@@ -519,7 +509,7 @@ def _build_parser():
                    help="subordinator horizon (ensemble, path)")
     p.add_argument("--n", type=int, required=True,
                    help="draws (or grid points for --kind path)")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--threads", type=int, default=1,
                    help="accepted and ignored: every kind samples on one "
                         "thread, and the output does not depend on it")
@@ -551,12 +541,6 @@ def main(argv=None):
     ap = _build_parser()
     args = ap.parse_args(argv)
     try:
-        if hasattr(args, "seed") and args.seed is None:
-            env = _env_seed()
-            if env is not None:
-                args.seed = env
-            elif args.func is not cmd_verify:
-                args.seed = 0   # verify falls back to the scenario's seed
         return args.func(args)
     except (_CliError, ValueError, RuntimeError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -140,6 +140,8 @@ def _replicate(n_rep, chunk, seed, threads, work):
     """
     if n_rep < 0:
         raise ValueError("n_rep must be >= 0")
+    if threads < 1:
+        raise ValueError("threads must be >= 1")
     # n_rep = 0 still runs one empty chunk, which fixes the row shape
     n_chunks = max(1, (n_rep + chunk - 1) // chunk)
     kids = np.random.SeedSequence(seed).spawn(n_chunks)
@@ -148,8 +150,7 @@ def _replicate(n_rep, chunk, seed, threads, work):
         m = min(chunk, n_rep - i * chunk)
         return work(np.random.default_rng(kids[i]), m)
 
-    workers = max(1, threads)
-    with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as ex:
+    with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as ex:
         return np.concatenate(list(ex.map(run, range(n_chunks))))
 
 

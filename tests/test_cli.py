@@ -16,11 +16,6 @@ from combwalk import (HillResult, cli, constant_comb, lamperti_limit,
                       power_comb)
 
 
-@pytest.fixture(autouse=True)
-def clean_env(monkeypatch):
-    monkeypatch.delenv("COMBWALK_SEED", raising=False)
-
-
 def write_comb(tmp_path, comb, name="comb.json"):
     p = tmp_path / name
     comb.to_json(p)
@@ -185,15 +180,12 @@ def test_seed_env_and_flag_precedence(tmp_path, capsys, monkeypatch):
         return open(t).read().splitlines()[1]
 
     assert seed_line([], "d") == "# seed: 0"
-    monkeypatch.setenv("COMBWALK_SEED", "7")
-    assert seed_line([], "e") == "# seed: 7"
     assert seed_line(["--seed", "3"], "f") == "# seed: 3"
-    monkeypatch.setenv("COMBWALK_SEED", "zebra")
-    rc = cli.main(["simulate", "--comb", comb, "--horizon", "10",
-                   "--trajectory", str(tmp_path / "g.csv"),
-                   "--runs", str(tmp_path / "gr.csv")])
-    assert rc == 2
-    capsys.readouterr()
+    # the environment is no input: every command is a function of its flags
+    monkeypatch.setenv("COMBWALK_SEED", "5")
+    assert seed_line([], "e") == "# seed: 0"
+    assert cli.main(["verify", "--scenario", "determinism-smoke"]) == 0
+    assert "seed: 7" in capsys.readouterr().out   # the scenario's own seed
 
 
 # ---------------------------------------------------------------------------
@@ -316,8 +308,9 @@ def test_sample_limit_ensemble(capsys):
     A = np.array([float(r[1]) for r in rows])
     assert len(rows) == 300
     assert np.all(np.abs(S) <= 1.0) and np.all(A >= 0)
-    _, threaded = run_sample(capsys, argv + ["--threads", "4"])
-    assert threaded == rows
+    for threads in ("4", "0"):      # accepted and ignored
+        _, threaded = run_sample(capsys, argv + ["--threads", threads])
+        assert threaded == rows
 
 
 def test_sample_limit_path(capsys):
@@ -593,6 +586,15 @@ def test_verify_error_paths(tmp_path, capsys):
     assert cli.main(["verify", "--scenario", str(mismatch)]) == 2
     err = capsys.readouterr().err
     assert "scenario rejected" in err
+
+
+@pytest.mark.parametrize("threads", ["0", "-5"])
+def test_verify_refuses_fewer_than_one_thread(tmp_path, capsys, threads):
+    out = tmp_path / "report.txt"
+    assert cli.main(["verify", "--scenario", "determinism-smoke",
+                     "--threads", threads, "--out", str(out)]) == 2
+    assert "threads must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("key, bad", [

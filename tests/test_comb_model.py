@@ -212,6 +212,17 @@ def test_tail_is_a_step_function_in_t():
         law.tail(-0.5)
 
 
+@pytest.mark.parametrize("fam", [HazardFamily.power(0.5),
+                                 HazardFamily.constant(0.3)],
+                         ids=["power", "constant"])
+def test_law_refuses_non_finite_and_negative_times(fam):
+    law = PersistenceLaw(fam)
+    for f in (law.tail, law.truncated_mean, law.truncated_second_moment):
+        for t in (np.nan, np.inf, -np.inf, -0.5, [3.0, np.nan], [np.inf, 3.0]):
+            with pytest.raises(ValueError, match="nonnegative and finite"):
+                f(t)
+
+
 @pytest.mark.parametrize("fam", FAMILIES)
 def test_pmf_matches_tail_differences(fam):
     law = PersistenceLaw(fam)
@@ -441,14 +452,65 @@ def test_explicit_prefix_leaves_the_law_unchanged(fam, L):
                      np.arange(0.0, L + 51.0))
 
 
-@pytest.mark.xfail(strict=True, reason="log-gamma differences lose ~n*eps")
 def test_power_tail_ratio_at_large_n():
-    # T(n) ~ C n^{-a} (1 + O(1/n)), so T(2n)/T(n) = 2^{-a} to ~1e-12 here,
-    # but gammaln(n+1+c-a) - gammaln(n+1+c) takes two values near 2.6e13
-    # to a difference near -14
+    # T(n) ~ C n^{-a} (1 + O(1/n)), so T(2n)/T(n) = 2^{-a} to ~1e-12 here;
+    # a difference gammaln(n+1+c-a) - gammaln(n+1+c) of two values near
+    # 2.6e13 would leave ~3e-3 of it
     law = PersistenceLaw(HazardFamily.power(0.5))
     n = 1.0e12
     assert law.tail(2 * n) / law.tail(n) == pytest.approx(2 ** -0.5, rel=1e-8)
+
+
+def _exact_power_moments(a, c, prefix, n):
+    """(T, Theta, V) at integer n >= L of table(prefix, ("power", a, c)),
+    a not 1 or 2, to 50 digits: the rule restarts at L = len(prefix) as power(a, c + L),
+    whose tail K G(m+p)/G(m+p+a) (p = 1 + c + L - a) sums in closed form.
+    Every ratio takes rgamma, so c + L = 0 gives G(p)/G(0) = 0."""
+    with mp.workdps(50):
+        a, L = mp.mpf(a), len(prefix)
+        p = 1 + mp.mpf(c) + L - a
+        TL, theta_L, V_L = mp.mpf(1), mp.mpf(0), mp.mpf(0)
+        for j, h in enumerate(prefix, 1):
+            theta_L += TL
+            V_L += j ** 2 * TL * mp.mpf(h)
+            TL *= 1 - mp.mpf(h)
+        m = n - L
+        K = TL * mp.gamma(p + a) * mp.rgamma(p)
+
+        def ratio(z, h):        # G(z + h) / G(z + a - 1), z = p or m + p
+            return mp.gamma(z + h) * mp.rgamma(z + a - 1)
+
+        theta = K * (ratio(p, 0) - ratio(m + p, 0)) / (a - 1)
+        s = (ratio(p, 1) - ratio(m + p, 1)) / (a - 2)
+        # sum_{i<m} (i + L) T(L + i) = K s - (p - L) Theta'; then
+        # V(n) - V(L) = 2 (D(n) - D(L)) + Theta(n) - Theta(L) - n^2 T(n)
+        # + L^2 T(L), Abel summation from L on
+        T = K * mp.gamma(m + p) * mp.rgamma(m + p + a)
+        dsum = K * s - (p - L) * theta
+        V = V_L + 2 * dsum + theta - n ** 2 * T + L ** 2 * TL
+        return T, theta_L + theta, V
+
+
+# a in (0, 1), next to 1, in (1, 2) and above 2; c = 0 puts a gamma pole
+# at G(c + L); one rule restarts after a table prefix
+@pytest.mark.parametrize("a, c, prefix", [
+    (0.3, 0.0, []), (0.5, 0.0, []), (0.8, 0.0, []), (1.0 + 1e-3, 0.5, []),
+    (1.5, 1.0, []), (1.9, 2.0, []), (2.5, 3.0, []), (0.5, 0.5, [0.2, 0.6]),
+])
+def test_power_moments_match_mpmath_up_to_2_to_the_50(a, c, prefix):
+    # each gamma ratio is one poch call, which takes a log-gamma
+    # difference up to z = 1e4 (~z log(z) eps) and an asymptotic series
+    # beyond
+    law = PersistenceLaw(HazardFamily.table(prefix, ("power", a, c))
+                         if prefix else HazardFamily.power(a, c))
+    n = np.unique(np.floor(np.geomspace(len(prefix) + 1, 2.0 ** 50, 60)))
+    got = (law.tail(n), law.truncated_mean(n), law.truncated_second_moment(n))
+    for k, x in enumerate(n):
+        want = _exact_power_moments(a, c, prefix, int(x))
+        far = x > 1e4
+        for g, w, rtol in zip(got, want, (1e-14, 1e-14, 1e-13) if far
+                              else (1e-10, 1e-10, 1e-9)):
+            assert abs(g[k] / float(w) - 1) < rtol, (x, g[k], w)
 
 
 # ---------------------------------------------------------------------------
@@ -600,24 +662,26 @@ def test_invert_outside_the_unit_interval(fam):
 
 
 def test_cdf_table_is_sorted_where_the_tail_wobbles():
-    # for a = 0.01 the computed tail changes by less than its rounding
-    # past ~1.5e6 and moves up and down by an ulp; an unsorted table made
-    # each draw there depend on the keys searched before it
-    law = PersistenceLaw(HazardFamily.power(0.01))
-    cap = 1_600_000
+    # for a = 1e-9 the tail's step a T(n) / n falls below the ~n log(n) eps
+    # error of the log-gamma difference poch takes up to n = 1e4, and the
+    # computed tail moves up and down (first at n = 858); an unsorted
+    # table made each draw there depend on the keys searched before it
+    law = PersistenceLaw(HazardFamily.power(1e-9))
+    cap = 10_000
     cdf = law.cdf_table(cap - 1)
     assert np.all(cdf[1:] >= cdf[:-1])
     raw = 1.0 - law.tail(np.arange(cap, dtype=float))
     assert np.any(raw[1:] < raw[:-1])
     assert_array_equal(cdf, np.maximum.accumulate(raw))
-    u = np.random.default_rng(4).uniform(raw[1_400_000], cdf[-1], 2000)
+    u = np.random.default_rng(4).uniform(raw[858], cdf[-1], 2000)
     assert_array_equal(law.invert(u, cap),
                        [law.invert(x, cap) for x in u])
 
 
 def test_draws_do_not_depend_on_the_cached_table():
-    # past ~1e7 the computed power tail has flat steps, so a bisection
-    # whose brackets followed the table size would move these draws
+    # past ~3e10, 1 - T(n) of power(0.5) has flat steps (T's step is below
+    # half an ulp of 1), so a bisection whose brackets followed the table
+    # size would move these draws
     law = PersistenceLaw(HazardFamily.power(0.5))
     u = 1.0 - 1e-4 * np.random.default_rng(1).random(2000)
     before = law.invert(u)

@@ -176,6 +176,9 @@ def test_marginals_threads_and_batch_layout_are_invisible(monkeypatch):
         assert np.array_equal(base, again)
     assert np.array_equal(
         base, walk_marginals(comb, [100, 10], 9000, seed=77, threads=3))
+    for threads in (0, -5):
+        with pytest.raises(ValueError, match="threads must be >= 1"):
+            walk_marginals(comb, [10, 100], 9000, seed=77, threads=threads)
     # each row depends only on its own uniforms, whatever the block size
     for rows in (1, 3, 16):
         monkeypatch.setattr(walk_sim, "_CYCLES", rows)
