@@ -290,6 +290,8 @@ def cmd_verify(args):
         scenario = VerificationScenario.from_json(path)
     except (ValueError, OSError) as e:
         raise _CliError(f"bad scenario file: {e}")
+    if args.threads < 1:
+        raise _CliError("threads must be >= 1")
     with _output(args.out) as out:
         try:
             report = verify_regime(scenario, seed=args.seed,

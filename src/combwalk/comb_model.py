@@ -8,16 +8,15 @@ direction.  The run length tau then has
     P(tau = n)  = alpha_n * prod_{k<n} (1 - alpha_k)          (pmf)
 
 Runs are almost surely finite iff some alpha_k = 1 or sum alpha_k = inf;
-families here make that decidable analytically.  All truncated moments
-are evaluated in closed form, so each costs O(1) whatever its argument.
+families here make that decidable analytically.  Truncated moments and
+the tail generating function are closed forms, O(1) whatever the argument.
 """
 
 import json
-import math
 import threading
 
 import numpy as np
-from scipy.special import digamma, exprel, poch, zeta
+from scipy.special import digamma, exprel, gammainc, hyp2f1, poch, zeta
 
 TAIL_FLOOR = 1e-18
 _TABLE_MIN = 4096           # cached cdf entries while no cap is asked for
@@ -172,66 +171,48 @@ class HazardFamily:
 # D'(m) = sum_{i<m} (i + L) T'(i), and their limits m -> inf
 
 
-_SMALL_P = 1e-2     # constant hazards 0 < p below this use the expm1 forms
-
-# 1 - (1 + x) e^-x = sum_{n >= 2} (-1)^n (n - 1) x^n / n!, summed for x < 1
-_G_SERIES = np.array([0.0, 0.0] + [(-1) ** n * (n - 1) / math.factorial(n)
-                                   for n in range(2, 21)])
-# (p/(1-p) + log1p(-p)) / p^2 = sum_{k>=2} (k-1)/k p^(k-2), to p^9
-_C_SERIES = np.array([(k - 1) / k for k in range(2, 12)])
-
-
-def _geom_dsum(N, q):
-    # sum_{j=0}^{N-1} j * q^j
-    N = np.asarray(N, dtype=float)
-    if q == 0.0:
-        return np.zeros_like(N)
-    if q == 1.0:
-        return 0.5 * N * (N - 1.0)
-    qn1 = q ** (N - 1.0)
-    return q * (1.0 - N * qn1 + (N - 1.0) * qn1 * q) / (1.0 - q) ** 2
-
-
-def _geom_dsum_small_p(N, p):
-    """sum_{j<N} j (1-p)^j for 0 < p < _SMALL_P.
-
-    The closed form above keeps only ~eps / (N p)^2 relative accuracy.
-    With x = -N log1p(-p) the sum is q (g(x) / p^2 - N e^-x c / p^2), where
-    g(x) = 1 - (1 + x) e^-x and c = p/q + log1p(-p); both are summed as
-    series where they would cancel, so neither part loses digits."""
-    N = np.asarray(N, dtype=float)
-    x = -N * np.log1p(-p)
-    g = np.where(x < 1.0, np.polynomial.polynomial.polyval(x, _G_SERIES),
-                 -np.expm1(-x) - x * np.exp(-x))
-    c = np.polynomial.polynomial.polyval(p, _C_SERIES)
-    return (1.0 - p) * (g / p ** 2 - N * np.exp(-x) * c)
+_SMALL_P = 1e-2     # constant hazards 0 < p below this take exp(-m y) tails
 
 
 class _Geometric:
-    """Constant hazard p from age L + 1 on: T'(m) = (1 - p)^m."""
+    """Constant hazard p from age L + 1 on: T'(m) = q^m = e^(-m y) with
+    q = 1 - p, y = -log1p(-p).  Theta'(m) = (1 - e^(-m y)) / p and
+    sum_{i<m} i T'(i) = (e^-y P(2, m y) - m e^(-m y) P(2, y)) / p^2 with
+    P(2, x) = gammainc(2, x) = 1 - (1 + x) e^-x: exact forms that do not
+    cancel at small p m, the latter exactly 0 at m <= 1.  Where p^2
+    underflows they are m and m (m - 1) / 2 to within ~p m; at p = 1,
+    y = inf makes them 1 and 0 for the m >= 1 that PersistenceLaw asks."""
 
     def __init__(self, p, L):
         self.p, self.q, self.L = p, 1.0 - p, L
+        with np.errstate(divide="ignore"):      # y = inf at p = 1
+            self.y = -np.log1p(-p)
+        self._flat = p * p < np.finfo(float).tiny
 
     def tail(self, m):
-        # q = 1 - p is rounded, so q ** m is off by ~m eps for small p
+        # q = 1 - p is rounded below p = 1/2, so q ** m is off by ~m eps
+        # there; from p = 1/2 on q is exact and q ** m the closer form
         if self.p < _SMALL_P:
-            return np.exp(m * np.log1p(-self.p))
+            return np.exp(-m * self.y)
         return self.q ** m
 
     def theta(self, m):
-        if self.p == 0.0:
+        if self._flat:
             return m
-        if self.p < _SMALL_P:
-            return -np.expm1(m * np.log1p(-self.p)) / self.p
-        return (1.0 - self.q ** m) / self.p
+        return -np.expm1(-m * self.y) / self.p
 
     def dsum(self, m):
-        if 0.0 < self.p < _SMALL_P:
-            d = _geom_dsum_small_p(m, self.p)
+        if self._flat:
+            d = 0.5 * m * (m - 1.0)
         else:
-            d = _geom_dsum(m, self.q)
+            y = self.y
+            d = (np.exp(-y) * gammainc(2.0, m * y)
+                 - m * np.exp(-m * y) * gammainc(2.0, y)) / self.p ** 2
         return d + self.L * self.theta(m) if self.L else d
+
+    def gf(self, z):
+        """sum_m T'(m) z^m for 0 <= z < 1."""
+        return 1.0 / (1.0 - self.q * z)
 
     def mean(self):
         return 1.0 / self.p
@@ -332,6 +313,12 @@ class _Power:
         else:
             s = self._far(m, 2.0)
         return self.tail_constant * s - (self.p - self.L) * self.theta(m)
+
+    def gf(self, z):
+        """sum_m T'(m) z^m = 2F1(1, p; 1 + c'; z): T'(m) = (p)_m / (1 + c')_m.
+        scipy's hyp2f1 cancels for a near (not at) 1 and z near 1: with
+        c' = 1, 4e-9 relative at a = 1 - 1e-6, z = 0.999, O(1) at 1 - 1e-9."""
+        return hyp2f1(1.0, self.p, 1.0 + self.c, z)
 
     def mean(self):
         return self.c / (self.a - 1.0)
@@ -439,6 +426,15 @@ class PersistenceLaw:
         N = self._floor(t)
         out = 2.0 * self._dsum(N) + self._theta(N) - N ** 2 * self._tail(N)
         return float(out[0]) if np.ndim(t) == 0 else out
+
+    def tail_gf(self, z):
+        """sum_{n>=0} T(n) z^n at a scalar z in [0, 1): the prefix terms
+        n < L, then T(L) z^L times the base rule's generating function."""
+        if not 0.0 <= z < 1.0:
+            raise ValueError("z must lie in [0, 1)")
+        L = self._L
+        head = self._prefix_tail[:L] @ z ** np.arange(L)
+        return float(head + self._TL * z ** L * self._base.gf(z))
 
     def _complete(self, head, rest):
         """head + T(L) * rest(); nothing is added when runs end in the prefix."""

@@ -36,8 +36,6 @@ _JUMP_CAP = 50_000_000
 _PATHS_PER_CHUNK = 64
 _FIRST_JUMPS = 256         # ensemble jumps sized before the first level test
 _ROWS_PER_BLOCK = 64       # occupation-recursion rows per GEMM
-_GF_TOL = 1e-14             # remainder of the generating-function series
-_GF_BUDGET = 2_000_000      # its terms at most
 
 
 # ---------------------------------------------------------------------------
@@ -45,8 +43,9 @@ _GF_BUDGET = 2_000_000      # its terms at most
 
 
 def default_jump_cut(alpha, t_max):
-    """Resolution below which subordinator jumps are folded into drift."""
-    return 1e-6 * t_max ** (1.0 / alpha)
+    """Resolution below which jumps are folded into drift; inf on overflow."""
+    with np.errstate(over="ignore"):
+        return float(1e-6 * np.float64(t_max) ** (1.0 / alpha))
 
 
 def subordinator_jumps(alpha, t_max, eps=None):
@@ -61,8 +60,8 @@ def subordinator_jumps(alpha, t_max, eps=None):
         raise ValueError("t_max must be positive and finite")
     if eps is None:
         eps = default_jump_cut(alpha, t_max)
-    if not eps > 0.0:
-        raise ValueError("jump cut eps must be positive")
+    if not 0.0 < eps < np.inf:
+        raise ValueError("jump cut eps must be positive and finite")
     lam = t_max * eps ** (-alpha)
     if not lam <= _JUMP_CAP:
         raise ValueError(f"expected jump count {lam:.3g} exceeds the cap; "
@@ -423,24 +422,11 @@ def lamperti_recursion(comb, n_max):
     return q
 
 
-def _gf_series(law, z):
-    # sum_{n>=0} T(n) z^n; remainder <= z^(M+1)/(1-z)
-    if not 0.0 < z < 1.0:
-        raise ValueError("series argument must lie in (0, 1)")
-    M = int(np.ceil(np.log(_GF_TOL * (1.0 - z)) / np.log(z)))
-    if M > _GF_BUDGET:
-        raise ValueError(f"series needs ~{M} terms at argument {z}; "
-                         "move x away from 1")
-    n = np.arange(0, M + 1, dtype=float)
-    return float(np.sum(law.tail(n) * z ** n))
-
-
 def double_gf_limit(comb, x, lam):
     """(value, target) of the occupation generating-function limit.
 
     value  = (1-x) * P(x, e^{-lam(1-x)}) with P the joint generating
-             function of (window length, up-step count), summed as a
-             series to tail < 1e-14
+             function of (window length, up-step count), from tail_gf
     target = ((1+lam)^{a-1} + rho) / ((1+lam)^a + rho),
              rho = (1-b)/(1+b) the down/up tail-constant ratio
     """
@@ -460,8 +446,8 @@ def double_gf_limit(comb, x, lam):
     rho = (1.0 - rep.balance) / (1.0 + rep.balance)
     target = ((1.0 + lam) ** (alpha - 1.0) + rho) / ((1.0 + lam) ** alpha + rho)
     y = np.exp(-lam * (1.0 - x))
-    t_d = _gf_series(comb.down_law, x)
-    t_u = _gf_series(comb.up_law, x * y)
+    t_d = comb.down_law.tail_gf(x)
+    t_u = comb.up_law.tail_gf(x * y)
     f_d = 1.0 - (1.0 - x) * t_d            # sum d_n x^n
     f_u = 1.0 - (1.0 - x * y) * t_u
     value = (1.0 - x) * (t_d + y * f_d * t_u) / (1.0 - f_d * f_u)

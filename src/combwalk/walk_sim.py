@@ -288,9 +288,10 @@ def walk_marginals(comb, targets, n_rep, seed, threads=1):
     child seed, and reduced in chunk order -- the output is identical
     for any `threads` value.
     """
-    targets = np.asarray(sorted(int(t) for t in targets), dtype=np.int64)
-    if len(targets) == 0 or targets[0] < 1:
-        raise ValueError("targets must be integers >= 1")
+    targets = sorted(int(t) for t in targets)
+    if len(targets) == 0 or targets[0] < 1 or targets[-1] > 1 << 53:
+        raise ValueError("targets must be integers in [1, 2^53]")
+    targets = np.asarray(targets, dtype=np.int64)
 
     def work(rng, m):
         # a short last chunk simulates only its m lanes and skips the

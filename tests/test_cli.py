@@ -358,6 +358,9 @@ def test_sample_limit_validation(tmp_path, capsys):
     (["--kind", "ensemble", "--t-max", "0"], "t_max must be positive"),
     (["--kind", "ensemble", "--b", "2"], "label bias"),
     (["--kind", "path", "--t-max", "0"], "t_max must be positive"),
+    # t_max^(1/alpha) overflows: the default jump cut is not finite
+    (["--kind", "path", "--t-max", "1e300"], "jump cut"),
+    (["--kind", "ensemble", "--t-max", "1e300"], "jump cut"),
     (["--kind", "stable", "--scale", "0"], "scale must be positive"),
     (["--kind", "ratio", "--b", "2"], "label bias"),
     (["--kind", "marginal", "--t", "0"], "t must be positive"),
@@ -593,8 +596,20 @@ def test_verify_refuses_fewer_than_one_thread(tmp_path, capsys, threads):
     out = tmp_path / "report.txt"
     assert cli.main(["verify", "--scenario", "determinism-smoke",
                      "--threads", threads, "--out", str(out)]) == 2
-    assert "threads must be >= 1" in capsys.readouterr().err
+    # a refused flag is not the scenario's fault
+    assert capsys.readouterr().err == "error: threads must be >= 1\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("u", [1e19, 1e30])
+def test_verify_refuses_times_past_2_to_the_53(tmp_path, capsys, u):
+    # exit 1 is a failed criterion; a target time the walk cannot hold
+    # exactly is a config error, exit 2
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(_scenario(
+        comb=constant_comb(0.3, 0.5).to_dict(), u=u)))
+    assert cli.main(["verify", "--scenario", str(path)]) == 2
+    assert "[1, 2^53]" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("key, bad", [

@@ -372,12 +372,12 @@ _INDEX = st.one_of(st.floats(0.05, 4.0), st.floats(0.999, 1.001),
                    st.floats(1.999, 2.001))
 
 
-# Constant rules with p < 1e-2 take the expm1 forms of Theta and D, since
-# 1 - (1-p)^N cancels there; the strategy draws from both sides of that
-# switch.  Below p ~ 1e-5 a zero prefix leaves V ~ p N^3 so small that
-# V = 2 D + Theta - N^2 T, which cancels to ~N^2 eps absolute, misses
-# atol 1e-12 (test_table_moments_at_small_constant_p goes down to 1e-12
-# with prefixes that keep V away from 0).  1+c-a at a gamma pole
+# Constant rules take Theta and D in closed forms through expm1 and
+# gammainc, which do not cancel where 1 - (1-p)^N does; the strategy draws
+# small and large p alike.  Below p ~ 1e-5 a zero prefix leaves V ~ p N^3
+# so small that V = 2 D + Theta - N^2 T, which cancels to ~N^2 eps
+# absolute, misses atol 1e-12 (test_table_moments_at_small_constant_p goes
+# down to 1e-12 with prefixes that keep V away from 0).  1+c-a at a gamma pole
 # (0, -1, ...) is ordinary input: the extension restarts at the table end
 # as power(a, c+L), and 1+c+L-a > 0 whenever the table validates.
 @settings(max_examples=200, deadline=None)
@@ -393,12 +393,61 @@ def test_table_power_extension_matches_brute_force(values, a, c):
     _assert_table_moments(HazardFamily.table(values, ("power", a, c)))
 
 
-# 1 - (1-p)^N and the closed-form D cancel for small p; the expm1 forms
-# take over below p = 1e-2 (p = 1e-3 is where the closed forms fail)
+# 1 - (1-p)^N and q (1 - N q^(N-1) + (N-1) q^N) cancel for small p
+# (p = 1e-3 is where they would fail); Theta and D are formed so that
+# they do not, on either side of the tail's switch at p = 1e-2
 @pytest.mark.parametrize("p", [1e-12, 1e-9, 1e-6, 1e-3, 9.99e-3])
 def test_table_moments_at_small_constant_p(p):
     _assert_table_moments(HazardFamily.table([0.0, 0.3], ("constant", p)))
     _assert_table_moments(HazardFamily.table([0.2], ("constant", p)))
+
+
+# p^2 is subnormal from p ~ 1.5e-154 and 0 below ~1e-162; 1500 digits
+# resolve q^N = (1-p)^N at p = 5e-324 and N = 2^62
+_P_GRID = [5e-324, 1e-200, 1e-160, 1.5e-154, 1e-150, 1e-40, 1e-12, 1e-8,
+           1e-5, 1e-3, 0.0099, 0.01, 0.05, 0.3, 0.5, 0.9, 1 - 1e-6, 1.0]
+_N_GRID = [0, 1, 2, 3, 10, 1e3, 1e6, 1e9, 1e12, 1e15, 2.0 ** 62]
+
+
+def _exact_theta_dsum(values, p, N):
+    """(Theta(N), D(N)) = sum_{j<N} (1, j) T(j) to 1500 digits: the
+    prefix terms, then T(L) q^i at j = L + i summed in closed form."""
+    with mp.workdps(1500):
+        T = [mp.mpf(1)]
+        for v in values:
+            T.append(T[-1] * (1 - mp.mpf(v)))
+        L, N = len(values), int(N)
+        theta = mp.fsum(T[:min(N, L)])
+        dsum = mp.fsum(j * T[j] for j in range(min(N, L)))
+        if N > L:
+            p, m = mp.mpf(p), N - L
+            q = 1 - p
+            th = (1 - q ** m) / p
+            d = q * (1 - m * q ** (m - 1) + (m - 1) * q ** m) / p ** 2
+            theta += T[L] * th
+            dsum += T[L] * (d + L * th)
+        return theta, dsum
+
+
+@pytest.mark.parametrize("values", [[], [0.5, 0.0]], ids=["bare", "prefix"])
+def test_constant_theta_and_dsum_match_mpmath(values):
+    rtol = 1e-13
+    for p in _P_GRID:
+        law = PersistenceLaw(HazardFamily.table(values, ("constant", p))
+                             if values else HazardFamily.constant(p))
+        N = np.array(_N_GRID) + len(values)
+        if values:
+            N = np.concatenate([np.arange(len(values)), N])
+        theta, dsum = law._theta(N), law._dsum(N)
+        for n, got_t, got_d in zip(N, theta, dsum):
+            want_t, want_d = _exact_theta_dsum(values, p, n)
+            assert abs(got_t - want_t) <= rtol * want_t, (p, n)
+            assert abs(got_d - want_d) <= rtol * want_d, (p, n)
+    # p = 0 has infinite runs, so only the rule itself can be asked
+    geo = comb_model._Geometric(0.0, 0)
+    m = np.array(_N_GRID)
+    assert_array_equal(geo.theta(m), m)
+    assert_array_equal(geo.dsum(m), m * (m - 1) / 2)
 
 
 # q = 1 - p is rounded, so q ** m is off by ~m eps relative; below

@@ -5,7 +5,9 @@ from scipy import integrate, special
 
 from combwalk import (
     DensityEvaluator,
+    HazardFamily,
     LabelledSubordinatorPath,
+    PersistenceLaw,
     cdf_f,
     constant_comb,
     default_jump_cut,
@@ -471,9 +473,43 @@ def test_gf_limit_validation():
     for lam in (-1.0, 0.0, np.nan, np.inf):
         with pytest.raises(ValueError, match="lam must be positive"):
             double_gf_limit(comb, 0.9, lam)
-    with pytest.raises(ValueError) as err:
-        double_gf_limit(comb, 1.0 - 1e-9, 1.0)  # series budget
-    assert "terms" in str(err.value)
+    # the tail generating functions are closed forms, so x may come as
+    # close to 1 as the limit asks; the deviation shrinks like (1-x)^(1/2)
+    value, target = double_gf_limit(comb, 1.0 - 1e-9, 1.0)
+    assert abs(value - target) < 1e-5
+
+
+# G(z) = sum_n T(n) z^n: 2F1(1, 1+c-a; 1+c; z) for power(a, c),
+# 1 / (1 - (1-p) z) for constant(p), and a prefix polynomial in front of
+# either when the family is a table
+@pytest.mark.parametrize("family, exact", [
+    (HazardFamily.power(0.1, 3.0),
+     lambda z: mpmath.hyp2f1(1, 3.9, 4, z)),
+    (HazardFamily.power(0.5),
+     lambda z: mpmath.hyp2f1(1, 0.5, 1, z)),
+    (HazardFamily.power(0.9, 1.0),
+     lambda z: mpmath.hyp2f1(1, 1.1, 2, z)),
+    (HazardFamily.power(1.5, 1.0),
+     lambda z: mpmath.hyp2f1(1, 0.5, 2, z)),
+    (HazardFamily.constant(0.3),
+     lambda z: 1 / (1 - (1 - mpmath.mpf(0.3)) * z)),
+    (HazardFamily.table([0.2, 0.0, 0.6], ("power", 0.5, 1.0)),
+     lambda z: (1 + mpmath.mpf(0.8) * z + mpmath.mpf(0.8) * z ** 2
+                + mpmath.mpf(0.8) * mpmath.mpf(0.4) * z ** 3
+                * mpmath.hyp2f1(1, 4.5, 5, z))),
+    (HazardFamily.table([0.5], ("constant", 0.25)),
+     lambda z: 1 + mpmath.mpf(0.5) * z / (1 - mpmath.mpf(0.75) * z)),
+], ids=["power-0.1-c3", "power-0.5", "power-0.9-c1", "power-1.5-c1",
+        "constant", "table-power", "table-constant"])
+def test_tail_gf_matches_mpmath(family, exact):
+    law = PersistenceLaw(family)
+    with mpmath.workdps(40):
+        for z in (0.0, 0.3, 0.9, 0.999, 1 - 1e-6, 1 - 1e-9):
+            want = exact(mpmath.mpf(z))
+            assert abs(law.tail_gf(z) / want - 1) < 1e-14, z
+    for z in (-0.1, 1.0, np.nan):
+        with pytest.raises(ValueError, match=r"\[0, 1\)"):
+            law.tail_gf(z)
 
 
 # ---------------------------------------------------------------------------
@@ -629,9 +665,13 @@ def test_subordinator_validation_and_cap():
     rng = np.random.default_rng(0)
     with pytest.raises(ValueError, match="subordinator index"):
         labelled_subordinator(1.2, 0.0, 1.0, rng=rng)
-    for eps in (0.0, -1.0, np.nan):
+    for eps in (0.0, -1.0, np.nan, np.inf):
         with pytest.raises(ValueError, match="jump cut"):
             labelled_subordinator(0.5, 0.0, 1.0, epsilon=eps, rng=rng)
+    # the default cut t_max^(1/alpha) 1e-6 overflows past ~1.8e308
+    assert default_jump_cut(0.5, 1e300) == np.inf
+    with pytest.raises(ValueError, match="jump cut"):
+        labelled_subordinator(0.5, 0.0, 1e300, rng=rng)
     for t_max in (0.0, -1.0, np.nan, np.inf):
         with pytest.raises(ValueError, match="t_max must be positive"):
             labelled_subordinator(0.5, 0.0, t_max, rng=rng)

@@ -427,6 +427,12 @@ def test_marginals_validation():
         walk_marginals(comb, [], 100, seed=0)
     with pytest.raises(ValueError):
         walk_marginals(comb, [0, 5], 100, seed=0)
+    # times and positions are exact integers below 2^53 (a float past
+    # that is no longer every integer); targets beyond are refused, not
+    # overflowed into int64
+    for big in (2**53 + 1, 10**19, 10**30):
+        with pytest.raises(ValueError, match=r"\[1, 2\^53\]"):
+            walk_marginals(comb, [5, big], 100, seed=0)
     # u = 10^9 needs no 10^9-entry table: draws past the cached table
     # are bisected on the closed-form tail
     t = 10 ** 9
