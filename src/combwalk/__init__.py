@@ -19,7 +19,7 @@ from .scaling_laws import (NormalizerSet, RegimeReport, classify_regime,
                            stable_sigma, stable_skewness, tail_balance,
                            total_mean_cycle)
 from .walk_sim import Trajectory, simulate_prw, walk_marginals
-from .stable_proc import (levy_symbol, sample_positive_stable, sample_stable,
+from .stable_proc import (sample_positive_stable, sample_stable,
                           stable_cdf_interp)
 from .lamperti_limit import (DensityEvaluator, LabelledSubordinatorPath,
                              cdf_f, default_jump_cut, density_f,
@@ -27,8 +27,7 @@ from .lamperti_limit import (DensityEvaluator, LabelledSubordinatorPath,
                              labelled_subordinator, lamperti_recursion,
                              sample_anomalous_ensemble, sample_marginal,
                              sample_ratio)
-from .stat_verify import (HillResult, VerificationScenario,
-                          empirical_char_fn, format_report, hill_estimate,
-                          ks_distance, markov_kernel_check, verify_regime)
+from .stat_verify import (HillResult, VerificationScenario, format_report,
+                          hill_estimate, ks_distance, verify_regime)
 
 __version__ = "0.1.0"

@@ -156,7 +156,7 @@ def _text_rows(chunk):
             M16[:, at - k] = _PAIRS.take(r)
             v = q
     M[:, -2] = ord("\n")
-    return M[M != 0].tobytes().decode("ascii")
+    return M.tobytes().translate(None, b"\0").decode("ascii")
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +177,7 @@ def cmd_simulate(args):
         if args.horizon:
             traj = simulate_prw(comb, args.horizon, seed=seed)
             steps = traj.steps()
-            pos = traj.positions()[1:]          # S_1..S_horizon
+            pos = np.cumsum(steps)              # S_1..S_horizon
             ages = traj.ages()
             dirs, lengths = traj.directions, traj.lengths
         else:                                   # --horizon 0: headers only

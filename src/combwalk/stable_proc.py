@@ -1,4 +1,4 @@
-"""Stable limit processes: exact samplers, the limit symbol and the CDF.
+"""Stable limit processes: exact samplers and the reference CDF.
 
 Conventions.  A stable law here is the S1 parametrization: for
 alpha != 1 the log characteristic function is
@@ -17,21 +17,7 @@ Gauss-Legendre panels; see stable_cdf_interp.
 
 import numpy as np
 
-from .scaling_laws import stable_scale, stable_sigma
-
-
-def levy_symbol(alpha, beta, u):
-    """log E exp(iu X_1) for the limit process, of scale
-    stable_sigma(alpha), vectorized over u."""
-    coef = stable_scale(alpha)
-    u = np.asarray(u, dtype=float)
-    au = np.abs(u)
-    if abs(alpha - 1.0) < 1e-12:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            slip = np.where(au > 0, (2.0 / np.pi) * np.log(au), 0.0)
-        return -coef * au * (1.0 + 1j * beta * np.sign(u) * slip)
-    t = np.tan(np.pi * alpha / 2.0)
-    return -coef * au ** alpha * (1.0 - 1j * beta * np.sign(u) * t)
+from .scaling_laws import stable_sigma
 
 
 def sample_stable(alpha, beta, size, rng, scale=None):

@@ -1,6 +1,6 @@
 """Statistical machinery turning simulations into theorem checks:
-KS distances, tail-index estimation, char.-function diagnostics, and
-the end-to-end regime verification scenarios.
+KS distances, tail-index estimation, and the end-to-end regime
+verification scenarios.
 """
 
 import json
@@ -88,47 +88,6 @@ def hill_estimate(samples, k_frac):
         for r in range(0, _HILL_BOOT, rows)])
     lo, hi = np.percentile(boot, [2.5, 97.5])
     return HillResult(alpha, (float(lo), float(hi)), k)
-
-
-def empirical_char_fn(samples, u_grid):
-    """(phi_hat, se) per grid point: phi_hat = mean e^{iux}, se the
-    combined standard error of the real and imaginary parts."""
-    x = np.asarray(samples, dtype=float)
-    if len(x) == 0:
-        raise ValueError("empty sample")
-    u = np.atleast_1d(np.asarray(u_grid, dtype=float))
-    ph = np.exp(1j * np.outer(u, x))
-    phi = ph.mean(axis=1)
-    n = len(x)
-    se = np.sqrt((ph.real.var(axis=1) + ph.imag.var(axis=1)) / n)
-    return phi, se
-
-
-def markov_kernel_check(pair, t, a_bin, alpha):
-    """Conditional law of the excess given the age at level t against
-    the closed-form kernel CDF 1 - (a/(a+h))^alpha.
-
-    `pair` holds the (age, excess) arrays at level t, as read from
-    LabelledSubordinatorPath.evaluate or returned by
-    sample_anomalous_ensemble; every age must lie in [0, t].  Applying
-    each sample's own age to the kernel CDF gives an exact uniform pivot.
-    Returns {"n": samples in the age bin, "ks": KS distance of that
-    pivot from the uniform law}.
-    """
-    if len(pair) != 2:
-        raise ValueError("expected an (age, excess) pair")
-    A, H = np.asarray(pair[0]), np.asarray(pair[1])
-    if not np.all((0.0 <= A) & (A <= t)):
-        raise ValueError(f"ages at level {t:g} must lie in [0, {t:g}]")
-    lo, hi = float(a_bin[0]), float(a_bin[1])
-    sel = (A >= lo) & (A <= hi) & (A > 0.0)
-    n = int(sel.sum())
-    if n < 200:
-        raise ValueError(f"age bin holds {n} samples (< 200); "
-                         "widen the bin or add replicas")
-    a, h = A[sel], H[sel]
-    ks = ks_distance(1.0 - (a / (a + h)) ** alpha, lambda u: u)
-    return {"n": n, "ks": ks}
 
 
 # ---------------------------------------------------------------------------

@@ -58,7 +58,7 @@ class Trajectory:
     def __init__(self, lengths, horizon):
         self.lengths = np.asarray(lengths, dtype=np.int64)
         self.horizon = int(horizon)
-        self._signs = np.resize([-1, 1], len(self.lengths))   # d -1, u +1
+        self._signs = np.arange(len(self.lengths)) % 2 * 2 - 1  # d -1, u +1
         self.directions = np.where(self._signs > 0, "u", "d")
         self._ends = np.cumsum(self.lengths)        # step ending each run
         self._reps = self.lengths.copy()            # last run cut at horizon

@@ -21,12 +21,9 @@ from combwalk import (
     default_jump_cut,
     density_f,
     double_gf_limit,
-    empirical_char_fn,
     ks_distance,
     labelled_subordinator,
     lamperti_recursion,
-    levy_symbol,
-    markov_kernel_check,
     power_comb,
     sample_anomalous_ensemble,
     sample_positive_stable,
@@ -38,6 +35,8 @@ from combwalk import (
     verify_regime,
     walk_marginals,
 )
+
+from limit_checks import empirical_char_fn, levy_symbol, markov_kernel_check
 
 C_BALANCED = 1.4655561545081737     # up-comb offset giving tail balance 0.4
 

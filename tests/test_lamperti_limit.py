@@ -17,7 +17,6 @@ from combwalk import (
     ks_distance,
     labelled_subordinator,
     lamperti_recursion,
-    markov_kernel_check,
     power_comb,
     sample_anomalous_ensemble,
     sample_marginal,
@@ -27,6 +26,8 @@ from combwalk import (
 from combwalk import lamperti_limit
 from combwalk.lamperti_limit import default_t_max, subordinator_jumps
 from combwalk.walk_sim import _replicate
+
+from limit_checks import markov_kernel_check
 
 
 # ---------------------------------------------------------------------------

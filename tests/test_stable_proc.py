@@ -6,14 +6,14 @@ from scipy import stats
 from scipy.special import ndtr
 
 from combwalk import (
-    empirical_char_fn,
     ks_distance,
-    levy_symbol,
     sample_positive_stable,
     sample_stable,
     stable_cdf_interp,
     stable_sigma,
 )
+
+from limit_checks import empirical_char_fn, levy_symbol
 
 
 # ---------------------------------------------------------------------------

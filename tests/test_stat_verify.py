@@ -9,17 +9,19 @@ from combwalk import (
     CombSpec,
     VerificationScenario,
     constant_comb,
-    empirical_char_fn,
     format_report,
     hill_estimate,
     ks_distance,
     power_comb,
+    tail_balance,
     verify_regime,
 )
 from combwalk import stat_verify
 from combwalk.scaling_laws import NormalizerSet, classify_regime, stable_sigma
 from combwalk.stable_proc import stable_cdf_interp
 from combwalk.walk_sim import walk_marginals
+
+from limit_checks import empirical_char_fn
 
 
 # ---------------------------------------------------------------------------
@@ -451,6 +453,19 @@ def test_verify_asymmetric_critical_comb_passes():
     sc = bundled("cauchy-smoke",
                  comb=power_comb(1.0, c=0.01, c_d=1.0).to_dict())
     assert classify_regime(sc.comb).drift != 0.0
+    assert verify_regime(sc)["pass"] is True
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "tail balance 0 is not enough: with up and down laws that differ, "
+    "Theta_u - Theta_d tends to a constant, so the truncated drift falls "
+    "only like 1/log n and shifts the walk by O(1) Cauchy scales"))
+def test_verify_balanced_critical_comb_with_differing_laws_passes():
+    # tails 1/(n+1) and 1/(n+4): equal constants, different laws
+    comb = CombSpec(HazardFamily.power(1.0, c=1.0),
+                    HazardFamily.table([0.8], ("power", 1.0, 4.0)))
+    assert abs(tail_balance(comb)) < 1e-12
+    sc = bundled("cauchy-smoke", comb=comb.to_dict())
     assert verify_regime(sc)["pass"] is True
 
 

@@ -8,6 +8,7 @@ from scipy.stats import chisquare
 from combwalk import (
     CombSpec,
     HazardFamily,
+    Trajectory,
     constant_comb,
     ks_distance,
     lamperti_recursion,
@@ -26,6 +27,17 @@ def test_runs_alternate_and_start_down():
     assert traj.lengths.min() >= 1
     assert traj.lengths.sum() >= traj.horizon
     assert traj.lengths[:-1].sum() < traj.horizon
+
+
+@pytest.mark.parametrize("n_runs", [1, 2, 3, 4, 5])
+def test_run_signs_alternate_from_down_at_any_run_count(n_runs):
+    lengths = [2, 1, 3, 1, 2][:n_runs]
+    traj = Trajectory(lengths, sum(lengths))
+    want = np.repeat([-1, 1, -1, 1, -1][:n_runs], lengths)
+    steps = traj.steps()
+    assert steps.dtype == np.int64
+    assert_array_equal(steps, want)
+    assert traj.directions.tolist() == ["d", "u", "d", "u", "d"][:n_runs]
 
 
 def test_steps_and_positions_are_consistent():
