@@ -292,6 +292,8 @@ def cmd_verify(args):
         raise _CliError(f"bad scenario file: {e}")
     if args.threads < 1:
         raise _CliError("threads must be >= 1")
+    if args.seed is not None and args.seed < 0:
+        raise _CliError("seed must be >= 0")
     with _output(args.out) as out:
         try:
             report = verify_regime(scenario, seed=args.seed,

@@ -18,6 +18,8 @@ import threading
 import numpy as np
 from scipy.special import digamma, exprel, gammainc, hyp2f1, poch, zeta
 
+from .scaling_laws import _smallest_int
+
 TAIL_FLOOR = 1e-18
 _TABLE_MIN = 4096           # cached cdf entries while no cap is asked for
 _TABLE_MAX = 1 << 22        # cached cdf entries at most (32 MB per law)
@@ -295,23 +297,24 @@ class _Power:
     def tail(self, m):
         return self.tail_constant * poch(m + 1 + self.c, -self.a)
 
-    def _far(self, m, h):
-        # sum_{i<m} G(i+p+h-1) / G(i+p+a) = (P(0) - P(m)) / (a - h),
-        # P(m) = G(m+p+h-1) / G(m+p+a-1) = poch(m+c, h-a)
-        return (poch(self.c, h - self.a)
-                - poch(m + self.c, h - self.a)) / (self.a - h)
-
     def theta(self, m):
         if self._theta_near is not None:
             return self.tail_constant * self._theta_near(m)
-        return self.tail_constant * self._far(m, 1.0)
+        # sum_{i<m} G(i+p+h-1) / G(i+p+a) = (P(0) - P(m)) / (a - h) with
+        # P(m) = G(m+p+h-1) / G(m+p+a-1) = poch(m+c, h-a), here h = 1.
+        # K P(0) is c' exactly (the mean's numerator); as K poch(c', 1-a)
+        # it multiplies p's rounding by the pole of poch at p = 0
+        return (self.c - self.tail_constant
+                * poch(m + self.c, 1.0 - self.a)) / (self.a - 1.0)
 
     def dsum(self, m):
-        # sum (i+p) T'(i) = K sum G(i+p+1)/G(i+p+a), then i+L = (i+p)-(p-L)
+        # sum (i+p) T'(i) = K sum G(i+p+1)/G(i+p+a), then i+L = (i+p)-(p-L);
+        # away from a = 2 the sum is theta's with h = 2
         if self._dsum_near is not None:
             s = self._dsum_near(m)
         else:
-            s = self._far(m, 2.0)
+            s = (poch(self.c, 2.0 - self.a)
+                 - poch(m + self.c, 2.0 - self.a)) / (self.a - 2.0)
         return self.tail_constant * s - (self.p - self.L) * self.theta(m)
 
     def gf(self, z):
@@ -494,15 +497,16 @@ class PersistenceLaw:
     def invert(self, u, cap=None):
         """min(cap, smallest n >= 1 with 1 - T(n) >= u), elementwise: a
         lookup in the law's cached cdf table, grown to cover cap (up to
-        _TABLE_MAX entries), then one bisection on the same predicate up
-        to cap, or up to 2^53 when there is no cap.
+        _TABLE_MAX entries); draws past the table go through the lockstep
+        integer search of scaling_laws on the same predicate, made true
+        from cap on, or from 2^53 when there is no cap.  That search
+        doubles from 1, so a draw does not depend on the table size.
 
         The table lookup goes through a guide of _GUIDE cells (Chen and
         Asau 1974): every u in cell k = floor(u _GUIDE) has one answer
         unless a table entry falls inside the cell, and only u in such
-        cells are searched in the table.  With a cap, a draw the
-        predicate fails at cap - 1 is cap without a bisection.  Every u
-        must lie in [0, 1) (ValueError otherwise, NaN included).
+        cells are searched in the table.  Every u must lie in [0, 1)
+        (ValueError otherwise, NaN included).
         """
         u = np.asarray(u, dtype=float)
         if u.ndim == 0:
@@ -529,16 +533,14 @@ class PersistenceLaw:
         if len(cdf) >= top or cdf[-1] == 1.0:
             # nothing gets past a table ending in 1; clip a longer one
             return np.minimum(out, top) if len(cdf) > top else out
-        if out.max(initial=0) == len(cdf):
-            past = out == len(cdf)
-            s = u[past]
-            ends = np.full(len(s), top, dtype=np.int64)
-            # T is nonincreasing (up to rounding wobbles), so a draw that
-            # fails the predicate at cap - 1 fails it below and ends at cap
-            go = (1.0 - self.tail(top - 1.0) >= s if cap is not None
-                  else slice(None))
-            ends[go] = self._bisect(s[go], len(cdf) - 1, top)
-            out[past] = ends
+        past = np.flatnonzero(out == len(cdf))
+        if len(past):
+            s = u.take(past)
+
+            def reached(i, n):
+                t = self.tail(np.minimum(n, top).astype(float))
+                return (n >= top) | (1.0 - t >= s[i])
+            out.reshape(-1)[past] = _smallest_int(reached, len(s))
         return out
 
     def lookup_table(self, cap=None):
@@ -557,21 +559,6 @@ class PersistenceLaw:
                     guide = _guide_table(cdf)
                 self._table = cdf, guide
         return cdf, guide
-
-    def _bisect(self, s, start, top):
-        """Smallest n in (start, top] with 1 - T(n) >= s, else top, where
-        1 - T(start) < s."""
-        lo = np.full(len(s), start, dtype=np.int64)
-        hi = np.full(len(s), top, dtype=np.int64)
-        while np.any(hi - lo > 1):
-            # powers of two, then halves: 1 - T(n) has flat steps where
-            # a T(n) / n is below half an ulp of 1 (power(0.5) past ~3e10),
-            # and there draws must not follow the table size
-            mid = np.minimum(np.int64(1) << np.frexp(lo)[1], (lo + hi) // 2)
-            ok = 1.0 - self.tail(mid.astype(float)) >= s
-            hi = np.where(ok, mid, hi)
-            lo = np.where(ok, lo, mid)
-        return hi
 
 
 def _guide_table(cdf):

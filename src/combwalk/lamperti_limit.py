@@ -434,10 +434,6 @@ def double_gf_limit(comb, x, lam):
     if rep.regime != "anomalous":
         raise ValueError("generating-function limit requires the anomalous "
                          "regime (tail index < 1)")
-    au = comb.up.tail_index
-    ad = comb.down.tail_index
-    if au is None or ad is None or abs(au - ad) > 1e-12:
-        raise ValueError("generating-function limit needs equal tail indices")
     if not 0.0 < x < 1.0:
         raise ValueError("x must lie in (0, 1)")
     if not 0.0 < lam < np.inf:

@@ -125,11 +125,7 @@ def classify_regime(comb):
     heavy = []
     for law in (up, dn):
         if not law.family.square_integrable:
-            idx = law.family.tail_index
-            if idx is None:
-                raise ValueError("non-square-integrable law without a tail "
-                                 "index; cannot classify")
-            heavy.append(idx)
+            heavy.append(law.family.tail_index)
     if not heavy:
         alpha = 2.0
         regime = "gaussian"
@@ -143,13 +139,14 @@ def classify_regime(comb):
             regime = "generic"
         elif alpha == 1.0:
             regime = "cauchy"
-            if np.isfinite(total_mean_cycle(comb)):
-                notes.append("integrable cauchy boundary")
-            else:
-                notes.append("non-integrable cauchy boundary")
+            notes.append("non-integrable cauchy boundary")
         else:
             regime = "anomalous"
     m = effective_drift(comb)
+    if abs(m) >= 1.0:
+        raise ValueError(f"effective drift {m:+g}: one direction's runs "
+                         "outweigh the other's, so the walk is ballistic "
+                         "and has no centred scaling limit")
     try:
         b = tail_balance(comb)
     except ValueError:

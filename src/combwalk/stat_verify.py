@@ -4,6 +4,7 @@ verification scenarios.
 """
 
 import json
+import numbers
 import time
 
 import numpy as np
@@ -126,6 +127,15 @@ _LAWS = {
 }
 
 
+def _whole(key, v):
+    """v as an int when it is an integer or a float that is one; a bool,
+    a fraction or anything else is a ValueError naming the key."""
+    if not isinstance(v, bool) and (isinstance(v, numbers.Integral) or
+                                    isinstance(v, float) and v.is_integer()):
+        return int(v)
+    raise ValueError(f"{key} must be an integer, not {v!r}")
+
+
 class VerificationScenario:
     """One end-to-end regime check: comb, expected regime, rescaling
     scale u, replica count, observation times and the KS tolerance
@@ -142,8 +152,11 @@ class VerificationScenario:
                  seed=0, name="scenario", reference=None):
         if regime not in _LAWS:
             raise ValueError(f"unknown regime {regime!r}")
-        if not 1000 <= replicas < np.inf:
-            raise ValueError("need a finite count of at least 10^3 replicas")
+        replicas, seed = _whole("replicas", replicas), _whole("seed", seed)
+        if replicas < 1000:
+            raise ValueError("need a count of at least 10^3 replicas")
+        if seed < 0:
+            raise ValueError(f"seed must be >= 0, not {seed}")
         if not 0 < u < np.inf:
             raise ValueError("scale u must be positive and finite")
         times = sorted(float(t) for t in times)
@@ -155,8 +168,6 @@ class VerificationScenario:
         if not 1.0 <= u * times[-1] < np.inf:
             raise ValueError("u * max(times) must cover at least one step "
                              "and be finite")
-        if isinstance(seed, float) and not np.isfinite(seed):
-            raise ValueError("seed must be finite")
         if reference is not None and not isinstance(reference, dict):
             raise ValueError("reference must be an object of law parameters")
         reference = dict(reference) if reference else {}
@@ -170,8 +181,8 @@ class VerificationScenario:
             raise ValueError("the generic law needs a reference alpha "
                              "other than 1")
         self.comb, self.regime, self.name = comb, regime, name
-        self.u, self.replicas, self.times = float(u), int(replicas), times
-        self.tol_ks, self.seed, self.reference = tol_ks, int(seed), reference
+        self.u, self.replicas, self.times = float(u), replicas, times
+        self.tol_ks, self.seed, self.reference = tol_ks, seed, reference
 
     @classmethod
     def from_dict(cls, d):
@@ -218,6 +229,11 @@ def verify_regime(scenario, seed=None, threads=1):
     if rep.regime != scenario.regime:
         raise ValueError(f"scenario expects regime '{scenario.regime}' but "
                          f"the comb classifies as '{rep.regime}'")
+    if rep.regime == "cauchy" and comb.up.to_dict() != comb.down.to_dict():
+        raise ValueError("the cauchy check needs identical up and down "
+                         "hazard families: with differing laws the "
+                         "truncated drift falls only like 1/log n, too "
+                         "slowly for any feasible u")
     seed = scenario.seed if seed is None else seed
     u = scenario.u
     targets = [max(1, int(np.floor(u * t))) for t in scenario.times]

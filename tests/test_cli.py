@@ -601,6 +601,41 @@ def test_verify_refuses_fewer_than_one_thread(tmp_path, capsys, threads):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("seed", ["-1", "-7"])
+def test_verify_refuses_a_negative_seed_flag(tmp_path, capsys, seed):
+    out = tmp_path / "report.txt"
+    assert cli.main(["verify", "--scenario", "determinism-smoke",
+                     "--seed", seed, "--out", str(out)]) == 2
+    # the flag is at fault, not the scenario
+    assert capsys.readouterr().err == "error: seed must be >= 0\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key, bad", [
+    ("seed", 3.5), ("seed", True), ("seed", -2), ("replicas", 1000.7),
+    ("replicas", True),
+], ids=["seed-fraction", "seed-bool", "seed-negative", "replicas-fraction",
+        "replicas-bool"])
+def test_verify_refuses_a_seed_or_replica_count_that_is_not_whole(
+        tmp_path, capsys, key, bad):
+    # none of these is truncated or cast: the run would not be the one
+    # the file asks for
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(_scenario(**{key: bad})))
+    assert cli.main(["verify", "--scenario", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad scenario file: ") and key in err
+
+
+def test_verify_refuses_a_critical_comb_whose_laws_differ(tmp_path, capsys):
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(_scenario(
+        comb=power_comb(1.0, c=0.01, c_d=1.0).to_dict(), regime="cauchy",
+        u=20000)))
+    assert cli.main(["verify", "--scenario", str(path)]) == 2
+    assert "1/log n" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("u", [1e19, 1e30])
 def test_verify_refuses_times_past_2_to_the_53(tmp_path, capsys, u):
     # exit 1 is a failed criterion; a target time the walk cannot hold
@@ -814,6 +849,27 @@ def test_estimate_error_paths(tmp_path, capsys):
                        "\n".join("1,2,x,4" for _ in range(200)) + "\n")
     assert cli.main(["estimate", "--trajectory", str(garbled)]) == 2
     capsys.readouterr()
+
+
+def test_estimate_refuses_a_file_of_comments_only(tmp_path, capsys):
+    path = tmp_path / "comments.csv"
+    path.write_text("# seed: 3\n\n# comb: none\n")
+    assert cli.main(["estimate", "--trajectory", str(path)]) == 2
+    assert capsys.readouterr().err == \
+        "error: trajectory file has no header row\n"
+
+
+@pytest.mark.parametrize("cycles", [4, 5])
+def test_estimate_refuses_fewer_than_five_runs_a_direction(tmp_path, capsys,
+                                                           cycles):
+    # runs of 30 up-steps then 30 down-steps; the last run may be cut, so
+    # it is dropped: 4 up and 3 down runs, or 5 up and 4 down
+    steps = np.tile(np.repeat([1, -1], 30), cycles)
+    path = tmp_path / "few.csv"
+    path.write_text("step\n" + "\n".join(map(str, steps)) + "\n")
+    assert cli.main(["estimate", "--trajectory", str(path)]) == 2
+    assert capsys.readouterr().err == \
+        "error: needs at least 5 completed runs per direction\n"
 
 
 @pytest.mark.parametrize("k_frac", ["0.5", "0", "-1", "nan"])

@@ -466,8 +466,9 @@ def test_gf_limit_converges_in_x():
 def test_gf_limit_validation():
     with pytest.raises(ValueError):
         double_gf_limit(constant_comb(0.3, 0.5), 0.9, 1.0)  # not anomalous
-    with pytest.raises(ValueError):
-        double_gf_limit(power_comb(0.5, a_d=0.7), 0.9, 1.0)  # unequal indices
+    # unequal indices put all the weight on one side: drift 1
+    with pytest.raises(ValueError, match="effective drift"):
+        double_gf_limit(power_comb(0.5, a_d=0.7), 0.9, 1.0)
     comb = power_comb(0.5)
     with pytest.raises(ValueError):
         double_gf_limit(comb, 1.2, 1.0)

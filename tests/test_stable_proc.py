@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy import stats
-from scipy.special import ndtr
+from scipy.special import erfc, ndtr
 
 from combwalk import (
     ks_distance,
@@ -129,6 +129,29 @@ def test_cdf_interp_validation():
                 (1.5, 0.0, 0.0), (1.5, 0.0, np.nan)):
         with pytest.raises(ValueError):
             stable_cdf_interp(*bad)
+
+
+def test_cdf_interp_cauchy_is_the_arctangent():
+    cdf = stable_cdf_interp(1.0, 0.0, np.pi / 2)
+    x = np.concatenate([cdf.grid, np.linspace(-50.0, 50.0, 1001)])
+    want = 0.5 + np.arctan(cdf.grid / (np.pi / 2)) / np.pi
+    assert np.array_equal(cdf.values, want)
+    # between the nodes, the interpolation stays close to the closed form
+    assert_allclose(cdf(x), 0.5 + np.arctan(x / (np.pi / 2)) / np.pi,
+                    rtol=0, atol=1e-5)
+
+
+@pytest.mark.parametrize("scale", [0.3, 1.0, 2.5])
+def test_cdf_interp_one_sided_levy(scale):
+    # alpha = 1/2, beta = +-1 is Levy's law on one half-line:
+    # P(X <= x) = erfc(sqrt(scale / (2 x))) for x > 0 when beta = 1
+    right = stable_cdf_interp(0.5, 1.0, scale)
+    x = right.grid
+    assert np.all(right.values[x <= 0] == 0.0)
+    assert_allclose(right.values[x > 0], erfc(np.sqrt(scale / (2 * x[x > 0]))),
+                    rtol=0, atol=5e-16)
+    left = stable_cdf_interp(0.5, -1.0, scale)
+    assert np.all(left.values[left.grid > 0] == 1.0)
 
 
 def test_cdf_interp_grid_quality():

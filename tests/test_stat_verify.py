@@ -3,6 +3,7 @@ import os
 
 import numpy as np
 import pytest
+from scipy.special import ndtr
 
 from combwalk import (
     HazardFamily,
@@ -17,6 +18,7 @@ from combwalk import (
     verify_regime,
 )
 from combwalk import stat_verify
+from combwalk.lamperti_limit import lamperti_recursion
 from combwalk.scaling_laws import NormalizerSet, classify_regime, stable_sigma
 from combwalk.stable_proc import stable_cdf_interp
 from combwalk.walk_sim import walk_marginals
@@ -251,6 +253,31 @@ def test_scenario_refuses_non_finite_values(key, bad):
         VerificationScenario.from_dict(d)
 
 
+@pytest.mark.parametrize("key, bad", [
+    ("seed", 3.5), ("seed", True), ("seed", False), ("seed", -2),
+    ("seed", "3"), ("seed", None), ("replicas", 1000.7), ("replicas", True),
+    ("replicas", "3000"), ("replicas", 2000.5),
+])
+def test_scenario_refuses_a_seed_or_replica_count_that_is_not_whole(key,
+                                                                     bad):
+    # a fraction or a bool was once truncated or cast (seed 3.5 ran seed
+    # 3, true ran seed 1), and a negative seed was blamed on numpy
+    d = dict(scenario_dict(), **{key: bad})
+    with pytest.raises(ValueError, match=key):
+        VerificationScenario.from_dict(d)
+
+
+@pytest.mark.parametrize("seed, replicas", [
+    (3.0, 3000.0), (np.int64(3), np.int64(3000)), (0, 1000),
+])
+def test_scenario_takes_whole_seeds_and_replica_counts_as_ints(seed,
+                                                               replicas):
+    sc = VerificationScenario.from_dict(
+        dict(scenario_dict(), seed=seed, replicas=replicas))
+    assert (sc.seed, sc.replicas) == (int(seed), int(replicas))
+    assert type(sc.seed) is int and type(sc.replicas) is int
+
+
 @pytest.mark.parametrize("key", ["tol_increment", "tol", "Seed"])
 def test_scenario_refuses_keys_outside_the_schema(key):
     # a file that still sets the retired tol_increment, or misspells a
@@ -445,28 +472,46 @@ def test_generic_checks_equal_per_time_stable_tables(sc, seed):
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-    "the critical regime is centred by m u and compared with a symmetric "
-    "Cauchy(pi/2) law; an asymmetric critical comb needs the paper's "
-    "generalized drift"))
-def test_verify_asymmetric_critical_comb_passes():
-    sc = bundled("cauchy-smoke",
-                 comb=power_comb(1.0, c=0.01, c_d=1.0).to_dict())
-    assert classify_regime(sc.comb).drift != 0.0
-    assert verify_regime(sc)["pass"] is True
+def test_verify_refuses_a_critical_comb_whose_laws_differ():
+    # with up and down laws that differ, Theta_u - Theta_d tends to a
+    # constant, so the truncated drift falls only like 1/log n and shifts
+    # the walk by O(1) Cauchy scales; at cauchy-smoke's u no 1-stable law
+    # fits such a comb within its tol, even at tail balance 0 (tails
+    # 1/(n+1) and 1/(n+4): equal constants, different laws)
+    asymmetric = power_comb(1.0, c=0.01, c_d=1.0)
+    balanced = CombSpec(HazardFamily.power(1.0, c=1.0),
+                        HazardFamily.table([0.8], ("power", 1.0, 4.0)))
+    assert classify_regime(asymmetric).drift != 0.0
+    assert abs(tail_balance(balanced)) < 1e-12
+    for comb in (asymmetric, balanced):
+        sc = bundled("cauchy-smoke", comb=comb.to_dict())
+        with pytest.raises(ValueError, match="identical up and down"):
+            verify_regime(sc)
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-    "tail balance 0 is not enough: with up and down laws that differ, "
-    "Theta_u - Theta_d tends to a constant, so the truncated drift falls "
-    "only like 1/log n and shifts the walk by O(1) Cauchy scales"))
-def test_verify_balanced_critical_comb_with_differing_laws_passes():
-    # tails 1/(n+1) and 1/(n+4): equal constants, different laws
-    comb = CombSpec(HazardFamily.power(1.0, c=1.0),
-                    HazardFamily.table([0.8], ("power", 1.0, 4.0)))
-    assert abs(tail_balance(comb)) < 1e-12
-    sc = bundled("cauchy-smoke", comb=comb.to_dict())
-    assert verify_regime(sc)["pass"] is True
+@pytest.mark.parametrize("name, bias", [
+    ("gaussian-smoke", [0.026501, 0.019421]),
+    ("determinism-smoke", [0.034876]),
+])
+def test_gaussian_scenarios_finite_n_bias(name, bias):
+    # the part of each tolerance that is bias, not noise: the KS distance
+    # of the exact law of (S_n - m n) / walk(u), S_n = 2k - n and
+    # n = floor(u t), from N(0, t), taking both sides of each atom; no
+    # sampling is involved
+    sc = bundled(name)
+    ns = NormalizerSet(sc.comb)
+    lam = ns.walk(sc.u)
+    targets = [int(np.floor(sc.u * t)) for t in sc.times]
+    p = lamperti_recursion(sc.comb, max(targets))
+    got = []
+    for n, t in zip(targets, sc.times):
+        k = np.arange(n + 1)
+        F = ndtr((2 * k - n - ns.m * n) / lam / np.sqrt(t))
+        above = np.cumsum(p[n, :n + 1])
+        got.append(max(np.abs(above - F).max(),
+                       np.abs(above - p[n, :n + 1] - F).max()))
+    np.testing.assert_allclose(got, bias, rtol=0, atol=5e-4)
+    assert max(got) < sc.tol_ks
 
 
 def test_verify_regime_mismatch_raises():

@@ -109,6 +109,11 @@ def test_horizons_that_cannot_be_honoured_are_refused_before_any_draw(
         simulate_prw(comb, horizon, seed=3)
 
 
+def test_marginals_refuse_a_negative_replica_count():
+    with pytest.raises(ValueError, match="n_rep must be >= 0"):
+        walk_marginals(constant_comb(0.5, 0.5), [10], -1, seed=0)
+
+
 def _block_at_a_time(comb, horizon, rng):
     """Run lengths drawn one block of 64 down-runs and 64 up-runs at a
     time, cut at the horizon: the byte oracle of simulate_prw's batches."""
@@ -126,7 +131,7 @@ def _block_at_a_time(comb, horizon, rng):
 @pytest.mark.parametrize("comb", [
     constant_comb(0.3, 0.5),
     power_comb(1.5, c=1.0),
-    power_comb(0.5),        # draws past the 4096-entry table are bisected
+    power_comb(0.5),        # draws past the 4096-entry table are searched
     CombSpec(HazardFamily.table([1.0]), HazardFamily.table([1.0])),
 ], ids=["constant", "power1.5", "power0.5", "zigzag"])
 def test_batched_runs_match_drawing_one_block_at_a_time(comb):
@@ -446,7 +451,7 @@ def test_marginals_validation():
         with pytest.raises(ValueError, match=r"\[1, 2\^53\]"):
             walk_marginals(comb, [5, big], 100, seed=0)
     # u = 10^9 needs no 10^9-entry table: draws past the cached table
-    # are bisected on the closed-form tail
+    # are searched on the closed-form tail
     t = 10 ** 9
     S = walk_marginals(power_comb(0.2), [t], 100, seed=0)
     assert S.shape == (100, 1)
