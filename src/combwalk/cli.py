@@ -24,7 +24,7 @@ from .comb_model import CombSpec
 from .stable_proc import sample_positive_stable, sample_stable
 from .stat_verify import (VerificationScenario, _check_k_frac, format_report,
                           hill_estimate, verify_regime)
-from .walk_sim import simulate_prw, walk_marginals
+from .walk_sim import Trajectory, _directions, simulate_prw, walk_marginals
 
 
 class _CliError(Exception):
@@ -80,31 +80,37 @@ def _rewound(out):
 
 
 def _write_csv(out, preamble, names, *cols):
-    """Write `preamble`, the header row `names` and one row per index of
-    the equal-length columns to the stream `out` from _output: integer
-    columns as %d, floats as %.17g (the text of _fmt), the rest as %s.
-
-    Rows go _CSV_CHUNK at a time.  When every column is an integer or
-    one-character ASCII text (simulate's files), _text_rows builds each
-    chunk's text with numpy; otherwise one % string formats it (Python's
-    float formatter is the only repr-exact one)."""
+    """_write_rows of the equal-length columns `cols`."""
     cols = [np.asarray(c) for c in cols]
-    if all(c.dtype.kind in "iu" or c.dtype == "U1"
-           and c.view(np.uint32).max(initial=0) < 128 for c in cols):
-        rows = _text_rows
-    else:
-        row = ",".join("%d" if c.dtype.kind in "iu" else
-                       "%.17g" if c.dtype.kind == "f" else "%s"
-                       for c in cols) + "\n"
+    _write_rows(out, preamble, names, len(cols[0]),
+                lambda lo, hi: [c[lo:hi] for c in cols])
 
-        def rows(chunk):
-            chunk = [c.tolist() for c in chunk]
-            return (row * len(chunk[0])
-                    % tuple(itertools.chain.from_iterable(zip(*chunk))))
+
+def _write_rows(out, preamble, names, n, rows):
+    """Write `preamble`, the header row `names` and rows 0..n-1 to the
+    stream `out` from _output, _CSV_CHUNK at a time: rows(lo, hi) gives
+    the equal-length columns of rows lo..hi-1, and is called in order.
+    Integer columns are written as %d, floats as %.17g (the text of _fmt)
+    and the rest as %s.
+
+    When every column is an integer or one-character ASCII text
+    (simulate's files), _text_rows builds the chunk's text with numpy;
+    otherwise one % string formats it (Python's float formatter is the
+    only repr-exact one)."""
     out = _rewound(out)
     out.write(preamble + ",".join(names) + "\n")
-    for lo in range(0, len(cols[0]), _CSV_CHUNK):
-        out.write(rows([c[lo:lo + _CSV_CHUNK] for c in cols]))
+    for lo in range(0, n, _CSV_CHUNK):
+        chunk = rows(lo, min(lo + _CSV_CHUNK, n))
+        if all(c.dtype.kind in "iu" or c.dtype == "U1"
+               and c.view(np.uint32).max(initial=0) < 128 for c in chunk):
+            out.write(_text_rows(chunk))
+            continue
+        row = ",".join("%d" if c.dtype.kind in "iu" else
+                       "%.17g" if c.dtype.kind == "f" else "%s"
+                       for c in chunk) + "\n"
+        chunk = [c.tolist() for c in chunk]
+        out.write(row * len(chunk[0])
+                  % tuple(itertools.chain.from_iterable(zip(*chunk))))
     out.flush()     # before a later _rewound of the same file empties it
 
 
@@ -166,6 +172,8 @@ def _text_rows(chunk):
 def cmd_simulate(args):
     comb = _load_comb(args.comb)
     seed = args.seed
+    if seed < 0:
+        raise _CliError("seed must be >= 0")
     if args.horizon < 0:
         raise _CliError("horizon must be >= 0")
     if args.horizon > 10_000_000:
@@ -173,27 +181,31 @@ def cmd_simulate(args):
     traj_path = args.trajectory or (args.out + "_trajectory.csv")
     runs_path = args.runs or (args.out + "_runs.csv")
     header = f"# seed: {seed}\n# comb: {json.dumps(comb.to_dict())}\n"
+    n = args.horizon
+    s = 0                                   # S after the steps written
+
+    def trajectory_rows(lo, hi):
+        nonlocal s
+        steps, ages = traj.expand(lo, hi)
+        pos = np.cumsum(steps)
+        pos += s
+        s = pos[-1]
+        return [np.arange(lo + 1, hi + 1), pos, steps, ages]
+
     with _output(traj_path) as traj_out, _output(runs_path) as runs_out:
-        if args.horizon:
-            traj = simulate_prw(comb, args.horizon, seed=seed)
-            steps = traj.steps()
-            pos = np.cumsum(steps)              # S_1..S_horizon
-            ages = traj.ages()
-            dirs, lengths = traj.directions, traj.lengths
-        else:                                   # --horizon 0: headers only
-            steps = pos = ages = dirs = lengths = np.zeros(0, dtype=np.int64)
-        n = len(steps)
-        _write_csv(traj_out, "# combwalk trajectory\n" + header,
-                   ["n", "position", "step", "age"],
-                   np.arange(1, n + 1), pos, steps, ages)
-        _write_csv(runs_out, "# combwalk runs\n" + header,
-                   ["index", "direction", "length"],
-                   np.arange(len(lengths)), dirs, lengths)
+        # --horizon 0 writes the headers only
+        traj = simulate_prw(comb, n, seed=seed) if n else Trajectory([], 0)
+        _write_rows(traj_out, "# combwalk trajectory\n" + header,
+                    ["n", "position", "step", "age"], n, trajectory_rows)
+        _write_rows(runs_out, "# combwalk runs\n" + header,
+                    ["index", "direction", "length"], len(traj.lengths),
+                    lambda lo, hi: [np.arange(lo, hi), _directions(lo, hi),
+                                    traj.lengths[lo:hi]])
     print(f"steps: {n}")
     if n == 0:
         return 0
-    print(f"final position: {int(pos[-1])}")
-    print(f"empirical drift: {_fmt(pos[-1] / n)}")
+    print(f"final position: {int(s)}")
+    print(f"empirical drift: {_fmt(s / n)}")
     print(f"wrote {traj_path}, {runs_path}")
     return 0
 
@@ -228,6 +240,10 @@ def cmd_density(args):
 
 def cmd_sample_limit(args):
     seed = args.seed
+    if seed < 0:
+        raise _CliError("seed must be >= 0")
+    if args.n < 0:
+        raise _CliError("n must be >= 0")
     rng = np.random.default_rng(seed)
     n = args.n
     a, b = _fmt(args.alpha), _fmt(args.b)
@@ -348,16 +364,18 @@ def cmd_estimate(args):
     steps = _read_trajectory(args.trajectory)
     if len(steps) < 100:
         raise _CliError("trajectory too short to estimate anything")
-    # run-length encode
-    change = np.flatnonzero(np.diff(steps) != 0)
-    bounds = np.concatenate([[-1], change, [len(steps) - 1]])
-    lengths = np.diff(bounds)
-    dirs = steps[bounds[1:]]
-    # drop the final (possibly clipped) run
+    # run-length encode through a one-byte change mask; the step column
+    # and the run ends go before the Hill fits
+    ends = np.flatnonzero(steps[1:] != steps[:-1])
+    ends = np.concatenate([[-1], ends, [len(steps) - 1]])
+    first = steps[0]
+    del steps
+    lengths = np.diff(ends)
+    del ends
+    # drop the final (possibly clipped) run; runs alternate from `first`
     if len(lengths) > 1:
-        lengths, dirs = lengths[:-1], dirs[:-1]
-    up = lengths[dirs > 0]
-    dn = lengths[dirs < 0]
+        lengths = lengths[:-1]
+    up, dn = lengths[int(first < 0)::2], lengths[int(first > 0)::2]
     if len(up) < 5 or len(dn) < 5:
         raise _CliError("needs at least 5 completed runs per direction")
     mu, md = float(np.mean(up)), float(np.mean(dn))

@@ -52,7 +52,7 @@ class HillResult:
 
 _HILL_BOOT = 200            # bootstrap resamples of the Hill CI
 _HILL_SEED = 0              # their seed, so the CI is a function of the data
-_HILL_BLOCK = 1 << 20       # bootstrap indices drawn and gathered at a time
+_HILL_BLOCK = 1 << 17       # bootstrap indices drawn and gathered at a time
 
 
 def _check_k_frac(k_frac):

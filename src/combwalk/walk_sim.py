@@ -52,19 +52,31 @@ _BATCH = 1024               # most blocks of simulate_prw drawn at once
 _BELOW_ONE = np.nextafter(1.0, 0.0)     # the largest double below 1
 
 
+def _signs(a, b):
+    """The signs of runs a..b-1: -1 for a down run (even index), +1 up."""
+    return np.arange(a, b) % 2 * 2 - 1
+
+
+def _directions(a, b):
+    """"d" or "u" for runs a..b-1."""
+    return np.where(_signs(a, b) > 0, "u", "d")
+
+
 class Trajectory:
-    """A single walk realisation held as its run lengths (d, u, d, ...)."""
+    """A single walk realisation held as its run record: the run lengths
+    (d, u, d, ...) and the step ending each run.  Run k goes down for even
+    k and up for odd k; the last run may end past the horizon.  Every
+    per-step value is expanded from the runs on demand."""
 
     def __init__(self, lengths, horizon):
         self.lengths = np.asarray(lengths, dtype=np.int64)
         self.horizon = int(horizon)
-        self._signs = np.arange(len(self.lengths)) % 2 * 2 - 1  # d -1, u +1
-        self.directions = np.where(self._signs > 0, "u", "d")
         self._ends = np.cumsum(self.lengths)        # step ending each run
-        self._reps = self.lengths.copy()            # last run cut at horizon
-        self._reps[-1] -= self._ends[-1] - self.horizon
-        self._disp = np.concatenate(
-            [[0], np.cumsum(self._signs * self.lengths)])
+
+    @property
+    def directions(self):
+        """"d" or "u" for each run."""
+        return _directions(0, len(self.lengths))
 
     def position_at(self, n):
         """S_n for integer step(s) n in [0, horizon]."""
@@ -74,13 +86,27 @@ class Trajectory:
         if np.any(n < 0) or np.any(n > self.horizon):
             raise ValueError("step outside simulated horizon")
         n = n.astype(np.int64)
+        sign = _signs(0, len(self.lengths))
+        signed = sign * self.lengths
+        start = np.cumsum(signed) - signed          # S where each run starts
         r = np.searchsorted(self._ends, n, side="left")
-        start = self._ends[r] - self.lengths[r]
-        return self._disp[r] + self._signs[r] * (n - start)
+        return start[r] + sign[r] * (n - self._ends[r] + self.lengths[r])
+
+    def expand(self, lo, hi):
+        """X and the age of the active run after each of steps lo+1..hi
+        (0 <= lo < hi <= horizon), from the runs those steps cross."""
+        a = np.searchsorted(self._ends, lo, side="right")
+        b = np.searchsorted(self._ends, hi, side="left") + 1
+        ends = self._ends[a:b]
+        reps = np.diff(np.minimum(ends, hi), prepend=lo)
+        steps = np.repeat(_signs(a, b), reps)
+        ages = np.arange(lo + 1, hi + 1)
+        ages -= np.repeat(ends - self.lengths[a:b], reps)
+        return steps, ages
 
     def steps(self):
         """X_1..X_horizon."""
-        return np.repeat(self._signs, self._reps)
+        return self.expand(0, self.horizon)[0]
 
     def positions(self):
         """S_0..S_horizon."""
@@ -88,8 +114,7 @@ class Trajectory:
 
     def ages(self):
         """Age of the active run after each of steps 1..horizon."""
-        starts = self._ends - self.lengths
-        return np.arange(1, self.horizon + 1) - np.repeat(starts, self._reps)
+        return self.expand(0, self.horizon)[1]
 
 
 def simulate_prw(comb, horizon, seed):
@@ -104,8 +129,9 @@ def simulate_prw(comb, horizon, seed):
     inverts each direction's uniforms in one call.  nb doubles from 1 up
     to _BATCH (1 MB of uniforms), which bounds the over-draw of a short
     horizon, and the run lengths are those of one block at a time for
-    the same seed.  Trajectory.steps()/positions()/ages() expand the run
-    record into per-step arrays of length `horizon` when asked.
+    the same seed.  Trajectory.expand(lo, hi) expands the run record into
+    the steps lo+1..hi when asked, and steps()/positions()/ages() into
+    per-step arrays of length `horizon`.
     """
     if not (1 <= horizon <= 1 << 53 and horizon == int(horizon)):
         raise ValueError("horizon must be an integer in [1, 2^53]")

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -541,6 +542,67 @@ def test_simulate_trajectory_to_stdout(tmp_path, capsys):
         "index,direction,length\n" + runs)
 
 
+@pytest.mark.parametrize("comb, horizon, longer_than", [
+    (constant_comb(0.01, 0.02), 1, 0),
+    (constant_comb(0.01, 0.02), 1000, 7),
+    (power_comb(0.5), 1000, 7),
+    (constant_comb(0.01, 0.02), 65_537, 7),
+    (power_comb(0.5), 65_537, 65_536),
+], ids=["one-step", "constant", "power0.5", "constant-65537",
+        "power0.5-65537"])
+def test_simulate_bytes_do_not_depend_on_the_chunk(
+        tmp_path, monkeypatch, capsys, comb, horizon, longer_than):
+    path = write_comb(tmp_path, comb)
+    traj = combwalk.simulate_prw(comb, horizon, seed=1)
+    # the rows spelt out run by run (the last run may pass the horizon)
+    lengths = np.minimum(traj.lengths, horizon)
+    steps = np.repeat(np.where(traj.directions == "u", 1, -1),
+                      lengths)[:horizon]
+    ages = np.concatenate([np.arange(1, m + 1) for m in lengths])[:horizon]
+    want_traj = "n,position,step,age\n" + per_row_text(
+        np.arange(1, horizon + 1), np.cumsum(steps), steps, ages)
+    want_runs = "index,direction,length\n" + per_row_text(
+        np.arange(len(traj.lengths)), traj.directions, traj.lengths)
+    assert traj.lengths.max() > longer_than     # a run crosses chunk edges
+    # one row a chunk costs ~0.1 ms a row; it runs on the short horizons
+    for chunk in (1, 7, 65_536) if horizon <= 1000 else (7, 65_536):
+        monkeypatch.setattr(cli, "_CSV_CHUNK", chunk)
+        t, r = tmp_path / f"t{chunk}.csv", tmp_path / f"r{chunk}.csv"
+        assert cli.main(["simulate", "--comb", path, "--horizon",
+                         str(horizon), "--seed", "1", "--trajectory", str(t),
+                         "--runs", str(r)]) == 0
+        assert f"final position: {int(np.sum(steps))}\n" in (
+            capsys.readouterr().out)
+        assert t.read_text().split("\n", 3)[3] == want_traj
+        assert r.read_text().split("\n", 3)[3] == want_runs
+
+
+def _traced_peak_mb(argv):
+    """The peak of traced allocations, in MB, while cli.main(argv) runs."""
+    tracemalloc.start()
+    try:
+        assert cli.main(argv) == 0
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
+def test_simulate_and_estimate_hold_memory_to_the_run_record(tmp_path,
+                                                             capsys):
+    # 10^6 steps make a 22 MB trajectory file and 8 MB per int64 column:
+    # simulate keeps the run record and one chunk of rows, estimate the
+    # step column, its one-byte change mask and the run lengths
+    path = write_comb(tmp_path, power_comb(1.5, c=1.0))
+    t = str(tmp_path / "t.csv")
+    sim = _traced_peak_mb(["simulate", "--comb", path, "--horizon",
+                           "1000000", "--seed", "0", "--trajectory", t,
+                           "--runs", str(tmp_path / "r.csv")])
+    est = _traced_peak_mb(["estimate", "--trajectory", t])
+    capsys.readouterr()
+    assert sim < 40, f"simulate peaked at {sim:.1f} MB"
+    assert est < 35, f"estimate peaked at {est:.1f} MB"
+
+
 # ---------------------------------------------------------------------------
 # verify
 
@@ -608,6 +670,36 @@ def test_verify_refuses_a_negative_seed_flag(tmp_path, capsys, seed):
                      "--seed", seed, "--out", str(out)]) == 2
     # the flag is at fault, not the scenario
     assert capsys.readouterr().err == "error: seed must be >= 0\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(["simulate", "--horizon", "100", "--seed", seed],
+                 "seed must be >= 0", id=f"simulate-seed{seed}")
+    for seed in ("-1", "-7")
+] + [
+    pytest.param(["sample-limit", "--kind", kind, "--alpha", "0.5", "--n", n,
+                  "--seed", seed], f"{flag} must be >= 0", id=f"{kind}-{flag}")
+    for kind in ("marginal", "ratio", "stable", "positive-stable",
+                 "ensemble", "path")
+    for flag, n, seed in (("seed", "10", "-1"), ("n", "-1", "0"))
+])
+def test_negative_seed_and_count_flags_are_refused_by_name(
+        tmp_path, monkeypatch, capsys, argv, message):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("drew before the flags were checked")
+
+    monkeypatch.setattr(cli, "simulate_prw", must_not_run)
+    monkeypatch.setattr(cli.np.random, "default_rng", must_not_run)
+    out = tmp_path / "out.csv"
+    if argv[0] == "simulate":
+        argv = argv + ["--comb", write_comb(tmp_path, constant_comb(0.3, 0.5)),
+                       "--trajectory", str(out),
+                       "--runs", str(tmp_path / "runs.csv")]
+    else:
+        argv = argv + ["--out", str(out)]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
 
 

@@ -119,8 +119,8 @@ def one_matrix_hill(samples, k_frac):
 
 @pytest.mark.parametrize("n, block", [
     (170, None),            # k = 17: one block
-    (100_000, None),        # k = 10 000: two blocks, the last one short
-    (250_010, None),        # k = 25 001: five blocks of 41 rows, then 36
+    (100_000, None),        # k = 10 000: 15 blocks of 13 rows, then 5
+    (250_010, None),        # k = 25 001: 40 blocks of 5 rows
     (12_340, 1000),         # k = 1 234 above the block: one row a block
 ])
 def test_hill_blocked_bootstrap_is_the_one_matrix_draw(monkeypatch, n, block):

@@ -73,6 +73,35 @@ def test_ages_track_run_boundaries():
     assert np.array_equal(traj.ages(), ages)
 
 
+@pytest.mark.parametrize("comb, horizon", [
+    (constant_comb(0.3, 0.5), 1),
+    (constant_comb(0.01, 0.02), 5000),
+    (power_comb(0.5), 65_537),
+    (power_comb(1.5, c=1.0), 20_000),
+], ids=["one-step", "long-constant", "power0.5", "power1.5"])
+def test_expansion_is_the_per_step_repeat_of_the_run_record(comb, horizon):
+    traj = simulate_prw(comb, horizon, seed=11)
+    # the oracle: every run spelt out step by step, cut at the horizon
+    # (the last run may be drawn far longer)
+    lengths = np.minimum(traj.lengths, horizon)
+    signs = np.where(traj.directions == "u", 1, -1)
+    steps = np.repeat(signs, lengths)[:horizon]
+    ages = np.concatenate([np.arange(1, m + 1) for m in lengths])[:horizon]
+    positions = np.concatenate([[0], np.cumsum(steps)])
+    assert_array_equal(traj.steps(), steps)
+    assert_array_equal(traj.ages(), ages)
+    assert_array_equal(traj.positions(), positions)
+    assert_array_equal(traj.position_at(np.arange(horizon + 1)), positions)
+    # any window lo+1..hi, including one inside a single run
+    rng = np.random.default_rng(horizon)
+    for lo, hi in [(0, horizon), (horizon - 1, horizon)] + [
+            tuple(sorted(rng.choice(horizon + 1, 2, replace=False)))
+            for _ in range(20 if horizon > 1 else 0)]:
+        x, age = traj.expand(lo, hi)
+        assert_array_equal(x, steps[lo:hi])
+        assert_array_equal(age, ages[lo:hi])
+
+
 def test_simulation_determinism_and_rng_paths():
     comb = power_comb(0.5)
     a = simulate_prw(comb, 10000, seed=42)
