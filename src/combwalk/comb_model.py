@@ -48,56 +48,63 @@ class HazardFamily:
                            finite a > 0, c >= 0 and a / (L + 1 + c) < 1, so
                            alpha_{L+1} < 1 (c > a - 1 for power(a, c))
 
-    Kinds (the serialized form, kept in `kind` and `params`):
+    Kinds (the serialized form, kept in `kind` and `params`, the rule's
+    parameters as floats; a field of None is absent, an absent c is 0):
       constant(p)          no prefix, rule ("constant", p)
       power(a, c)          no prefix, rule ("power", a, c)
-      table(values, rule)  the listed prefix, then 'rule'
+      table(values, rule)  the listed prefix, then 'rule', by default
+                           ("constant", values[-1]): the last hazard on
     """
 
     def __init__(self, kind, **params):
+        if not isinstance(kind, str) or kind not in _FIELDS:
+            raise ValueError(f"unknown hazard kind {kind!r}")
+        unknown = sorted(set(params) - set(_FIELDS[kind]))
+        if unknown:
+            raise ValueError(f"unknown {kind} hazard key(s) "
+                             f"{', '.join(unknown)}")
+        given = {"c": 0.0, **{k: v for k, v in params.items()
+                              if v is not None}}
         if kind == "table":
-            values = np.asarray(params["values"], dtype=float)
+            values = np.asarray(given["values"], dtype=float)
             if values.ndim != 1 or len(values) == 0:
                 raise ValueError("table needs a nonempty 1-d value list")
             if not np.all((values >= 0) & (values <= 1)):   # NaN too
                 raise ValueError("table hazards must lie in [0, 1]")
-            rule = tuple(params["tail_rule"])
-            params.update(values=values, tail_rule=rule)
-        elif kind in _RULE_PARAMS:
-            values = np.empty(0)
-            rule = (kind,) + tuple(params[k] for k in _RULE_PARAMS[kind])
+            rule = tuple(given.get("tail_rule", ("constant", values[-1])))
         else:
-            raise ValueError(f"unknown hazard kind {kind!r}")
+            values = np.empty(0)
+            rule = (kind, *(given[k] for k in _RULE_PARAMS[kind]))
+        if (rule[:1] not in (("constant",), ("power",))
+                or len(rule) != 1 + len(_RULE_PARAMS[rule[0]])):
+            raise ValueError("rule must be ('constant', p) or "
+                             "('power', a, c)")
+        rule = (rule[0], *(float(v) for v in rule[1:]))
         if rule[0] == "constant":
             if not 0.0 <= rule[1] <= 1.0:
                 raise ValueError("constant hazard must lie in [0, 1]")
-        elif rule[0] == "power":
+        else:
             _, a, c = rule
             if not (0 < a < np.inf and 0 <= c < np.inf
                     and a / (len(values) + 1 + c) < 1.0):
                 raise ValueError("power hazard needs finite a > 0, c >= 0 "
                                  "and a / (L + 1 + c) < 1, L the prefix "
                                  "length")
-        else:
-            raise ValueError("rule must be ('constant', p) or "
-                             "('power', a, c)")
-        self.kind, self.params = kind, params
-        self.values, self.rule = values, rule
+        self.kind, self.values, self.rule = kind, values, rule
+        self.params = (dict(values=values, tail_rule=rule) if kind == "table"
+                       else dict(zip(_RULE_PARAMS[kind], rule[1:])))
 
     @classmethod
     def constant(cls, p):
-        return cls("constant", p=float(p))
+        return cls("constant", p=p)
 
     @classmethod
-    def power(cls, a, c=0.0):
-        return cls("power", a=float(a), c=float(c))
+    def power(cls, a, c=None):
+        return cls("power", a=a, c=c)
 
     @classmethod
     def table(cls, values, tail_rule=None):
-        if tail_rule is None:
-            # continue the last listed hazard forever
-            tail_rule = ("constant", float(values[-1]) if len(values) else 0.0)
-        return cls("table", values=values, tail_rule=tuple(tail_rule))
+        return cls("table", values=values, tail_rule=tail_rule)
 
     # -- structure ---------------------------------------------------------
 
@@ -154,18 +161,14 @@ class HazardFamily:
     def from_dict(cls, d):
         if not isinstance(d, dict):
             raise ValueError("a hazard family must be a JSON object")
-        kind = d.get("kind")
-        if not isinstance(kind, str) or kind not in _FIELDS:
-            raise ValueError(f"unknown hazard kind {kind!r}")
-        unknown = sorted(set(d) - {"kind", *_FIELDS[kind]})
-        if unknown:
-            raise ValueError(f"unknown {kind} hazard key(s) "
-                             f"{', '.join(unknown)}")
-        if kind == "constant":
-            return cls.constant(d["p"])
-        if kind == "power":
-            return cls.power(d["a"], d.get("c", 0.0))
-        return cls.table(d["values"], d.get("tail_rule"))
+        fields = dict(d)
+        kind = fields.pop("kind", None)
+        try:
+            return cls(kind, **fields)
+        except KeyError as e:
+            raise ValueError(f"{kind} hazard missing key {e}") from None
+        except (TypeError, OverflowError) as e:
+            raise ValueError(f"{kind} hazard: {e}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ KS distances, tail-index estimation, and the end-to-end regime
 verification scenarios.
 """
 
+import inspect
 import json
 import numbers
 import time
@@ -95,10 +96,6 @@ def hill_estimate(samples, k_frac):
 # verification scenarios
 
 
-_SCENARIO_KEYS = frozenset(("name", "comb", "regime", "u", "replicas",
-                            "times", "tol_ks", "seed", "reference"))
-
-
 def _stable_cdf(m, alpha, beta, scale):
     # strictly stable for alpha != 1: F_s(x) = F_1(x / s^(1/alpha))
     F = stable_cdf_interp(alpha, beta, scale)
@@ -163,8 +160,8 @@ class VerificationScenario:
         if not times or times[0] <= 0 or not np.all(np.isfinite(times)):
             raise ValueError("times must be positive and finite")
         tol_ks = float(tol_ks)
-        if not np.isfinite(tol_ks):
-            raise ValueError("tol_ks must be finite")
+        if not 0.0 < tol_ks < 1.0:      # NaN too; a KS distance is <= 1
+            raise ValueError(f"tol_ks must lie in (0, 1), not {tol_ks!r}")
         if not 1.0 <= u * times[-1] < np.inf:
             raise ValueError("u * max(times) must cover at least one step "
                              "and be finite")
@@ -188,17 +185,17 @@ class VerificationScenario:
     def from_dict(cls, d):
         if not isinstance(d, dict):
             raise ValueError("a scenario must be a JSON object")
-        unknown = sorted(set(d) - _SCENARIO_KEYS)
+        keys = inspect.signature(cls).parameters
+        unknown = sorted(set(d) - set(keys))
         if unknown:
             raise ValueError(f"unknown scenario key(s) {', '.join(unknown)}")
+        missing = [k for k, p in keys.items()
+                   if p.default is p.empty and k not in d]
+        if missing:
+            raise ValueError(f"scenario missing key(s) {', '.join(missing)}")
         try:
-            return cls(CombSpec.from_dict(d["comb"]), d["regime"], d["u"],
-                       d["replicas"], d["times"], d["tol_ks"],
-                       seed=d.get("seed", 0), name=d.get("name", "scenario"),
-                       reference=d.get("reference"))
-        except KeyError as e:
-            raise ValueError(f"scenario file missing key {e}") from None
-        except TypeError as e:
+            return cls(**dict(d, comb=CombSpec.from_dict(d["comb"])))
+        except (TypeError, OverflowError) as e:
             raise ValueError(f"scenario value of the wrong type: {e}") \
                 from None
 

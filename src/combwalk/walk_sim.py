@@ -3,13 +3,13 @@
 The walk starts just after an up-to-down turn, so runs alternate
 d, u, d, u, ...  Run lengths are drawn from the persistence laws'
 inverter, which is equivalent to stepping the age-dependent switch
-probabilities one step at a time but vastly faster.  Two simulators,
-both in memory bounded whatever the horizon:
+probabilities one step at a time but vastly faster.  Two simulators:
 
-  simulate_prw      one trajectory, run-resolved; per-step arrays on demand
-  walk_marginals    many replicas, recording S only at target times;
-                    deterministically chunked so results are identical
-                    for any thread count
+  simulate_prw      one trajectory: its run record, 16 bytes a run, grows
+                    with the horizon (the CLI caps it at 10^7 steps)
+  walk_marginals    many replicas, recording S only at target times, in
+                    memory bounded whatever the horizon; deterministically
+                    chunked so results are identical for any thread count
 
 simulate_prw draws blocks of 64 down-runs and 64 up-runs in batches of
 1, 2, 4, ... up to 1024 blocks, one rng.random call and one inverter

@@ -591,7 +591,8 @@ def test_simulate_and_estimate_hold_memory_to_the_run_record(tmp_path,
                                                              capsys):
     # 10^6 steps make a 22 MB trajectory file and 8 MB per int64 column:
     # simulate keeps the run record and one chunk of rows, estimate the
-    # step column, its one-byte change mask and the run lengths
+    # one-byte step column, its one-byte change mask and the run lengths
+    # (~12 MB; 17 MB when the step column was int64)
     path = write_comb(tmp_path, power_comb(1.5, c=1.0))
     t = str(tmp_path / "t.csv")
     sim = _traced_peak_mb(["simulate", "--comb", path, "--horizon",
@@ -600,7 +601,7 @@ def test_simulate_and_estimate_hold_memory_to_the_run_record(tmp_path,
     est = _traced_peak_mb(["estimate", "--trajectory", t])
     capsys.readouterr()
     assert sim < 40, f"simulate peaked at {sim:.1f} MB"
-    assert est < 35, f"estimate peaked at {est:.1f} MB"
+    assert est < 15, f"estimate peaked at {est:.1f} MB"
 
 
 # ---------------------------------------------------------------------------
@@ -768,7 +769,10 @@ def _scenario(**changes):
     (_scenario(comb=[1, 2]), "JSON object"),
     (_scenario(tol_increment=0.1), "unknown scenario key"),
     (_scenario(reference={"alpha": 1.2}), "reads no reference key"),
-], ids=["list", "comb-list", "tol_increment", "gaussian-reference-alpha"])
+    (_scenario(tol_ks=1.5), "tol_ks must lie in (0, 1)"),
+    (_scenario(tol_ks=True), "tol_ks must lie in (0, 1)"),
+], ids=["list", "comb-list", "tol_increment", "gaussian-reference-alpha",
+        "tol-above-one", "tol-true"])
 def test_verify_scenario_of_the_wrong_shape_is_a_config_error(
         tmp_path, capsys, scenario, message):
     path = tmp_path / "s.json"
@@ -807,6 +811,23 @@ def test_simulate_comb_with_an_unknown_key_is_a_config_error(
     assert cli.main(["simulate", "--comb", str(path), "--horizon", "10",
                      "--out", out]) == 2
     assert message in capsys.readouterr().err
+    assert not os.path.exists(out + "_trajectory.csv")
+
+
+@pytest.mark.parametrize("rule", [[], ["constant"], ["constant", 0.5, 3]],
+                         ids=["empty", "short", "long"])
+def test_simulate_comb_with_a_tail_rule_of_the_wrong_arity_is_a_config_error(
+        tmp_path, capsys, rule):
+    # the first two escaped as an IndexError (a traceback, exit 1); the
+    # third was accepted and its stray 3 written back into the header
+    path = tmp_path / "comb.json"
+    path.write_text(json.dumps({
+        "up": {"kind": "table", "values": [0.5], "tail_rule": rule},
+        "down": {"kind": "constant", "p": 0.5}}))
+    out = str(tmp_path / "w")
+    assert cli.main(["simulate", "--comb", str(path), "--horizon", "10",
+                     "--out", out]) == 2
+    assert "rule must be" in capsys.readouterr().err
     assert not os.path.exists(out + "_trajectory.csv")
 
 
@@ -993,7 +1014,7 @@ def test_reader_matches_the_python_parse(tmp_path, capsys):
                      "--runs", str(tmp_path / "runs.csv")]) == 0
     capsys.readouterr()
     got = cli._read_trajectory(str(t))
-    assert got.dtype == np.int64 and len(got) == 30000
+    assert got.dtype == np.int8 and len(got) == 30000
     assert_array_equal(got, python_read_steps(t))
 
 
@@ -1026,6 +1047,7 @@ def test_reader_accepts(tmp_path, name, text):
     ("empty step", "151,0,,1\n", "malformed trajectory rows"),
     ("a line of spaces", "   \n", "malformed trajectory rows"),
     ("step of 2", "151,0,2,1\n", "steps must be +-1"),
+    ("step past int8", "151,0,200,1\n", "malformed trajectory rows"),
 ])
 def test_reader_rejects(tmp_path, capsys, name, bad, message):
     p = tmp_path / "t.csv"

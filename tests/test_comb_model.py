@@ -892,6 +892,91 @@ def test_from_dict_refuses_what_is_not_an_object(d):
         CombSpec.from_dict({"up": d, "down": {"kind": "constant", "p": 0.5}})
 
 
+def test_the_constructor_holds_the_defaults_and_the_float_coercion():
+    # c = 0 and a table's last hazard forever, whichever entry point is
+    # used; None counts as absent; every rule parameter is kept as a float
+    same = [HazardFamily("power", a=0.5), HazardFamily("power", a=0.5, c=None),
+            HazardFamily.power(0.5), HazardFamily.from_dict(
+                {"kind": "power", "a": 0.5})]
+    assert [f.params for f in same] == [{"a": 0.5, "c": 0.0}] * 4
+    assert HazardFamily("table", values=[0.2, 0.7]).rule == ("constant", 0.7)
+    fams = [HazardFamily("constant", p=1), HazardFamily.from_dict(
+        {"kind": "table", "values": [0.5], "tail_rule": ["power", 2, 1]})]
+    assert [json.dumps(f.to_dict()) for f in fams] == [
+        '{"kind": "constant", "p": 1.0}',
+        '{"kind": "table", "values": [0.5], "tail_rule": ["power", 2.0, 1.0]}']
+    assert all(type(v) is float for f in fams for v in f.rule[1:])
+    assert fams[1].params["tail_rule"] == ("power", 2.0, 1.0)
+
+
+@pytest.mark.parametrize("d, message", [
+    ({"kind": "table", "values": [0.5], "tail_rule": []}, "rule must be"),
+    ({"kind": "table", "values": [0.5], "tail_rule": ["constant"]},
+     "rule must be"),
+    ({"kind": "table", "values": [0.5], "tail_rule": ["constant", 0.5, 3]},
+     "rule must be"),
+    ({"kind": "table", "values": [0.5], "tail_rule": ["power", 0.5]},
+     "rule must be"),
+    ({"kind": "constant", "p": [0.5]}, "constant hazard: float() argument"),
+    ({"kind": "constant"}, "constant hazard missing key 'p'"),
+    ({"kind": "power", "a": 10 ** 400}, "power hazard: int too large"),
+], ids=["rule-empty", "rule-short", "rule-long", "power-rule-short",
+        "p-list", "p-missing", "a-past-float"])
+def test_hazard_from_dict_refuses_a_field_of_the_wrong_shape(d, message):
+    # each escaped as an IndexError, TypeError, KeyError or OverflowError,
+    # or (a long rule) was accepted and written back with its stray entry
+    with pytest.raises(ValueError, match=re.escape(message)):
+        HazardFamily.from_dict(d)
+
+
+_NUMBER = st.one_of(st.floats(-0.5, 3.0), st.integers(-2, 4), st.floats(),
+                    st.integers())
+_JSON = st.recursive(
+    st.one_of(st.none(), st.booleans(), _NUMBER, st.text(max_size=3)),
+    lambda inner: st.one_of(st.lists(inner, max_size=3),
+                            st.dictionaries(st.text(max_size=2), inner,
+                                            max_size=2)),
+    max_leaves=4)
+_FIELD = _NUMBER | _JSON
+_SHAPES = {"p": _FIELD, "a": _FIELD, "c": _FIELD,
+           "values": st.lists(st.floats(0.0, 1.0) | _NUMBER, max_size=4)
+           | _JSON,
+           "tail_rule": st.tuples(
+               st.sampled_from(["constant", "power", "gamma"]),
+               st.lists(_FIELD, max_size=3)).map(lambda kr: [kr[0], *kr[1]])
+           | _JSON}
+
+
+def _hazard_dicts(kind, fields):
+    return st.fixed_dictionaries({"kind": kind}, optional={
+        f: _SHAPES.get(f, _NUMBER) for f in fields})
+
+
+# JSON-shaped hazard objects: each known kind with its fields present or
+# not, and any kind with any fields and a stray key "C"
+_HAZARD_DICTS = st.one_of(
+    _hazard_dicts(st.just("constant"), ["p"]),
+    _hazard_dicts(st.just("power"), ["a", "c"]),
+    _hazard_dicts(st.just("table"), ["values", "tail_rule"]),
+    _hazard_dicts(st.sampled_from(["constant", "power", "table", "tabel"])
+                  | _JSON, [*_SHAPES, "C"]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_HAZARD_DICTS)
+def test_a_hazard_object_is_refused_by_name_or_round_trips(d):
+    # a comb file is refused with a ValueError (exit 2 at the command
+    # line), or its family writes JSON text that reads back as itself
+    try:
+        fam = HazardFamily.from_dict(d)
+    except ValueError:
+        return
+    text = json.dumps(fam.to_dict())
+    assert json.dumps(HazardFamily.from_dict(json.loads(text)).to_dict()) \
+        == text
+    assert all(type(v) is float for v in fam.rule[1:])
+
+
 @pytest.mark.parametrize("fam", [HazardFamily.power(0.5),
                                  HazardFamily.constant(0.3)],
                          ids=["power", "constant"])

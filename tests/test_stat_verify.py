@@ -230,6 +230,11 @@ def test_scenario_validation():
     del d["tol_ks"]
     with pytest.raises(ValueError, match="missing key"):
         VerificationScenario.from_dict(d)
+    # a KS distance is at most 1: a tolerance of 1 or more passes every
+    # finite check (true reads as 1.0), and one of 0 or less passes none
+    for bad in (True, 1.0, 1.5, 0.0, -0.1):
+        with pytest.raises(ValueError, match=r"tol_ks must lie in \(0, 1\)"):
+            VerificationScenario.from_dict(dict(base, tol_ks=bad))
 
 
 @pytest.mark.parametrize("key, bad", [
@@ -408,7 +413,8 @@ def test_verify_every_check_is_a_ks_check_at_tol_ks(regime, comb):
                          ids=[r for r, _ in _ONE_OF_EACH_REGIME])
 def test_verify_fails_on_a_nan_in_the_walk(monkeypatch, regime, comb):
     # a NaN position makes that time's marginal KS read nan, and nan < tol
-    # is False: the walk is caught by its marginals in every regime
+    # is False at any tolerance, even the largest one allowed: the walk is
+    # caught by its marginals in every regime
     real = stat_verify.walk_marginals
 
     def with_nan(*args, **kwargs):
@@ -417,7 +423,7 @@ def test_verify_fails_on_a_nan_in_the_walk(monkeypatch, regime, comb):
         return S
 
     monkeypatch.setattr(stat_verify, "walk_marginals", with_nan)
-    sc = VerificationScenario(comb, regime, 400, 1000, [0.5, 1.0], 10.0,
+    sc = VerificationScenario(comb, regime, 400, 1000, [0.5, 1.0], 0.999,
                               seed=4)
     rep = verify_regime(sc)
     assert rep["pass"] is False
