@@ -24,7 +24,7 @@ from .comb_model import CombSpec
 from .stable_proc import sample_positive_stable, sample_stable
 from .stat_verify import (VerificationScenario, _check_k_frac, format_report,
                           hill_estimate, verify_regime)
-from .walk_sim import Trajectory, _directions, simulate_prw, walk_marginals
+from .walk_sim import Trajectory, _directions, _run_batches, walk_marginals
 
 
 class _CliError(Exception):
@@ -44,7 +44,9 @@ def _load_comb(path):
         raise _CliError(f"bad comb file {path}: {e}")
 
 
-_CSV_CHUNK = 1 << 16     # rows of CSV text built at a time
+# rows of CSV text built at a time: with simulate's batches of runs this
+# bounds simulate's memory whatever the horizon
+_CSV_CHUNK = 1 << 14
 
 
 @contextlib.contextmanager
@@ -79,39 +81,53 @@ def _rewound(out):
     return out
 
 
+def _same_file(a, b):
+    """True if the streams `a` and `b` from _output write to one place:
+    both stdout, or one regular file."""
+    if a is b:
+        return True
+    try:
+        fa, fb = os.fstat(a.fileno()), os.fstat(b.fileno())
+    except OSError:         # a stream with no file descriptor
+        return False
+    return stat.S_ISREG(fa.st_mode) and os.path.samestat(fa, fb)
+
+
 def _write_csv(out, preamble, names, *cols):
-    """_write_rows of the equal-length columns `cols`."""
+    """Write `preamble`, the header row `names` and the rows of the
+    equal-length columns `cols` to the stream `out` from _output,
+    _CSV_CHUNK rows at a time."""
     cols = [np.asarray(c) for c in cols]
-    _write_rows(out, preamble, names, len(cols[0]),
-                lambda lo, hi: [c[lo:hi] for c in cols])
+    _write_header(out, preamble, names)
+    for lo in range(0, len(cols[0]), _CSV_CHUNK):
+        _write_chunk(out, [c[lo:lo + _CSV_CHUNK] for c in cols])
 
 
-def _write_rows(out, preamble, names, n, rows):
-    """Write `preamble`, the header row `names` and rows 0..n-1 to the
-    stream `out` from _output, _CSV_CHUNK at a time: rows(lo, hi) gives
-    the equal-length columns of rows lo..hi-1, and is called in order.
+def _write_header(out, preamble, names):
+    """Start the output `out` from _output with `preamble` and the header
+    row `names`."""
+    _rewound(out).write(preamble + ",".join(names) + "\n")
+
+
+def _write_chunk(out, chunk):
+    """Write the rows of the equal-length columns `chunk` to `out`.
     Integer columns are written as %d, floats as %.17g (the text of _fmt)
     and the rest as %s.
 
     When every column is an integer or one-character ASCII text
-    (simulate's files), _text_rows builds the chunk's text with numpy;
-    otherwise one % string formats it (Python's float formatter is the
-    only repr-exact one)."""
-    out = _rewound(out)
-    out.write(preamble + ",".join(names) + "\n")
-    for lo in range(0, n, _CSV_CHUNK):
-        chunk = rows(lo, min(lo + _CSV_CHUNK, n))
-        if all(c.dtype.kind in "iu" or c.dtype == "U1"
-               and c.view(np.uint32).max(initial=0) < 128 for c in chunk):
-            out.write(_text_rows(chunk))
-            continue
-        row = ",".join("%d" if c.dtype.kind in "iu" else
-                       "%.17g" if c.dtype.kind == "f" else "%s"
-                       for c in chunk) + "\n"
-        chunk = [c.tolist() for c in chunk]
-        out.write(row * len(chunk[0])
-                  % tuple(itertools.chain.from_iterable(zip(*chunk))))
-    out.flush()     # before a later _rewound of the same file empties it
+    (simulate's files), _text_rows builds the text with numpy; otherwise
+    one % string formats it (Python's float formatter is the only
+    repr-exact one)."""
+    if all(c.dtype.kind in "iu" or c.dtype == "U1"
+           and c.view(np.uint32).max(initial=0) < 128 for c in chunk):
+        out.write(_text_rows(chunk))
+        return
+    row = ",".join("%d" if c.dtype.kind in "iu" else
+                   "%.17g" if c.dtype.kind == "f" else "%s"
+                   for c in chunk) + "\n"
+    chunk = [c.tolist() for c in chunk]
+    out.write(row * len(chunk[0])
+              % tuple(itertools.chain.from_iterable(zip(*chunk))))
 
 
 # r = 0..99 as two ASCII digits where more digits follow on the left;
@@ -182,25 +198,35 @@ def cmd_simulate(args):
     runs_path = args.runs or (args.out + "_runs.csv")
     header = f"# seed: {seed}\n# comb: {json.dumps(comb.to_dict())}\n"
     n = args.horizon
-    s = 0                                   # S after the steps written
-
-    def trajectory_rows(lo, hi):
-        nonlocal s
-        steps, ages = traj.expand(lo, hi)
-        pos = np.cumsum(steps)
-        pos += s
-        s = pos[-1]
-        return [np.arange(lo + 1, hi + 1), pos, steps, ages]
-
     with _output(traj_path) as traj_out, _output(runs_path) as runs_out:
-        # --horizon 0 writes the headers only
-        traj = simulate_prw(comb, n, seed=seed) if n else Trajectory([], 0)
-        _write_rows(traj_out, "# combwalk trajectory\n" + header,
-                    ["n", "position", "step", "age"], n, trajectory_rows)
-        _write_rows(runs_out, "# combwalk runs\n" + header,
-                    ["index", "direction", "length"], len(traj.lengths),
-                    lambda lo, hi: [np.arange(lo, hi), _directions(lo, hi),
-                                    traj.lengths[lo:hi]])
+        # the two files are written a batch of runs at a time, side by side
+        if _same_file(traj_out, runs_out):
+            raise _CliError("trajectory and runs need different outputs")
+        _write_header(traj_out, "# combwalk trajectory\n" + header,
+                      ["n", "position", "step", "age"])
+        _write_header(runs_out, "# combwalk runs\n" + header,
+                      ["index", "direction", "length"])
+        k = t = s = 0           # runs, steps and S written so far
+        # --horizon 0 draws no batch and writes the headers only
+        for runs in _run_batches(comb, n, seed):
+            # the run that passes the horizon is cut from the steps only
+            span = min(int(runs.sum()), n - t)
+            batch = Trajectory(runs, span)
+            for lo in range(0, span, _CSV_CHUNK):
+                hi = min(lo + _CSV_CHUNK, span)
+                steps, ages = batch.expand(lo, hi)
+                pos = np.cumsum(steps)
+                pos += s
+                s = pos[-1]
+                _write_chunk(traj_out, [np.arange(t + lo + 1, t + hi + 1),
+                                        pos, steps, ages])
+            for lo in range(0, len(runs), _CSV_CHUNK):
+                hi = min(lo + _CSV_CHUNK, len(runs))
+                _write_chunk(runs_out, [np.arange(k + lo, k + hi),
+                                        _directions(k + lo, k + hi),
+                                        runs[lo:hi]])
+            k += len(runs)
+            t += span
     print(f"steps: {n}")
     if n == 0:
         return 0
@@ -365,13 +391,14 @@ def cmd_estimate(args):
     if len(steps) < 100:
         raise _CliError("trajectory too short to estimate anything")
     # the completed runs end where the step changes (the last run, which
-    # may be clipped, ends at no change) and alternate from `first`; the
-    # step column and the run ends go before the Hill fits
-    ends = np.flatnonzero(steps[1:] != steps[:-1])
+    # may be clipped, ends at no change) and alternate from `first`; their
+    # lengths are formed in place of their ends, and the step column goes
+    # before the Hill fits
+    lengths = np.flatnonzero(steps[1:] != steps[:-1])
     first = steps[0]
     del steps
-    lengths = np.diff(ends, prepend=-1)
-    del ends
+    lengths[1:] -= lengths[:-1]     # numpy buffers the overlapping operand
+    lengths[:1] += 1
     up, dn = lengths[int(first < 0)::2], lengths[int(first > 0)::2]
     if len(up) < 5 or len(dn) < 5:
         raise _CliError("needs at least 5 completed runs per direction")
@@ -384,7 +411,7 @@ def cmd_estimate(args):
     degenerate = short = False
     for name, arr in (("up", up), ("down", dn)):
         try:
-            h = hill_estimate(arr.astype(float), args.k_frac)
+            h = hill_estimate(arr, args.k_frac)
         except ValueError as e:
             print(f"tail index {name} : declined ({e})")
             degenerate |= "degenerate" in str(e)

@@ -36,6 +36,14 @@ _RULE_PARAMS = {"constant": ("p",), "power": ("a", "c")}   # names of rule[1:]
 _FIELDS = dict(_RULE_PARAMS, table=("values", "tail_rule"))  # of each kind
 
 
+def _refuse_non_number(kind, key, v):
+    """A string or a bool for the field `key` of a `kind` hazard is a
+    ValueError naming both: float() would read "0.5" and true as numbers."""
+    if isinstance(v, (str, bool, np.bool_)):
+        raise ValueError(f"{kind} hazard {key} must be a number, not "
+                         f"{type(v).__name__}")
+
+
 class HazardFamily:
     """One direction's switch-probability sequence alpha_k, k = 1, 2, ...
 
@@ -66,7 +74,14 @@ class HazardFamily:
         given = {"c": 0.0, **{k: v for k, v in params.items()
                               if v is not None}}
         if kind == "table":
-            values = np.asarray(given["values"], dtype=float)
+            values = given["values"]
+            if isinstance(values, (list, tuple)):
+                for v in values:
+                    _refuse_non_number(kind, "values", v)
+            try:
+                values = np.asarray(values, dtype=float)
+            except ValueError as e:
+                raise ValueError(f"table hazard values: {e}") from None
             if values.ndim != 1 or len(values) == 0:
                 raise ValueError("table needs a nonempty 1-d value list")
             if not np.all((values >= 0) & (values <= 1)):   # NaN too
@@ -79,6 +94,9 @@ class HazardFamily:
                 or len(rule) != 1 + len(_RULE_PARAMS[rule[0]])):
             raise ValueError("rule must be ('constant', p) or "
                              "('power', a, c)")
+        where = "tail_rule " if kind == "table" else ""
+        for k, v in zip(_RULE_PARAMS[rule[0]], rule[1:]):
+            _refuse_non_number(kind, where + k, v)
         rule = (rule[0], *(float(v) for v in rule[1:]))
         if rule[0] == "constant":
             if not 0.0 <= rule[1] <= 1.0:

@@ -140,7 +140,9 @@ class _NolanIntegral:
         else:
             c0 = np.pi + np.arctan(tn) + np.arctan(beta * tn)
         self.c0 = c0
-        self.L = (np.pi - c0) / alpha
+        # L <= pi; at beta = 1 and alpha < 1 it is pi, and a rounding past
+        # it made pi - L negative: tan and log of it NaN near the far end
+        self.L = min((np.pi - c0) / alpha, np.pi)
         self.p = alpha / (alpha - 1.0)
         self.K = -0.5 * np.log1p((beta * tn) ** 2) / (alpha - 1.0)
         self.rising = alpha < 1.0
@@ -211,8 +213,10 @@ class _NolanIntegral:
                 return np.exp(-np.exp(self.log_h(y, uk))) * self.ends(y)[2]
 
             def dev(y):
-                return (-np.expm1(hk - np.exp(self.log_h(y, uk)))
-                        * self.ends(y)[2])
+                # h >= h_end here; a large h_end rounds past h, and the
+                # overflowing expm1 made the integral NaN
+                return (-np.expm1(np.minimum(hk - np.exp(self.log_h(y, uk)),
+                                             0.0)) * self.ends(y)[2])
 
             r0, r1, rt = reach0[k, None], reach1[k, None], tail[k, None]
             I0 = reach0[k] * (rising(yk + d * r0 * _RISE[0]) @ _RISE[1])

@@ -68,12 +68,13 @@ def hill_estimate(samples, k_frac):
     """
     _check_k_frac(k_frac)
     x = np.asarray(samples, dtype=float)
-    x = x[x > 0]
+    x = x[x > 0]                        # a copy, partitioned in place
     n = len(x)
     k = int(np.floor(k_frac * n))
     if k < 10:
         raise ValueError(f"only {k} tail exceedances; need at least 10")
-    top = np.partition(x, n - k - 1)[n - k - 1:]
+    x.partition(n - k - 1)
+    top = x[n - k - 1:]
     top = np.sort(top)[::-1]            # top[0] largest, top[k] pivot
     logs = np.log(top[:k]) - np.log(top[k])
     if np.all(logs <= 0):

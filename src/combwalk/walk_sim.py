@@ -6,7 +6,9 @@ inverter, which is equivalent to stepping the age-dependent switch
 probabilities one step at a time but vastly faster.  Two simulators:
 
   simulate_prw      one trajectory: its run record, 16 bytes a run, grows
-                    with the horizon (the CLI caps it at 10^7 steps)
+                    with the horizon; the CLI writes the same runs one
+                    batch at a time (_run_batches), in memory bounded
+                    whatever the horizon
   walk_marginals    many replicas, recording S only at target times, in
                     memory bounded whatever the horizon; deterministically
                     chunked so results are identical for any thread count
@@ -117,6 +119,29 @@ class Trajectory:
         return self.expand(0, self.horizon)[1]
 
 
+def _run_batches(comb, horizon, seed):
+    """The run lengths of simulate_prw(comb, horizon, seed), one batch at
+    a time: the last batch ends with the run that reaches `horizon` (which
+    may pass it), and every batch before it holds nb whole blocks, so each
+    batch starts with a down run.  Nothing for a horizon of 0."""
+    rng = np.random.default_rng(seed)
+    total = 0
+    nb = 1
+    while total < horizon:
+        v = rng.random((nb, 2, _BLOCK))
+        runs = np.empty((nb, 2 * _BLOCK), dtype=np.int64)
+        runs[:, 0::2] = comb.down_law.invert(v[:, 0])
+        runs[:, 1::2] = comb.up_law.invert(v[:, 1])
+        del v                   # before the run ends are formed
+        runs = runs.reshape(-1)
+        ends = total + np.cumsum(runs)
+        total = ends[-1]
+        cut = np.searchsorted(ends, horizon) + 1
+        del ends                # only the runs stay while the caller has them
+        yield runs[:cut]
+        nb = min(2 * nb, _BATCH)
+
+
 def simulate_prw(comb, horizon, seed):
     """One trajectory out to `horizon` steps, held as its exact run record;
     a pure function of (comb, horizon, seed).
@@ -129,28 +154,16 @@ def simulate_prw(comb, horizon, seed):
     inverts each direction's uniforms in one call.  nb doubles from 1 up
     to _BATCH (1 MB of uniforms), which bounds the over-draw of a short
     horizon, and the run lengths are those of one block at a time for
-    the same seed.  Trajectory.expand(lo, hi) expands the run record into
-    the steps lo+1..hi when asked, and steps()/positions()/ages() into
-    per-step arrays of length `horizon`.
+    the same seed.  The batches come from _run_batches, which the CLI
+    writes out one at a time.  Trajectory.expand(lo, hi) expands the run
+    record into the steps lo+1..hi when asked, and
+    steps()/positions()/ages() into per-step arrays of length `horizon`.
     """
     if not (1 <= horizon <= 1 << 53 and horizon == int(horizon)):
         raise ValueError("horizon must be an integer in [1, 2^53]")
     horizon = int(horizon)
-    rng = np.random.default_rng(seed)
-    batches = []
-    total = 0
-    nb = 1
-    while total < horizon:
-        v = rng.random((nb, 2, _BLOCK))
-        runs = np.empty((nb, 2 * _BLOCK), dtype=np.int64)
-        runs[:, 0::2] = comb.down_law.invert(v[:, 0])
-        runs[:, 1::2] = comb.up_law.invert(v[:, 1])
-        runs = runs.reshape(-1)
-        ends = total + np.cumsum(runs)
-        batches.append(runs[:np.searchsorted(ends, horizon) + 1])
-        total = ends[-1]
-        nb = min(2 * nb, _BATCH)
-    return Trajectory(np.concatenate(batches), horizon)
+    return Trajectory(np.concatenate(list(_run_batches(comb, horizon, seed))),
+                      horizon)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import contextlib
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -14,7 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import combwalk
 from combwalk import (HillResult, cli, constant_comb, lamperti_limit,
-                      power_comb)
+                      power_comb, walk_sim)
 
 
 def write_comb(tmp_path, comb, name="comb.json"):
@@ -102,6 +103,8 @@ def test_simulate_zero_horizon(tmp_path, capsys):
     assert "steps: 0" in capsys.readouterr().out
     cols, rows = read_rows(out + "_trajectory.csv")
     assert cols == ["n", "position", "step", "age"] and rows == []
+    cols, rows = read_rows(out + "_runs.csv")
+    assert cols == ["index", "direction", "length"] and rows == []
 
 
 def test_simulate_error_paths(tmp_path, capsys):
@@ -140,12 +143,12 @@ def test_simulate_refuses_non_finite_hazards(tmp_path, capsys, hazard):
 def test_simulate_outputs_are_opened_before_the_run(tmp_path, monkeypatch,
                                                     capsys):
     comb = write_comb(tmp_path, constant_comb(0.5, 0.5))
-    real = cli.simulate_prw
+    real = cli._run_batches
 
     def must_not_run(*args, **kwargs):
-        raise AssertionError("simulate_prw ran before the outputs were opened")
+        raise AssertionError("simulate drew before the outputs were opened")
 
-    monkeypatch.setattr(cli, "simulate_prw", must_not_run)
+    monkeypatch.setattr(cli, "_run_batches", must_not_run)
     missing = str(tmp_path / "missing" / "x.csv")
     t, r = tmp_path / "t.csv", tmp_path / "r.csv"
     for paths in ((missing, str(r)), (str(t), missing)):
@@ -160,13 +163,31 @@ def test_simulate_outputs_are_opened_before_the_run(tmp_path, monkeypatch,
                      "--trajectory", str(t), "--runs", missing]) == 2
     assert t.read_text() == "an earlier trajectory\n"
     # and is replaced whole by a run that succeeds
-    monkeypatch.setattr(cli, "simulate_prw", real)
+    monkeypatch.setattr(cli, "_run_batches", real)
     t.write_text("an earlier trajectory\n" * 10_000)
     assert cli.main(["simulate", "--comb", comb, "--horizon", "100",
                      "--trajectory", str(t), "--runs", str(r)]) == 0
     capsys.readouterr()
     cols, rows = read_rows(str(t))
     assert cols == ["n", "position", "step", "age"] and len(rows) == 100
+
+
+def test_simulate_refuses_one_output_for_both_tables(tmp_path, capsys):
+    # the two tables are written side by side, a batch of runs at a time,
+    # so one file or stdout for both would interleave them
+    comb = write_comb(tmp_path, constant_comb(0.5, 0.5))
+    t = tmp_path / "t.csv"
+    for paths in (("-", "-"), (str(t), str(t)),
+                  (str(t), str(tmp_path / "." / "t.csv"))):
+        assert cli.main(["simulate", "--comb", comb, "--horizon", "100",
+                         "--trajectory", paths[0], "--runs", paths[1]]) == 2
+        assert capsys.readouterr().err == (
+            "error: trajectory and runs need different outputs\n")
+        assert not t.exists()
+    t.write_text("an earlier trajectory\n")
+    assert cli.main(["simulate", "--comb", comb, "--horizon", "100",
+                     "--trajectory", str(t), "--runs", str(t)]) == 2
+    assert t.read_text() == "an earlier trajectory\n"
 
 
 def test_seed_env_and_flag_precedence(tmp_path, capsys, monkeypatch):
@@ -553,17 +574,9 @@ def test_simulate_trajectory_to_stdout(tmp_path, capsys):
 def test_simulate_bytes_do_not_depend_on_the_chunk(
         tmp_path, monkeypatch, capsys, comb, horizon, longer_than):
     path = write_comb(tmp_path, comb)
-    traj = combwalk.simulate_prw(comb, horizon, seed=1)
-    # the rows spelt out run by run (the last run may pass the horizon)
-    lengths = np.minimum(traj.lengths, horizon)
-    steps = np.repeat(np.where(traj.directions == "u", 1, -1),
-                      lengths)[:horizon]
-    ages = np.concatenate([np.arange(1, m + 1) for m in lengths])[:horizon]
-    want_traj = "n,position,step,age\n" + per_row_text(
-        np.arange(1, horizon + 1), np.cumsum(steps), steps, ages)
-    want_runs = "index,direction,length\n" + per_row_text(
-        np.arange(len(traj.lengths)), traj.directions, traj.lengths)
-    assert traj.lengths.max() > longer_than     # a run crosses chunk edges
+    want_traj, want_runs, final = simulated_text(comb, horizon, 1)
+    lengths = combwalk.simulate_prw(comb, horizon, seed=1).lengths
+    assert lengths.max() > longer_than          # a run crosses chunk edges
     # one row a chunk costs ~0.1 ms a row; it runs on the short horizons
     for chunk in (1, 7, 65_536) if horizon <= 1000 else (7, 65_536):
         monkeypatch.setattr(cli, "_CSV_CHUNK", chunk)
@@ -571,10 +584,58 @@ def test_simulate_bytes_do_not_depend_on_the_chunk(
         assert cli.main(["simulate", "--comb", path, "--horizon",
                          str(horizon), "--seed", "1", "--trajectory", str(t),
                          "--runs", str(r)]) == 0
-        assert f"final position: {int(np.sum(steps))}\n" in (
-            capsys.readouterr().out)
+        assert f"final position: {final}\n" in capsys.readouterr().out
         assert t.read_text().split("\n", 3)[3] == want_traj
         assert r.read_text().split("\n", 3)[3] == want_runs
+
+
+def simulated_text(comb, horizon, seed):
+    """simulate's two tables (header rows on) and its final position,
+    spelt out run by run from simulate_prw's run record; the last run
+    may pass the horizon, and is cut from the trajectory only."""
+    traj = combwalk.simulate_prw(comb, horizon, seed=seed)
+    lengths = np.minimum(traj.lengths, horizon)
+    steps = np.repeat(np.where(traj.directions == "u", 1, -1),
+                      lengths)[:horizon]
+    ages = np.concatenate([np.arange(1, m + 1) for m in lengths])[:horizon]
+    return ("n,position,step,age\n" + per_row_text(
+                np.arange(1, horizon + 1), np.cumsum(steps), steps, ages),
+            "index,direction,length\n" + per_row_text(
+                np.arange(len(traj.lengths)), traj.directions, traj.lengths),
+            int(np.sum(steps)))
+
+
+# simulate draws batch k (k = 1, 2, ...) of 64 (2^k - 1) runs a direction,
+# so batch k ends after 128 (2^k - 1) runs: the horizon ends on that run's
+# last step, or one step past it, so that batch k + 1 is drawn and its
+# first run (4 steps, and 27) passes the horizon.  Each walk has a run
+# across two chunk edges or more: one of 19 steps at a chunk of 7 rows
+# for the constant comb, and one of 67 869 steps at the default chunk for
+# the power comb, whose first batch ends at step 86 130
+@pytest.mark.parametrize("past", [0, 1], ids=["on", "past"])
+@pytest.mark.parametrize("comb, seed, batches, chunk", [
+    (constant_comb(0.3, 0.5), 3, 3, 7),
+    (power_comb(0.5), 27, 1, None),
+], ids=["constant-batch-3", "power0.5-batch-1"])
+def test_simulate_streams_the_runs_of_simulate_prw_by_batch(
+        tmp_path, monkeypatch, capsys, comb, seed, batches, chunk, past):
+    if chunk is not None:
+        monkeypatch.setattr(cli, "_CSV_CHUNK", chunk)
+    first = itertools.islice(walk_sim._run_batches(comb, 1 << 53, seed),
+                             batches)
+    horizon = int(sum(runs.sum() for runs in first)) + past
+    lengths = combwalk.simulate_prw(comb, horizon, seed).lengths
+    assert len(lengths) == 128 * (2 ** batches - 1) + past
+    assert (lengths.sum() > horizon) == bool(past)
+    assert lengths.max() > 2 * cli._CSV_CHUNK
+    want_traj, want_runs, final = simulated_text(comb, horizon, seed)
+    t, r = tmp_path / "t.csv", tmp_path / "r.csv"
+    assert cli.main(["simulate", "--comb", write_comb(tmp_path, comb),
+                     "--horizon", str(horizon), "--seed", str(seed),
+                     "--trajectory", str(t), "--runs", str(r)]) == 0
+    assert f"final position: {final}\n" in capsys.readouterr().out
+    assert t.read_text().split("\n", 3)[3] == want_traj
+    assert r.read_text().split("\n", 3)[3] == want_runs
 
 
 def _traced_peak_mb(argv):
@@ -590,9 +651,11 @@ def _traced_peak_mb(argv):
 def test_simulate_and_estimate_hold_memory_to_the_run_record(tmp_path,
                                                              capsys):
     # 10^6 steps make a 22 MB trajectory file and 8 MB per int64 column:
-    # simulate keeps the run record and one chunk of rows, estimate the
-    # one-byte step column, its one-byte change mask and the run lengths
-    # (~12 MB; 17 MB when the step column was int64)
+    # simulate keeps one batch of runs (1 MB) and one chunk of rows (~6 MB;
+    # 19 MB when it held the whole run record and its concatenation),
+    # estimate the one-byte step column, its one-byte change mask and the
+    # run lengths, formed in place of their ends (~8.5 MB; 12 MB with a
+    # separate array of ends, 17 MB when the step column was int64)
     path = write_comb(tmp_path, power_comb(1.5, c=1.0))
     t = str(tmp_path / "t.csv")
     sim = _traced_peak_mb(["simulate", "--comb", path, "--horizon",
@@ -600,8 +663,8 @@ def test_simulate_and_estimate_hold_memory_to_the_run_record(tmp_path,
                            "--runs", str(tmp_path / "r.csv")])
     est = _traced_peak_mb(["estimate", "--trajectory", t])
     capsys.readouterr()
-    assert sim < 40, f"simulate peaked at {sim:.1f} MB"
-    assert est < 15, f"estimate peaked at {est:.1f} MB"
+    assert sim < 12, f"simulate peaked at {sim:.1f} MB"
+    assert est < 11, f"estimate peaked at {est:.1f} MB"
 
 
 # ---------------------------------------------------------------------------
@@ -690,7 +753,7 @@ def test_negative_seed_and_count_flags_are_refused_by_name(
     def must_not_run(*args, **kwargs):
         raise AssertionError("drew before the flags were checked")
 
-    monkeypatch.setattr(cli, "simulate_prw", must_not_run)
+    monkeypatch.setattr(cli, "_run_batches", must_not_run)
     monkeypatch.setattr(cli.np.random, "default_rng", must_not_run)
     out = tmp_path / "out.csv"
     if argv[0] == "simulate":
@@ -962,6 +1025,31 @@ def test_estimate_error_paths(tmp_path, capsys):
                        "\n".join("1,2,x,4" for _ in range(200)) + "\n")
     assert cli.main(["estimate", "--trajectory", str(garbled)]) == 2
     capsys.readouterr()
+
+
+def test_estimate_reads_the_completed_runs_of_simulate(tmp_path, capsys):
+    # every run that ends before the horizon is completed: a step of the
+    # other direction follows it; the run in progress at the horizon is not
+    comb, horizon = power_comb(1.5, c=1.0), 200_000
+    t = str(tmp_path / "t.csv")
+    assert cli.main(["simulate", "--comb", write_comb(tmp_path, comb),
+                     "--horizon", str(horizon), "--seed", "2",
+                     "--trajectory", t,
+                     "--runs", str(tmp_path / "r.csv")]) == 0
+    capsys.readouterr()
+    assert cli.main(["estimate", "--trajectory", t]) == 0
+    out = capsys.readouterr().out.splitlines()
+    lengths = combwalk.simulate_prw(comb, horizon, seed=2).lengths
+    done = np.cumsum(lengths) < horizon
+    up, dn = lengths[1::2][done[1::2]], lengths[0::2][done[0::2]]
+    assert out[:2] == [
+        f"completed runs : {len(up)} up, {len(dn)} down",
+        f"mean run length: up {cli._fmt(np.mean(up))}, "
+        f"down {cli._fmt(np.mean(dn))}"]
+    for line, runs in zip(out[3:5], (up, dn)):
+        h = combwalk.hill_estimate(runs.astype(float), 0.1)
+        assert line.endswith(f": {h.alpha:.3f}  ci=({h.ci[0]:.3f}, "
+                             f"{h.ci[1]:.3f})  k={h.k}")
 
 
 def test_estimate_refuses_a_file_of_comments_only(tmp_path, capsys):

@@ -929,6 +929,49 @@ def test_hazard_from_dict_refuses_a_field_of_the_wrong_shape(d, message):
         HazardFamily.from_dict(d)
 
 
+@pytest.mark.parametrize("d, message", [
+    ({"kind": "constant", "p": "0.5"}, "constant hazard p must be a number, "
+     "not str"),
+    ({"kind": "constant", "p": "abc"}, "constant hazard p must be a number, "
+     "not str"),
+    ({"kind": "constant", "p": True}, "constant hazard p must be a number, "
+     "not bool"),
+    ({"kind": "power", "a": "1.5", "c": 1}, "power hazard a must be a "
+     "number, not str"),
+    ({"kind": "power", "a": 0.5, "c": False}, "power hazard c must be a "
+     "number, not bool"),
+    ({"kind": "table", "values": [0.5, True]}, "table hazard values must be "
+     "a number, not bool"),
+    ({"kind": "table", "values": ["0.5"]}, "table hazard values must be a "
+     "number, not str"),
+    ({"kind": "table", "values": "abc"}, "table hazard values: could not "
+     "convert string to float"),
+    ({"kind": "table", "values": [[0.5, "a"]]}, "table hazard values: could "
+     "not convert string to float"),
+    ({"kind": "table", "values": [0.5], "tail_rule": ["power", "1.5", 1]},
+     "table hazard tail_rule a must be a number, not str"),
+    ({"kind": "table", "values": [0.5], "tail_rule": ["constant", True]},
+     "table hazard tail_rule p must be a number, not bool"),
+], ids=["p-numeric-string", "p-string", "p-bool", "a-string", "c-bool",
+        "values-bool", "values-string", "values-a-string", "values-nested",
+        "rule-string", "rule-bool"])
+def test_hazard_fields_refuse_strings_and_bools(d, message):
+    # float() reads "0.5" and true as numbers, and "abc" failed with a
+    # bare "could not convert string to float" naming no kind or field
+    with pytest.raises(ValueError, match="^" + re.escape(message)):
+        HazardFamily.from_dict(d)
+
+
+def test_hazard_fields_take_numpy_numbers():
+    fams = [HazardFamily.constant(np.float64(0.5)),
+            HazardFamily.power(np.int64(2), c=np.float32(1.5)),
+            HazardFamily.table(np.array([0.5, 1.0]), ("constant", np.int8(0)))]
+    assert [f.rule for f in fams] == [("constant", 0.5), ("power", 2.0, 1.5),
+                                      ("constant", 0.0)]
+    with pytest.raises(ValueError, match="p must be a number, not bool"):
+        HazardFamily.constant(np.True_)
+
+
 _NUMBER = st.one_of(st.floats(-0.5, 3.0), st.integers(-2, 4), st.floats(),
                     st.integers())
 _JSON = st.recursive(

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import mpmath
+from hypothesis import given, settings, strategies as st
 from scipy import integrate, special
 
 from combwalk import (
@@ -180,6 +181,43 @@ def test_cdf_outside_the_support_and_at_nan():
     x = np.linspace(-2.0, 2.0, 41)
     assert np.max(np.abs(cdf_f(0.7, 0.3, 2.0, x)
                          + cdf_f(0.7, -0.3, 2.0, -x) - 1.0)) < 1e-15
+
+
+_ALPHAS = st.floats(0.01, 0.99)
+_DRIFTS = st.floats(-0.99, 0.99)
+_TIMES = st.floats(-3.0, 6.0).map(lambda e: 10.0 ** e)     # 1e-3 .. 1e6
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ALPHAS, _DRIFTS, _TIMES,
+       st.lists(st.floats(-1.5, 1.5), min_size=2, max_size=16))
+def test_cdf_reflects_under_m_and_is_monotone(alpha, m, t, z):
+    # F(x; m) = 1 - F(-x; -m), and F is nondecreasing in x, on the whole
+    # line (inside the support, at its edges and beyond).  Random draws
+    # reflect within 1.7e-15; next to alpha = 1, where sin(pi alpha) is
+    # small and r + cos(pi alpha) can cancel, the arctangent loses up to
+    # ~25 ulps (5.3e-15 at alpha = 0.99, x = 0, m = -2.5e-4)
+    x = np.sort(np.array(z)) * t
+    F = cdf_f(alpha, m, t, x)
+    assert np.max(np.abs(F + cdf_f(alpha, -m, t, -x) - 1.0)) <= 1e-14
+    assert np.all(np.diff(F) >= 0.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ALPHAS, _DRIFTS, _TIMES, st.integers(-10, 20),
+       st.lists(st.floats(-1.5, 1.5, allow_subnormal=False), min_size=1,
+                max_size=16))
+def test_cdf_is_self_similar(alpha, m, t, k, z):
+    # F(x; t) = F(x/t; 1): exactly when t is a power of two, which scales
+    # without rounding; else within rounding where the density is bounded
+    # (next to an edge the slope is unbounded for alpha < 1, and the
+    # rounding of x/t alone moves F by up to 1e-2)
+    z = np.array(z)
+    assert np.array_equal(cdf_f(alpha, m, 2.0 ** k, z * 2.0 ** k),
+                          cdf_f(alpha, m, 1.0, z))
+    x = np.clip(z, -0.9, 0.9) * t
+    assert np.max(np.abs(cdf_f(alpha, m, t, x)
+                         - cdf_f(alpha, m, 1.0, x / t))) <= 1.4e-14
 
 
 def test_evaluator_time_scaling():

@@ -1,6 +1,7 @@
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 from scipy import stats
 from scipy.special import erfc, ndtr
@@ -12,6 +13,7 @@ from combwalk import (
     stable_cdf_interp,
     stable_sigma,
 )
+from combwalk.stable_proc import _standard_cdf
 
 from limit_checks import empirical_char_fn, levy_symbol
 
@@ -251,3 +253,36 @@ def test_cdf_grid_matches_scipy_away_from_its_rounding(alpha, beta):
     keep = (np.abs(z[::20]) > 0.05) & (ref > 0.0) & (ref < 1.0)
     assert keep.sum() > 100
     assert_allclose(F[keep], ref[keep], rtol=0, atol=1e-9)
+
+
+# alpha in [0.1, 2] away from 1, beta anywhere in [-1, 1] (the ends
+# included), and points on both sides of 0 out to the tails
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(st.floats(0.1, 0.95), st.floats(1.05, 2.0)),
+       st.floats(-1.0, 1.0) | st.sampled_from([-1.0, 1.0]),
+       st.lists(st.floats(-1e3, 1e3), min_size=2, max_size=16))
+def test_standard_cdf_reflects_under_beta_and_is_monotone(alpha, beta, z):
+    # F(z; alpha, beta) = 1 - F(-z; alpha, -beta), and F is nondecreasing,
+    # both to rounding: the two sides of 0 are two formulas, which agree
+    # at 0 to a few ulps of 1 (F(0) = 1 - L/pi against the sides' limits)
+    z = np.sort(np.array(z))
+    with np.errstate(over="ignore", under="ignore"):
+        F = _standard_cdf(z, alpha, beta)
+        G = _standard_cdf(-z, alpha, -beta)
+    assert np.all((F >= 0.0) & (F <= 1.0))
+    assert np.max(np.abs(F + G - 1.0)) <= 2e-15
+    assert np.all(np.diff(F) >= -1e-15)
+
+
+@pytest.mark.parametrize("alpha", [0.125, 0.63, 0.92, 0.952, 0.97])
+def test_standard_cdf_is_finite_when_totally_skewed(alpha):
+    # beta = +-1 with alpha < 1: L rounded past pi, or a large light-tail
+    # floor h_end rounded past h, made these NaN (and F(0) negative); the
+    # law lives on z >= 0, and F(0) = 1 - L/pi is 0 to rounding
+    z = np.array([-1e3, -5.0, -1.0, -0.1, 0.0, 0.1, 1.0, 5.0, 1e3])
+    with np.errstate(over="ignore", under="ignore", invalid="raise"):
+        F = _standard_cdf(z, alpha, 1.0)
+        G = _standard_cdf(-z, alpha, -1.0)
+    assert F[z < 0].tolist() == [0.0] * 4 and 0.0 <= F[z == 0] <= 1e-15
+    assert np.all(np.diff(F) >= -1e-15) and np.all(F <= 1.0)
+    assert np.max(np.abs(F + G - 1.0)) <= 2e-15

@@ -101,6 +101,17 @@ def test_hill_ignores_nonpositive_values():
     assert res.alpha == pytest.approx(0.5, abs=0.1)
 
 
+def test_hill_takes_integer_samples_and_leaves_them_be():
+    # run lengths come in as integers and are converted once; the
+    # partition works on the estimator's own copy, never on the input
+    x = power_comb(0.7).down_law.invert(np.random.default_rng(8).random(5000))
+    xf = x.astype(float)
+    kept = xf.copy()
+    got, want = hill_estimate(x[::2], 0.1), hill_estimate(xf[::2], 0.1)
+    assert (got.alpha, got.ci, got.k) == (want.alpha, want.ci, want.k)
+    assert np.array_equal(xf, kept) and np.array_equal(x, kept)
+
+
 def one_matrix_hill(samples, k_frac):
     """hill_estimate with its bootstrap drawn as one (_HILL_BOOT, k) index
     matrix: the reference for the row-blocked draw."""
