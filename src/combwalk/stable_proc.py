@@ -233,21 +233,23 @@ def _standard_cdf(z, alpha, beta):
             return 0.5 + np.arctan(z) / np.pi
         I = _NolanIntegral(1.0, abs(beta))(z if beta > 0 else -z)
         return I / np.pi if beta > 0 else 1.0 - I / np.pi
-    out = np.empty(z.shape)
+    if alpha < 1.0 and beta > 0.0:
+        # by reflection: L is exact (0) at beta = -1, not at beta = 1
+        return 1.0 - _standard_cdf(-z, alpha, -beta)
+    L = _NolanIntegral(alpha, beta).L
+    # F(0); for alpha < 1 both sides start from it, so F is monotone at 0
+    out = np.full(z.shape, 1.0 - L / np.pi if alpha > 1.0 else
+                  (np.pi - L) / np.pi)
     for sign in (1.0, -1.0):
         side = sign * z > 0
-        if not side.any():
-            continue
-        nolan = _NolanIntegral(alpha, sign * beta)
-        I = nolan(np.log(np.abs(z[side]))) / np.pi
+        I = _NolanIntegral(alpha, sign * beta)(np.log(np.abs(z[side]))) / np.pi
         if alpha > 1.0:
             # the upper tail I is kept as is on the negative side
             out[side] = 1.0 - I if sign > 0 else I
         else:
-            F = (np.pi - nolan.L) / np.pi + I
-            out[side] = F if sign > 0 else 1.0 - F
-    out[z == 0] = 1.0 - _NolanIntegral(alpha, beta).L / np.pi
-    return out
+            out[side] += sign * I
+    # a far tail's I meets F(0) or 1 - F(0) to rounding, on either side
+    return np.clip(out, 0.0, 1.0, out=out)
 
 
 def stable_cdf_interp(alpha, beta, scale, npts=3001):

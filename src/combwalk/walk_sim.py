@@ -26,20 +26,21 @@ cycles before it: when both uniforms fall below the laws' cdf[1], which
 happens with probability q = P(d = 1) P(u = 1), _collapse turns the same
 two uniforms into a geometric count of further trivial cycles and a
 redrawn non-trivial cycle (on the critical Cauchy comb q = 0.98, and a
-row stands for ~50 cycles).  The recycled down uniform has a resolution
-of 2^-53 / (p_d q^K) after K further trivial cycles, against 2^-53 for a
-fresh one.  Each target is located by counting the row ends below it; a
-target inside a trivial stretch reads its position from the parity of
-its offset.  Lanes past the last target are dropped from inversion and
-arithmetic, but the stream still passes over their uniforms, so it is
-that of one row of all 4096 lanes at a time.  A short chunk keeps its
-first m lanes: each row draws their m down uniforms, skips the other
-4096 - m with PCG64.advance (random() takes one 64-bit output per
-double), and does the same for the up uniforms.  Every row depends only
-on its own two uniforms, and times and positions are integers below
-2^53, so the output does not depend on the block size or on how many
-lanes a chunk keeps.  A comb with q = 0 has no trivial row, and its
-output is that of one cycle at a time.
+row stands for ~50 cycles), and returns each row's trivial stretch in
+steps: time without displacement.  The recycled down uniform has a
+resolution of 2^-53 / (p_d q^K) after K further trivial cycles, against
+2^-53 for a fresh one.  Each target is located by counting the row ends
+below it; a target inside a trivial stretch reads its position from the
+parity of its offset.  Lanes past the last target are dropped from
+inversion and arithmetic, but the stream still passes over their
+uniforms, so it is that of one row of all 4096 lanes at a time.  A
+short chunk keeps its first m lanes: each row draws their m down
+uniforms, skips the other 4096 - m with PCG64.advance (random() takes
+one 64-bit output per double), and does the same for the up uniforms.
+Every row depends only on its own two uniforms, and times and positions
+are integers below 2^53, so the output does not depend on the block size
+or on how many lanes a chunk keeps.  A comb with q = 0 has no trivial
+row, and its output is that of one cycle at a time.
 """
 
 import bisect
@@ -195,8 +196,8 @@ def _replicate(n_rep, chunk, seed, threads, work):
 
 def _collapse(vd, vu, p_d, p_u, cap):
     """Recycle in place the uniforms of the rows that draw a trivial (1, 1)
-    cycle: returns those rows' flat indices and the steps of their trivial
-    stretches.  vd and vu must be C-contiguous.
+    cycle: returns each row's trivial stretch in steps, shaped like vd (0
+    where the row is not trivial).  vd and vu must be C-contiguous.
 
     A row is trivial when both its uniforms lie below the laws' cdf[1], so
     with probability q = p_d p_u.  Given that, x = vd / p_d and y = vu / p_u
@@ -210,10 +211,10 @@ def _collapse(vd, vu, p_d, p_u, cap):
     (invert maps u = cdf[1] to 1 as well; such a row is simply not
     collapsed, which leaves the law exact).
     """
-    vd, vu = vd.reshape(-1), vu.reshape(-1)
-    rows = np.flatnonzero((vd < p_d) & (vu < p_u))
+    flat_d, flat_u = vd.reshape(-1), vu.reshape(-1)
+    rows = np.flatnonzero((flat_d < p_d) & (flat_u < p_u))
     q = p_d * p_u
-    t = vd[rows]
+    t = flat_d[rows]
     np.subtract(p_d, t, out=t)
     with np.errstate(divide="ignore", invalid="ignore"):
         # log q is -0.0 at q = 1, so K is +inf there (nan at x = 0); K
@@ -228,17 +229,17 @@ def _collapse(vd, vu, p_d, p_u, cap):
     t *= log_q
     np.exp(t, out=t)                        # r = q^(t - K)
     np.subtract(1.0 + q, t, out=t)
-    vd[rows] = np.minimum(t, _BELOW_ONE, out=t)
+    flat_d[rows] = np.minimum(t, _BELOW_ONE, out=t)
     lift = t <= p_d
-    y = vu[rows]
+    y = flat_u[rows]
     y /= p_u
     np.multiply(y, 1.0 - p_u, out=t)
     t += p_u
     np.putmask(y, lift, np.minimum(t, _BELOW_ONE, out=t))
-    vu[rows] = y
-    k += 1
-    k *= 2
-    return rows, k
+    flat_u[rows] = y
+    stretch = np.zeros(vd.shape, dtype=np.int64)
+    stretch.reshape(-1)[rows] = 2 * (k + 1)
+    return stretch
 
 
 def _positions(tj, hit, tnow, pos, td, tu, pre):
@@ -288,32 +289,28 @@ def _chunk_marginals(comb, targets, rng, m):
                 rng.random(out=buf[c])
                 if skip:
                     rng.bit_generator.advance(skip)
-        n = len(lane)
-        vd, vu = ((down, up) if n == m
+        vd, vu = ((down, up) if len(lane) == m
                   else (down.take(lane, axis=1), up.take(lane, axis=1)))
-        trivial, stretch = _collapse(vd, vu, p_d, p_u, cap)
+        pre = _collapse(vd, vu, p_d, p_u, cap)  # each row's trivial stretch
         td = comb.down_law.invert(vd, cap)
         tu = comb.up_law.invert(vu, cap)
         del vd, vu
         sd, su = td.sum(axis=0), tu.sum(axis=0)
         # a trivial stretch adds time but no displacement
-        end = tnow + sd + su
-        np.add.at(end, trivial - trivial // n * n, stretch)
+        end = tnow + sd + su + pre.sum(axis=0)
         # targets that some lane reaches in this block
         first = bisect.bisect_right(targets, tnow.min())
         last = bisect.bisect_right(targets, end.max())
-        if first < last:
-            pre = np.zeros_like(td)         # each row's trivial stretch
-            pre.reshape(-1)[trivial] = stretch
-            for j in range(first, last):
-                hit = np.flatnonzero((tnow < targets[j]) & (end >= targets[j]))
-                rec[lane[hit], j] = _positions(targets[j], hit, tnow, pos,
-                                               td, tu, pre)
-            del pre
+        for j in range(first, last):
+            hit = np.flatnonzero((tnow < targets[j]) & (end >= targets[j]))
+            rec[lane[hit], j] = _positions(targets[j], hit, tnow, pos,
+                                           td, tu, pre)
         tnow, pos = end, pos + su - sd
         # freed here, so that the arrays of one block do not pile onto
-        # those of the next
-        del td, tu, trivial, stretch
+        # those of the next; pre (made last in _collapse) goes when the
+        # next block's replaces it: freed here, it let the allocator trim
+        # the heap and fault its pages in again every block
+        del td, tu
         if last == len(targets):
             keep = np.flatnonzero(tnow <= tmax)
             lane, tnow, pos = lane[keep], tnow[keep], pos[keep]

@@ -504,6 +504,22 @@ def test_explicit_prefix_leaves_the_law_unchanged(fam, L):
                      np.arange(0.0, L + 51.0))
 
 
+# G(z) = sum_n T(n) z^n against its first 400 terms, on constant and
+# power rules alone and behind a table prefix.  z stops at 0.9, which
+# leaves under 1e-17 past the 400th term and keeps clear of the power
+# rule's hyp2f1 cancellation, which needs z near 1 as well as a near 1
+# but not 1 (4e-9 relative at a = 1 - 1e-6, c' = 1 and z = 0.999)
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(_BASE, st.tuples(_PREFIX, _BASE).map(
+           lambda vf: HazardFamily.table(vf[0], vf[1].rule))),
+       st.floats(0.0, 0.9))
+def test_tail_gf_is_the_direct_sum(fam, z):
+    law = PersistenceLaw(fam)
+    n = np.arange(400)
+    direct = np.sum(law.tail(n.astype(float)) * z ** n)
+    assert law.tail_gf(z) == pytest.approx(direct, rel=1e-13, abs=0.0)
+
+
 def test_power_tail_ratio_at_large_n():
     # T(n) ~ C n^{-a} (1 + O(1/n)), so T(2n)/T(n) = 2^{-a} to ~1e-12 here;
     # a difference gammaln(n+1+c-a) - gammaln(n+1+c) of two values near

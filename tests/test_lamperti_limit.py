@@ -23,6 +23,7 @@ from combwalk import (
     sample_marginal,
     sample_positive_stable,
     sample_ratio,
+    walk_marginals,
 )
 from combwalk import lamperti_limit
 from combwalk.lamperti_limit import default_t_max, subordinator_jumps
@@ -283,6 +284,18 @@ def test_ratio_sampler_validation():
                   == 1.0)
 
 
+# b anywhere in [-1, 1], the one-signed ends included.  alpha stops at
+# 1e-300: below ~1e-307 the log draws overflow (log E / alpha) and their
+# difference can be inf - inf, a NaN draw
+@settings(max_examples=100, deadline=None)
+@given(st.floats(1e-300, 1.0, exclude_max=True),
+       st.floats(-1.0, 1.0) | st.sampled_from([-1.0, 1.0]),
+       st.integers(0, 2 ** 32))
+def test_ratio_sampler_stays_in_its_support(alpha, b, seed):
+    draws = sample_ratio(alpha, b, np.random.default_rng(seed), size=256)
+    assert np.all((draws >= -1.0) & (draws <= 1.0))
+
+
 @pytest.mark.parametrize("t", [-1.0, 0.0, np.nan, np.inf])
 def test_marginal_law_checks_the_time(t):
     for call in (lambda: cdf_f(0.5, 0.0, t, 0.3),
@@ -302,6 +315,18 @@ def test_transform_at_zero_frequency():
         assert flt_f(0.6, 0.3, s, 0.0) == pytest.approx(1.0 / s, rel=1e-14)
     with pytest.raises(ValueError):
         flt_f(0.6, 0.3, 0.0, 1.0)
+
+
+# E e^{iyS(t)} is 1 at y = 0 and turns into its conjugate under y -> -y
+# (S is real), so its Laplace transform in t is 1/s and conjugates too
+@settings(max_examples=200, deadline=None)
+@given(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+       st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True),
+       st.floats(1e-3, 1e3), st.floats(-1e3, 1e3))
+def test_transform_is_one_over_s_at_zero_and_conjugates(alpha, m, s, y):
+    assert flt_f(alpha, m, s, 0.0) == pytest.approx(1.0 / s, rel=1e-14)
+    assert flt_f(alpha, m, s, -y) == pytest.approx(
+        np.conj(flt_f(alpha, m, s, y)), rel=1e-14)
 
 
 @pytest.mark.parametrize("alpha, m, s, message", [
@@ -921,6 +946,32 @@ def test_renewal_laws_at_fixed_level():
     assert ks_distance(R, lambda r: np.clip(r, 0, 1) ** 0.5) < 0.02
     assert ks_distance(A[straddle],
                        lambda a: special.betainc(0.5, 0.5, np.clip(a, 0, 1))) < 0.02
+
+
+# ---------------------------------------------------------------------------
+# the walk's law at two times
+
+
+@pytest.mark.parametrize("comb, alpha", [
+    (power_comb(0.3), 0.3),
+    (power_comb(0.5), 0.5),
+    (power_comb(0.7), 0.7),
+    # anomalous-smoke's comb, b = 0.4
+    (power_comb(0.5, c=1.4655561545081737, a_d=0.5, c_d=0.0), 0.5),
+], ids=["power-0.3", "power-0.5", "power-0.7", "anomalous-smoke"])
+def test_walk_keeps_its_direction_over_the_second_half_as_the_limit(
+        comb, alpha):
+    # the walk keeps its direction over (u/2, u] exactly when
+    # |S_u - S_{u/2}| = u/2; in the limit, when the alpha-stable
+    # regenerative set misses (1/2, 1], i.e. its last point g_1 before 1
+    # is at most 1/2, and g_1 is Beta(alpha, 1 - alpha) whatever b is
+    # (Dynkin-Lamperti).  Seeds 8-15 read within 2.4 sigma of it at
+    # u = 10^4, so a 4 sigma binomial band holds the pinned seed
+    u, n = 10 ** 4, 8192
+    S = walk_marginals(comb, [u // 2, u], n, seed=11)
+    freq = np.mean(np.abs(S[:, 1] - S[:, 0]) == u // 2)
+    p = special.betainc(alpha, 1.0 - alpha, 0.5)
+    assert abs(freq - p) < 4.0 * np.sqrt(p * (1.0 - p) / n), (freq, p)
 
 
 # ---------------------------------------------------------------------------
