@@ -350,14 +350,15 @@ def sample_marginal(alpha, m, t, rng, size=None):
 def sample_ratio(alpha, b, rng, size=None):
     """S(1) as (T_u - T_d)/(T_u + T_d), T_u, T_d independent positive stable
     weighted by the label probabilities, formed as tanh((log T_u - log T_d)/2)
-    so that it stays finite where T_u or T_d overflows (alpha below ~0.02)."""
+    so that it stays finite where T_u or T_d overflows (alpha below ~0.02),
+    and divided by alpha last, so that no draw is an inf - inf."""
     if not -1.0 <= b <= 1.0:
         raise ValueError("label bias must lie in [-1, 1]")
     lu = _log_positive_stable(alpha, size, rng)
     ld = _log_positive_stable(alpha, size, rng)
-    with np.errstate(divide="ignore"):      # b = +-1: one weight is 0
-        shift = (np.log1p(b) - np.log1p(-b)) / alpha
-    return np.tanh((shift + lu - ld) / 2.0)
+    # b = +-1: one weight is 0; a tiny alpha overflows the quotient to +-inf
+    with np.errstate(divide="ignore", over="ignore"):
+        return np.tanh((np.log1p(b) - np.log1p(-b) + lu - ld) / (2.0 * alpha))
 
 
 def flt_f(alpha, m, s, y):

@@ -97,13 +97,15 @@ def stable_skewness(alpha, m, b):
 
 
 class RegimeReport:
-    def __init__(self, regime, alpha, drift, balance, beta, mean_cycle, notes):
+    def __init__(self, regime, alpha, drift, balance, beta, mean_cycle,
+                 var_cycle, notes):
         self.regime = regime
         self.alpha = alpha
         self.drift = drift          # m
         self.balance = balance      # b, None when undefined
         self.beta = beta            # skewness of the limit law
         self.mean_cycle = mean_cycle  # E tau_u + E tau_d
+        self.var_cycle = var_cycle  # Var(tau_c); None unless both are L2
         self.notes = notes
 
     def __repr__(self):
@@ -122,26 +124,20 @@ def classify_regime(comb):
     """
     up, dn = comb.up_law, comb.down_law
     notes = []
-    heavy = []
-    for law in (up, dn):
-        if not law.family.square_integrable:
-            heavy.append(law.family.tail_index)
-    if not heavy:
-        alpha = 2.0
-        regime = "gaussian"
-    else:
-        alpha = min(heavy)
-        if alpha >= 2.0:
-            regime = "gaussian"
-            alpha = 2.0
+    heavy = [law.family.tail_index for law in (up, dn)
+             if not law.family.square_integrable]
+    alpha = min(heavy, default=2.0)
+    if alpha >= 2.0:
+        regime, alpha = "gaussian", 2.0
+        if heavy:
             notes.append("tail index 2: variance slowly varying")
-        elif alpha > 1.0:
-            regime = "generic"
-        elif alpha == 1.0:
-            regime = "cauchy"
-            notes.append("non-integrable cauchy boundary")
-        else:
-            regime = "anomalous"
+    elif alpha > 1.0:
+        regime = "generic"
+    elif alpha == 1.0:
+        regime = "cauchy"
+        notes.append("non-integrable cauchy boundary")
+    else:
+        regime = "anomalous"
     m = effective_drift(comb)
     if abs(m) >= 1.0:
         raise ValueError(f"effective drift {m:+g}: one direction's runs "
@@ -151,22 +147,13 @@ def classify_regime(comb):
         b = tail_balance(comb)
     except ValueError:
         b = None
-    if regime == "gaussian":
-        beta = 0.0
-    else:
-        beta = stable_skewness(alpha, m, b)
-    dT = total_mean_cycle(comb)
-    if regime == "gaussian":
-        vc = _var_cycle(comb, m)
-        if vc == 0.0:
-            notes.append("degenerate: centered cycle variable is constant")
-    return RegimeReport(regime, alpha, m, b, beta, dT, notes)
-
-
-def _var_cycle(comb, m):
-    vu = comb.up_law.variance()
-    vd = comb.down_law.variance()
-    return (1.0 - m) ** 2 * vu + (1.0 + m) ** 2 * vd
+    beta = 0.0 if regime == "gaussian" else stable_skewness(alpha, m, b)
+    vc = None if heavy else ((1.0 - m) ** 2 * up.variance()
+                             + (1.0 + m) ** 2 * dn.variance())
+    if vc == 0.0:
+        notes.append("degenerate: centered cycle variable is constant")
+    return RegimeReport(regime, alpha, m, b, beta, total_mean_cycle(comb),
+                        vc, notes)
 
 
 _POWERS = 8         # powers of two asked per call while doubling
@@ -273,25 +260,23 @@ def _settled(n, u):
 
 
 class NormalizerSet:
-    """space/time/walk normalizers of a comb, all integer-valued."""
+    """space/time/walk normalizers of a comb, all integer-valued.  Its
+    constants are classify_regime's `report`: the drift m, the mean cycle
+    (cauchy_norm's D when finite) and, when both run laws are square
+    integrable, the cycle variance Sigma^2.  A ballistic or degenerate
+    (Sigma^2 = 0) comb is a ValueError."""
 
     def __init__(self, comb):
         self.comb = comb
-        self.m = effective_drift(comb)
-        if abs(self.m) >= 1.0:
-            raise ValueError("normalizers need |effective drift| < 1")
-        up, dn = comb.up_law, comb.down_law
-        self._both_l2 = (up.family.square_integrable
-                         and dn.family.square_integrable)
-        if self._both_l2:
-            self._var_c = _var_cycle(comb, self.m)
-            if self._var_c <= 0.0:
-                raise ValueError("degenerate comb: centered cycle variable "
-                                 "has zero variance")
+        self.report = classify_regime(comb)
+        self.m, vc = self.report.drift, self.report.var_cycle
+        if vc is not None and vc <= 0.0:
+            raise ValueError("degenerate comb: centered cycle variable "
+                             "has zero variance")
 
     def sigma2(self, t):
-        if self._both_l2:
-            return self._var_c
+        if self.report.var_cycle is not None:
+            return self.report.var_cycle
         up, dn = self.comb.up_law, self.comb.down_law
         return ((1.0 - self.m) ** 2 * up.truncated_second_moment(t / (1.0 - self.m))
                 + (1.0 + self.m) ** 2 * dn.truncated_second_moment(t / (1.0 + self.m)))
@@ -344,6 +329,6 @@ class NormalizerSet:
         finite and (Theta_u + Theta_d)(walk(u)) otherwise; Xi_1(time(u))
         is walk(u) (T_u + T_d)(walk(u)), so walk(u) is searched once."""
         n = self.walk(u)
-        dT = total_mean_cycle(self.comb)
+        dT = self.report.mean_cycle
         den = dT if np.isfinite(dT) else self.theta_sum(float(n))
         return u * (n * self.tail_sum(float(n))) / den

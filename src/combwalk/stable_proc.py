@@ -20,19 +20,23 @@ import numpy as np
 from .scaling_laws import stable_sigma
 
 
-def sample_stable(alpha, beta, size, rng, scale=None):
-    """Chambers-Mallows-Stuck draws from the S1 stable law."""
+def _check_s1(alpha, beta, scale):
     if not 0.0 < alpha <= 2.0:
         raise ValueError("alpha must lie in (0, 2]")
     if not -1.0 <= beta <= 1.0:
         raise ValueError("beta must lie in [-1, 1]")
-    if scale is None:
-        scale = stable_sigma(alpha)
     if not scale > 0.0:
         raise ValueError("scale must be positive")
+
+
+def sample_stable(alpha, beta, size, rng, scale=None):
+    """Chambers-Mallows-Stuck draws from the S1 stable law."""
+    if scale is None:
+        scale = stable_sigma(alpha)
+    _check_s1(alpha, beta, scale)
     V = (rng.random(size) - 0.5) * np.pi
     W = rng.standard_exponential(size)
-    if abs(alpha - 1.0) < 1e-12:
+    if alpha == 1.0:
         if beta == 0.0:
             X = np.tan(V)
         else:
@@ -42,23 +46,22 @@ def sample_stable(alpha, beta, size, rng, scale=None):
         # at alpha = 1 scaling slips the location: sigma X is the target
         # law shifted by -(2/pi) beta sigma log sigma
         return scale * X + (2.0 / np.pi) * beta * scale * np.log(scale)
-    else:
-        t = np.tan(np.pi * alpha / 2.0)
-        th0 = np.arctan(beta * t) / alpha
-        fac = (1.0 + beta * beta * t * t) ** (1.0 / (2.0 * alpha))
-        X = (fac * np.sin(alpha * (V + th0)) / np.cos(V) ** (1.0 / alpha)
-             * (np.cos(V - alpha * (V + th0)) / W) ** ((1.0 - alpha) / alpha))
+    t = np.tan(np.pi * alpha / 2.0)
+    th0 = np.arctan(beta * t) / alpha
+    fac = (1.0 + beta * beta * t * t) ** (1.0 / (2.0 * alpha))
+    X = (fac * np.sin(alpha * (V + th0)) / np.cos(V) ** (1.0 / alpha)
+         * (np.cos(V - alpha * (V + th0)) / W) ** ((1.0 - alpha) / alpha))
     return scale * X
 
 
 def sample_positive_stable(alpha, size, rng):
     """Positive strictly stable draws with Laplace transform exp(-lam^alpha);
     they pass the float range often for alpha below ~0.02."""
-    return np.exp(_log_positive_stable(alpha, size, rng))
+    return np.exp(_log_positive_stable(alpha, size, rng) / alpha)
 
 
 def _log_positive_stable(alpha, size, rng):
-    """Logs of positive stable draws by Kanter's T = B^(1/alpha)
+    """alpha log T of positive stable draws by Kanter's T = B^(1/alpha)
     E^((alpha-1)/alpha), B = sin(alpha th)^alpha sin((1-alpha) th)^(1-alpha)
     / sin th, th ~ U(0, pi), E ~ Exp(1): finite at any alpha in (0, 1)."""
     if not 0.0 < alpha < 1.0:
@@ -68,7 +71,7 @@ def _log_positive_stable(alpha, size, rng):
     logB = (alpha * np.log(np.sin(alpha * th))
             + (1.0 - alpha) * np.log(np.sin((1.0 - alpha) * th))
             - np.log(np.sin(th)))
-    return (logB + (alpha - 1.0) * np.log(E)) / alpha
+    return logB + (alpha - 1.0) * np.log(E)
 
 
 # ---------------------------------------------------------------------------
@@ -270,12 +273,7 @@ def stable_cdf_interp(alpha, beta, scale, npts=3001):
     alpha = 1 the grid carries the (2/pi) beta scale log(scale) location
     slip of S1 scaling.
     """
-    if not 0.0 < alpha <= 2.0:
-        raise ValueError("alpha must lie in (0, 2]")
-    if not -1.0 <= beta <= 1.0:
-        raise ValueError("beta must lie in [-1, 1]")
-    if not scale > 0.0:
-        raise ValueError("scale must be positive")
+    _check_s1(alpha, beta, scale)
     half = np.pi / 2.0 - 1e-4
     theta = np.linspace(-half, half, npts)
     grid = scale * np.tan(theta)

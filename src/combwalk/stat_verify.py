@@ -12,7 +12,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from .comb_model import CombSpec
-from .scaling_laws import NormalizerSet, classify_regime, stable_sigma
+from .scaling_laws import NormalizerSet, stable_sigma
 from .walk_sim import walk_marginals
 from .stable_proc import stable_cdf_interp
 from . import lamperti_limit
@@ -103,13 +103,24 @@ def _stable_cdf(m, alpha, beta, scale):
     return lambda x, s: F(x / s ** (1.0 / alpha))
 
 
+def _cauchy_cdf(m, scale):
+    if not 0.0 < scale < np.inf:
+        raise ValueError("the cauchy scale must be positive and finite")
+    return lambda x, s: 0.5 + np.arctan(x / (scale * s)) / np.pi
+
+
+def _anomalous_cdf(m, alpha):
+    lamperti_limit._check_law(alpha, m)
+    return lambda x, s: lamperti_limit.cdf_f(alpha, m, s, x)
+
+
 # Each regime's limit law: (params, norm, levy, build).  params: the law's
 # parameters, the only keys `reference` may set, each defaulting to a
 # function of the RegimeReport r and the params before it.  norm: the
 # NormalizerSet method rescaling the walk (None: u itself).  levy: centre
 # the walk by m and check its increments (the anomalous limit carries m
-# itself and is not a Levy process).  build(m, **params) makes the CDF once
-# per scenario, cdf(x, s) at time s; it looks functions up when it runs.
+# itself and is not a Levy process).  build(m, **params) checks the params
+# and makes the CDF, cdf(x, s) at time s; it looks functions up when run.
 _LAWS = {
     "gaussian": ({}, "walk", True,
                  lambda m: lambda x, s: ndtr(x / np.sqrt(s))),
@@ -117,11 +128,9 @@ _LAWS = {
                  "scale": lambda r, p: stable_sigma(p["alpha"])},
                 "walk", True, _stable_cdf),
     "cauchy": ({"scale": lambda r, p: np.pi / 2.0}, "cauchy_norm", True,
-               lambda m, scale: lambda x, s:
-               0.5 + np.arctan(x / (scale * s)) / np.pi),
+               _cauchy_cdf),
     "anomalous": ({"alpha": lambda r, p: r.alpha}, None, False,
-                  lambda m, alpha: lambda x, s:
-                  lamperti_limit.cdf_f(alpha, m, s, x)),
+                  _anomalous_cdf),
 }
 
 
@@ -163,9 +172,9 @@ class VerificationScenario:
         tol_ks = float(tol_ks)
         if not 0.0 < tol_ks < 1.0:      # NaN too; a KS distance is <= 1
             raise ValueError(f"tol_ks must lie in (0, 1), not {tol_ks!r}")
-        if not 1.0 <= u * times[-1] < np.inf:
-            raise ValueError("u * max(times) must cover at least one step "
-                             "and be finite")
+        if not (1.0 <= u * times[0] and u * times[-1] < np.inf):
+            raise ValueError("u * min(times) must cover at least one step "
+                             "and u * max(times) be finite")
         if reference is not None and not isinstance(reference, dict):
             raise ValueError("reference must be an object of law parameters")
         reference = dict(reference) if reference else {}
@@ -217,13 +226,16 @@ def verify_regime(scenario, seed=None, threads=1):
     limit law at every observation time, plus the increments between
     consecutive times in the gaussian, generic and cauchy regimes.  Every
     check is a KS distance held to the scenario's `tol_ks`.
-    Deterministic given (scenario, seed, comb).
+    Deterministic given (scenario, seed, comb).  The law is resolved and
+    checked before the draw: NormalizerSet(comb).report gives the regime,
+    the centring m and the default alpha and beta of the reference CDF.
 
     Returns a report dict with one entry per check and an overall flag.
     """
     t0 = time.perf_counter()
-    comb = scenario.comb
-    rep = classify_regime(comb)
+    comb, u = scenario.comb, scenario.u
+    ns = NormalizerSet(comb)
+    rep = ns.report
     if rep.regime != scenario.regime:
         raise ValueError(f"scenario expects regime '{scenario.regime}' but "
                          f"the comb classifies as '{rep.regime}'")
@@ -232,19 +244,17 @@ def verify_regime(scenario, seed=None, threads=1):
                          "hazard families: with differing laws the "
                          "truncated drift falls only like 1/log n, too "
                          "slowly for any feasible u")
-    seed = scenario.seed if seed is None else seed
-    u = scenario.u
-    targets = [max(1, int(np.floor(u * t))) for t in scenario.times]
-    S = walk_marginals(comb, targets, scenario.replicas, seed,
-                       threads=threads)
-    ns = NormalizerSet(comb)
     params, norm, levy, build = _LAWS[rep.regime]
     m, ref, p = ns.m, scenario.reference, {}
     for key, default in params.items():
         p[key] = float(ref[key] if key in ref else default(rep, p))
+    cdf = build(m, **p)
+    seed = scenario.seed if seed is None else seed
+    targets = [int(np.floor(u * t)) for t in scenario.times]
+    S = walk_marginals(comb, targets, scenario.replicas, seed,
+                       threads=threads)
     lam = getattr(ns, norm)(u) if norm else u
     centre = m if levy else 0.0
-    cdf = build(m, **p)
     tol, checks = scenario.tol_ks, []
 
     def add(name, z, s):

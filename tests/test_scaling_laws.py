@@ -1,9 +1,13 @@
+import glob
+import json
+import os
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import combwalk
 from combwalk import (
     CombSpec,
     HazardFamily,
@@ -290,6 +294,48 @@ def test_normalizer_validation():
     onesided = CombSpec(HazardFamily.constant(0.5), HazardFamily.power(0.5))
     with pytest.raises(ValueError):
         NormalizerSet(onesided)
+
+
+BUNDLED = sorted(glob.glob(os.path.join(os.path.dirname(combwalk.__file__),
+                                        "scenarios", "*.json")))
+
+
+@pytest.mark.parametrize("path", BUNDLED,
+                         ids=[os.path.basename(p)[:-5] for p in BUNDLED])
+def test_normalizers_take_the_regime_reports_constants(path):
+    # m, Sigma^2 and the mean cycle are derived once, by classify_regime,
+    # and equal bit for bit the drift and cycle moments of the laws
+    with open(path) as fh:
+        comb = CombSpec.from_dict(json.load(fh)["comb"])
+    rep, ns = classify_regime(comb), NormalizerSet(comb)
+    assert ns.m == rep.drift == effective_drift(comb)
+    assert ns.report.mean_cycle == rep.mean_cycle == total_mean_cycle(comb)
+    up, dn = comb.up_law, comb.down_law
+    if up.family.square_integrable and dn.family.square_integrable:
+        vc = ((1.0 - ns.m) ** 2 * up.variance()
+              + (1.0 + ns.m) ** 2 * dn.variance())
+        assert ns.sigma2(123.0) == rep.var_cycle == vc
+    else:
+        assert rep.var_cycle is None
+
+
+# power(a, c) needs c > a - 1 (its first hazard a / (1 + c) below 1)
+_NORMALIZED_COMBS = st.one_of(
+    st.builds(constant_comb, st.floats(0.02, 0.98), st.floats(0.02, 0.98)),
+    st.floats(0.5, 3.0).flatmap(lambda a: st.builds(
+        power_comb, st.just(a), st.floats(max(0.0, a - 1.0) + 0.01, 5.0))),
+)
+
+
+@settings(max_examples=20, deadline=None)
+@given(_NORMALIZED_COMBS,
+       st.lists(st.floats(0.0, 9.0), min_size=2, max_size=8))
+def test_normalizers_are_nondecreasing_in_u(comb, exponents):
+    # u up to 1e9, where space(u) ~ u^(1/a) stays below 2^62 for a >= 1/2
+    ns = NormalizerSet(comb)
+    u = 10.0 ** np.sort(exponents)
+    for f in (ns.space, ns.time, ns.walk):
+        assert np.all(np.diff(f(u)) >= 0), f.__name__
 
 
 @pytest.mark.parametrize("method", ["space", "time", "walk", "cauchy_norm"])

@@ -17,7 +17,7 @@ from combwalk import (
     tail_balance,
     verify_regime,
 )
-from combwalk import stat_verify
+from combwalk import cli, stat_verify
 from combwalk.lamperti_limit import lamperti_recursion
 from combwalk.scaling_laws import NormalizerSet, classify_regime, stable_sigma
 from combwalk.stable_proc import stable_cdf_interp
@@ -237,6 +237,12 @@ def test_scenario_validation():
     d["u"], d["times"] = 0.5, [1.0]       # covers less than one step
     with pytest.raises(ValueError):
         VerificationScenario.from_dict(d)
+    # so does u t < 1 at any time: clamped to step 1, the walk was checked
+    # against the law at t = 0.001 (a false FAIL, KS 0.928)
+    with pytest.raises(ValueError, match=r"u \* min\(times\) must cover"):
+        VerificationScenario.from_dict(dict(base, u=500, times=[0.001, 1.0]))
+    assert VerificationScenario.from_dict(
+        dict(base, u=500, times=[0.002, 1.0])).times == [0.002, 1.0]
     d = dict(base)
     del d["tol_ks"]
     with pytest.raises(ValueError, match="missing key"):
@@ -504,6 +510,51 @@ def test_verify_refuses_a_critical_comb_whose_laws_differ():
         sc = bundled("cauchy-smoke", comb=comb.to_dict())
         with pytest.raises(ValueError, match="identical up and down"):
             verify_regime(sc)
+
+
+_ZIGZAG = CombSpec(HazardFamily.table([1.0]), HazardFamily.table([1.0]))
+_OUT_OF_DOMAIN = {
+    "generic-alpha": ("generic", power_comb(1.5, 1.0), {"alpha": 2.5},
+                      "alpha"),
+    "generic-beta": ("generic", power_comb(1.5, 1.0), {"beta": 3}, "beta"),
+    "generic-scale": ("generic", power_comb(1.5, 1.0), {"scale": -1},
+                      "scale"),
+    "cauchy-scale-0": ("cauchy", power_comb(1.0, 0.01), {"scale": 0},
+                       "scale"),
+    "cauchy-scale-negative": ("cauchy", power_comb(1.0, 0.01),
+                              {"scale": -1}, "scale"),
+    "anomalous-alpha-1.5": ("anomalous", power_comb(0.5), {"alpha": 1.5},
+                            "alpha"),
+    "anomalous-alpha-negative": ("anomalous", power_comb(0.5),
+                                 {"alpha": -0.2}, "alpha"),
+    "zigzag": ("gaussian", _ZIGZAG, {}, "degenerate comb"),
+}
+
+
+@pytest.mark.parametrize("case", list(_OUT_OF_DOMAIN))
+def test_out_of_domain_law_is_refused_before_any_draw(
+        monkeypatch, tmp_path, capsys, case):
+    # the limit law is resolved, and its parameters checked, before the
+    # walk is drawn: a value outside its domain is a config error (exit 2)
+    # found at once, and cauchy scale 0 or -1 is not a FAIL at KS nan or
+    # 0.997
+    regime, comb, reference, name = _OUT_OF_DOMAIN[case]
+
+    def must_not_draw(*args, **kwargs):
+        raise AssertionError("walk_marginals ran before the law was resolved")
+
+    monkeypatch.setattr(stat_verify, "walk_marginals", must_not_draw)
+    d = dict(scenario_dict(), comb=comb.to_dict(), regime=regime,
+             reference=reference)
+    with pytest.raises(ValueError, match=name):
+        verify_regime(VerificationScenario.from_dict(d))
+    path, out = tmp_path / "s.json", tmp_path / "report.txt"
+    path.write_text(json.dumps(d))
+    out.write_text("an earlier report\n")
+    assert cli.main(["verify", "--scenario", str(path), "--out",
+                     str(out)]) == 2
+    assert "scenario rejected" in capsys.readouterr().err
+    assert out.read_text() == "an earlier report\n"
 
 
 @pytest.mark.parametrize("name, bias", [
