@@ -270,6 +270,8 @@ def cmd_sample_limit(args):
         raise _CliError("seed must be >= 0")
     if args.n < 0:
         raise _CliError("n must be >= 0")
+    if args.threads < 1:
+        raise _CliError("threads must be >= 1")
     rng = np.random.default_rng(seed)
     n = args.n
     a, b = _fmt(args.alpha), _fmt(args.b)
@@ -292,7 +294,8 @@ def cmd_sample_limit(args):
             tag = f"positive-stable alpha={a}"
         elif args.kind == "ensemble":
             cols = lamperti_limit.sample_anomalous_ensemble(
-                args.alpha, args.b, n, seed, level=args.t, t_max=args.t_max)
+                args.alpha, args.b, n, seed, level=args.t, t_max=args.t_max,
+                threads=args.threads)
             names = ["S", "age", "excess"]
             tag = f"ensemble alpha={a} b={b} level={_fmt(args.t)}"
         elif args.kind == "path":
@@ -493,7 +496,8 @@ def cmd_selftest(args):
     check("one-sided stable Laplace transform", dev < 0.01,
           f"max dev={dev:.4f}")
 
-    # two chunks, so threads=4 runs two tasks; the second keeps one lane
+    # two chunks, so threads=4 forks two workers where two CPUs are
+    # usable; the second chunk keeps one lane
     comb = constant_comb(0.3, 0.5)
     a = walk_marginals(comb, [2000], 4097, seed=9, threads=1)
     b = walk_marginals(comb, [2000], 4097, seed=9, threads=4)
@@ -557,8 +561,10 @@ def _build_parser():
                    help="draws (or grid points for --kind path)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--threads", type=int, default=1,
-                   help="accepted and ignored: every kind samples on one "
-                        "thread, and the output does not depend on it")
+                   help="worker processes for --kind ensemble (forked, at "
+                        "most one per usable CPU; at least 1); the output "
+                        "does not depend on it, and the other kinds sample "
+                        "in one process")
     p.add_argument("--out", default=None, help="CSV path (default stdout)")
     p.set_defaults(func=cmd_sample_limit)
 
@@ -567,7 +573,10 @@ def _build_parser():
                    help="scenario JSON path or bundled name")
     p.add_argument("--seed", type=int, default=None,
                    help="override the scenario seed")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1,
+                   help="worker processes for the walks (forked, at most "
+                        "one per usable CPU; at least 1); the report does "
+                        "not depend on it")
     p.add_argument("--out", default=None, help="report path (default stdout)")
     p.set_defaults(func=cmd_verify)
 

@@ -36,6 +36,8 @@ _JUMP_CAP = 50_000_000
 _PATHS_PER_CHUNK = 64
 _FIRST_JUMPS = 256         # ensemble jumps sized before the first level test
 _ROWS_PER_BLOCK = 64       # occupation-recursion rows per GEMM
+_CONV_BLOCK = 32           # up-run convolution outputs per GEMM row
+_CONV_BANDS = 4            # up-run convolution GEMMs per recursion row
 
 
 # ---------------------------------------------------------------------------
@@ -159,10 +161,12 @@ def sample_anomalous_ensemble(alpha, b, n_rep, seed, level=1.0, t_max=None,
                               epsilon=None, threads=1):
     """(S(level), age, excess) over n_rep independent labelled paths.
 
-    Paths are chunked like walk_marginals, 64 to a child seed, but run
-    on one thread: `threads` is accepted and ignored.  Each path is a
-    string of short numpy calls, and with a second thread every call
-    hands the GIL over, so threads made the ensemble slower.
+    Paths are chunked like walk_marginals, 64 to a child seed, and the
+    chunks run on up to `threads` forked worker processes, at most one
+    per usable CPU, or in the calling process (walk_sim._replicate says
+    when); the output is identical for any `threads` value.  Each path
+    is a string of short numpy calls, which threads sharing the GIL
+    would only slow down.
 
     A path is drawn as labelled_subordinator draws it (_draw_jumps).
     Sizes and their running sum cumJ are formed only until cumJ passes
@@ -229,7 +233,7 @@ def sample_anomalous_ensemble(alpha, b, n_rep, seed, level=1.0, t_max=None,
         return out
 
     S, A, H = np.ascontiguousarray(
-        _replicate(n_rep, _PATHS_PER_CHUNK, seed, 1, work).T)
+        _replicate(n_rep, _PATHS_PER_CHUNK, seed, threads, work).T)
     return S, A, H
 
 
@@ -397,7 +401,8 @@ def lamperti_recursion(comb, n_max):
     both phases are plain convolutions.  Rows go in blocks of 64: the
     earlier rows' share of a block is one GEMM (~n_max^3/6 multiply-adds
     in all), then each row adds its own block's rows and is convolved
-    with the up-run law (~n_max^3/3), all in one (n_max+1)^2 buffer.
+    with the up-run law (_UpRunConv, ~n_max^3/4), all in one
+    (n_max+1)^2 buffer.
     """
     if not (0 <= n_max <= 5000 and n_max == int(n_max)):
         raise ValueError("n_max must be an integer in [0, 5000]")
@@ -406,6 +411,7 @@ def lamperti_recursion(comb, n_max):
     Tu = comb.up_law.tail(np.arange(N + 2.0))
     d = np.concatenate([[0.0], Td[:-1] - Td[1:]])
     u = np.concatenate([[0.0], Tu[:-1] - Tu[1:]])
+    conv = _UpRunConv(u, N)
     q = np.zeros((N + 1, N + 1))
     q[0, 0] = 1.0
     for j0 in range(1, N + 1, _ROWS_PER_BLOCK):
@@ -415,12 +421,54 @@ def lamperti_recursion(comb, n_max):
             L = N + 1 - j
             w = W[j - j0, :L] + d[j - j0:0:-1] @ q[j0:j, :L]
             # last run open: j downs then k ups (d[j] Tu[k]), or j downs
-            q[j, :L] = np.convolve(w, u[:L])[:L] + d[j] * Tu[:L]
+            q[j, :L] = conv(w) + d[j] * Tu[:L]
             q[j, 0] += Td[j]
     for k in range(1, N + 1):   # skew in place: q[j, k] -> p[j + k, k]
         q[k:, k] = q[:N + 1 - k, k]
         q[:k, k] = 0.0
     return q
+
+
+class _UpRunConv:
+    """y = convolve(w, u)[:len(w)] for any w of length L <= n_max, as a
+    few small GEMMs; y is a view of a buffer that the next call writes
+    over.  With h = _CONV_BLOCK, w and u taken as 0 outside their ranges
+    and any r > a,
+
+        y[a h + c] = sum_{s < r h} w[(a - r + 1) h + s] G[s, c],
+        G[s, c] = u[(r - 1) h + c - s],     c < h.
+
+    Block a of y needs only w[:(a + 1) h], so its P = ceil(L / h) blocks
+    go in _CONV_BANDS bands, and a band of blocks below r multiplies the
+    last r h rows of one shared (P_max h) x h matrix.  The left factor is
+    a view with row stride h of a buffer that holds (P_max - 1) h zeros,
+    then w, so nothing is copied per row; what follows w there (zeros, or
+    entries of a longer w) meets only zeros of G on the way to y[:L].
+    The products are the convolution's own, summed in another order."""
+
+    def __init__(self, u, n_max):
+        h = _CONV_BLOCK
+        self.P = max(1, -(-n_max // h))
+        x = self.P * h - h - np.arange(self.P * h)[:, None] + np.arange(h)
+        pad = np.concatenate([u, np.zeros(max(0, self.P * h - len(u)))])
+        self.G = np.where(x >= 0, pad[np.maximum(x, 0)], 0.0)
+        self.front = (self.P - 1) * h
+        self.buf = np.zeros(self.front + self.P * h)
+        self.out = np.empty((self.P, h))
+
+    def __call__(self, w):
+        h, F, buf = _CONV_BLOCK, self.front, self.buf
+        L = len(w)
+        P = -(-L // h)
+        buf[F:F + L] = w
+        step = -(-P // _CONV_BANDS)
+        for r0 in range(0, P, step):
+            r1 = min(P, r0 + step)
+            left = np.lib.stride_tricks.as_strided(
+                buf[F - (r1 - r0 - 1) * h:], shape=(r1 - r0, r1 * h),
+                strides=(h * buf.itemsize, buf.itemsize), writeable=False)
+            np.matmul(left, self.G[(self.P - r1) * h:], out=self.out[r0:r1])
+        return self.out[:P].reshape(-1)[:L]
 
 
 def double_gf_limit(comb, x, lam):

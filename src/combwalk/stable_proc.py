@@ -221,10 +221,16 @@ class _NolanIntegral:
                 return (-np.expm1(np.minimum(hk - np.exp(self.log_h(y, uk)),
                                              0.0)) * self.ends(y)[2])
 
+            # each row's weighted sum on its own: a matrix-vector product
+            # rounds a row by the block's shape, so the same z would give
+            # values an ulp apart at two places in u
             r0, r1, rt = reach0[k, None], reach1[k, None], tail[k, None]
-            I0 = reach0[k] * (rising(yk + d * r0 * _RISE[0]) @ _RISE[1])
-            D = (reach1[k] * (dev(yk - d * r1 * _FALL[0]) @ _FALL[1])
-                 + tail[k] * (dev(yk - d * (r1 + rt * _TAIL[0])) @ _TAIL[1]))
+            I0 = reach0[k] * (rising(yk + d * r0 * _RISE[0])
+                              * _RISE[1]).sum(axis=1)
+            D = (reach1[k] * (dev(yk - d * r1 * _FALL[0])
+                              * _FALL[1]).sum(axis=1)
+                 + tail[k] * (dev(yk - d * (r1 + rt * _TAIL[0]))
+                              * _TAIL[1]).sum(axis=1))
             out[k] = I0 + np.exp(-h_end[k]) * (flat[k] - D)
         return out
 

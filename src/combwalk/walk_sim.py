@@ -13,6 +13,12 @@ probabilities one step at a time but vastly faster.  Two simulators:
                     memory bounded whatever the horizon; deterministically
                     chunked so results are identical for any thread count
 
+The replicas of walk_marginals and of the limit ensemble go through one
+engine, _replicate: fixed chunks with their own child seeds, run on up
+to `threads` forked worker processes (at most one per usable CPU; none
+when there is one chunk, no fork or a daemonic caller) and joined in
+chunk order.
+
 simulate_prw draws blocks of 64 down-runs and 64 up-runs in batches of
 1, 2, 4, ... up to 1024 blocks, one rng.random call and one inverter
 call per direction each.  That is the stream of one block at a time and,
@@ -44,7 +50,7 @@ row, and its output is that of one cycle at a time.
 """
 
 import bisect
-import concurrent.futures
+import os
 
 import numpy as np
 
@@ -171,12 +177,42 @@ def simulate_prw(comb, horizon, seed):
 # replicated marginals
 
 
+def _usable_cpus():
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:          # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
+
+
+_CHUNK = None       # a worker's run(i), set by _adopt when it starts
+
+
+def _adopt(run):
+    """A worker's initializer: keep the caller's chunk closure."""
+    global _CHUNK
+    _CHUNK = run
+
+
+def _run_chunk(i):
+    """Chunk i's rows, in a worker."""
+    return _CHUNK(i)
+
+
 def _replicate(n_rep, chunk, seed, threads, work):
     """Rows of work(rng, m) for n_rep replicas, in chunk order.
 
     Each chunk of `chunk` replicas gets its own child seed of `seed`
     and work returns its m rows, so the output is identical for any
-    `threads` value.
+    `threads` value.  The chunks run on min(threads, chunks, usable
+    CPUs) forked worker processes, or in the calling process when that
+    count is 1, the platform cannot fork or the caller is a daemonic
+    process.  A worker inherits `work` when it is forked (through the
+    pool's initializer, which the fork start method hands over without
+    pickling), so only chunk indices go out and rows come back.  The
+    exception of the first chunk, in chunk order, that raises is raised
+    here, the chunks not yet started are cancelled, and no worker
+    outlives the call.
     """
     if n_rep < 0:
         raise ValueError("n_rep must be >= 0")
@@ -190,8 +226,22 @@ def _replicate(n_rep, chunk, seed, threads, work):
         m = min(chunk, n_rep - i * chunk)
         return work(np.random.default_rng(kids[i]), m)
 
-    with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as ex:
-        return np.concatenate(list(ex.map(run, range(n_chunks))))
+    workers = min(threads, n_chunks, _usable_cpus())
+    if workers > 1 and hasattr(os, "fork"):
+        import concurrent.futures
+        import multiprocessing
+        # a daemonic process, such as a multiprocessing.Pool worker, may
+        # start no process of its own
+        if not multiprocessing.current_process().daemon:
+            ex = concurrent.futures.ProcessPoolExecutor(
+                max_workers=workers, initializer=_adopt, initargs=(run,),
+                mp_context=multiprocessing.get_context("fork"))
+            try:
+                return np.concatenate(list(ex.map(_run_chunk,
+                                                  range(n_chunks))))
+            finally:
+                ex.shutdown(cancel_futures=True)
+    return np.concatenate([run(i) for i in range(n_chunks)])
 
 
 def _collapse(vd, vu, p_d, p_u, cap):
@@ -267,10 +317,15 @@ def _positions(tj, hit, tnow, pos, td, tu, pre):
         s <= 0, o & 1, np.minimum(s, d) - np.maximum(0, s - d))
 
 
+def _cap(targets):
+    """A run length that passes every one of the sorted `targets`."""
+    return int(targets[-1]) + 2
+
+
 def _chunk_marginals(comb, targets, rng, m):
     """S at `targets` for the first m lanes of a chunk of _LANES."""
     tmax = targets[-1]
-    cap = int(tmax) + 2         # any run this long passes every target
+    cap = _cap(targets)
     p_d, p_u = (law.lookup_table(cap)[0][1]
                 for law in (comb.down_law, comb.up_law))
     rec = np.full((m, len(targets)), np.nan)
@@ -322,12 +377,18 @@ def walk_marginals(comb, targets, n_rep, seed, threads=1):
 
     Replicas are generated in fixed 4096-lane chunks, each with its own
     child seed, and reduced in chunk order -- the output is identical
-    for any `threads` value.
+    for any `threads` value.  The chunks run on up to `threads` forked
+    worker processes, at most one per usable CPU, or in the calling
+    process when there is one chunk (_replicate); both laws' lookup
+    tables are grown to cover the last target first, so that every
+    worker inherits them and none builds its own.
     """
     targets = sorted(int(t) for t in targets)
     if len(targets) == 0 or targets[0] < 1 or targets[-1] > 1 << 53:
         raise ValueError("targets must be integers in [1, 2^53]")
     targets = np.asarray(targets, dtype=np.int64)
+    for law in (comb.down_law, comb.up_law):
+        law.lookup_table(_cap(targets))
 
     def work(rng, m):
         # a short last chunk simulates only its m lanes and skips the

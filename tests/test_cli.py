@@ -330,9 +330,20 @@ def test_sample_limit_ensemble(capsys):
     A = np.array([float(r[1]) for r in rows])
     assert len(rows) == 300
     assert np.all(np.abs(S) <= 1.0) and np.all(A >= 0)
-    for threads in ("4", "0"):      # accepted and ignored
+    # five chunks of 64 paths, run by forked workers: the same rows
+    for threads in ("2", "4"):
         _, threaded = run_sample(capsys, argv + ["--threads", threads])
         assert threaded == rows
+    assert cli.main(["sample-limit"] + argv + ["--threads", "0"]) == 2
+    assert capsys.readouterr().err == "error: threads must be >= 1\n"
+
+
+def test_sample_limit_ensemble_refuses_a_short_horizon(capsys):
+    # a chunk's RuntimeError comes back from its worker and exits 2
+    assert cli.main(["sample-limit", "--kind", "ensemble", "--alpha", "0.5",
+                     "--n", "200", "--t-max", "1e-3", "--threads", "2"]) == 2
+    assert capsys.readouterr().err == ("error: path did not reach the "
+                                       "requested level; increase t_max\n")
 
 
 def test_sample_limit_path(capsys):

@@ -494,6 +494,20 @@ def test_recursion_matches_markov_chain(comb):
         assert np.array_equal(p == 0.0, ref == 0.0)
 
 
+def test_up_run_convolution_is_the_truncated_convolution():
+    # every band split from one block to many, after a longer w (whose
+    # entries stay in the shared buffer past this one) and before one
+    rng = np.random.default_rng(4)
+    u = np.concatenate([[0.0], rng.random(301)])
+    conv = lamperti_limit._UpRunConv(u, 300)
+    for L in (300, 299, 257, 256, 255, 129, 64, 33, 32, 31, 2, 1, 300):
+        w = rng.random(L)
+        want = np.convolve(w, u[:L])[:L]
+        got = conv(w)
+        assert got.shape == (L,) and got[0] == want[0] == 0.0  # u[0] = 0
+        assert np.max(np.abs(got - want)[1:] / want[1:], initial=0) <= 1e-13
+
+
 def test_markov_chain_matches_exhaustive_enumeration():
     comb = power_comb(0.5, c=1.4655561545081737, a_d=0.5, c_d=0.0)
     ref = markov_occupation(comb, 10)

@@ -263,6 +263,9 @@ def test_cdf_grid_matches_scipy_away_from_its_rounding(alpha, beta):
        st.lists(st.floats(-1e3, 1e3), min_size=2, max_size=16))
 @example(0.54, 0.12, [-2.4e-169, 0.0])
 @example(0.63, 1.0, [0.0, 0.1])
+# one z at two places in one call gave two values an ulp apart
+@example(0.25, -0.5, [-454.0, -453.75, -453.75])
+@example(0.1, 0.0, [1.0, 770.0, 770.0])
 def test_standard_cdf_reflects_under_beta_and_is_monotone(alpha, beta, z):
     # F(z; alpha, beta) = 1 - F(-z; alpha, -beta), and F is nondecreasing,
     # both to rounding.  For alpha < 1 both sides of 0 start from F(0) =
@@ -275,6 +278,23 @@ def test_standard_cdf_reflects_under_beta_and_is_monotone(alpha, beta, z):
     assert np.all((F >= 0.0) & (F <= 1.0))
     assert np.max(np.abs(F + G - 1.0)) <= 2e-15
     assert np.all(np.diff(F) >= (0.0 if alpha < 1.0 else -1e-15))
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.one_of(st.floats(0.1, 0.95), st.floats(1.05, 2.0),
+                 st.just(1.0)),
+       st.floats(-1.0, 1.0) | st.sampled_from([-1.0, 1.0]),
+       st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=10),
+       st.lists(st.integers(0, 9), max_size=6))
+def test_standard_cdf_of_a_point_does_not_depend_on_the_others(
+        alpha, beta, z, again):
+    # the value at z[i] is that of z[i] alone, bit for bit, wherever it
+    # sits and whatever shares its call (repeated points included)
+    z = np.array(z + [z[i % len(z)] for i in again])
+    with np.errstate(over="ignore", under="ignore"):
+        F = _standard_cdf(z, alpha, beta)
+        for i in range(len(z)):
+            assert F[i] == _standard_cdf(z[i:i + 1], alpha, beta)[0]
 
 
 @pytest.mark.parametrize("alpha", [0.125, 0.63, 0.92, 0.952, 0.97])

@@ -1,3 +1,6 @@
+import concurrent.futures
+import multiprocessing
+import os
 from types import SimpleNamespace
 
 import numpy as np
@@ -17,6 +20,7 @@ from combwalk import (
     walk_marginals,
 )
 from combwalk import walk_sim
+from combwalk.lamperti_limit import sample_anomalous_ensemble
 
 
 def test_runs_alternate_and_start_down():
@@ -230,6 +234,95 @@ def test_marginals_threads_and_batch_layout_are_invisible(monkeypatch):
         monkeypatch.setattr(walk_sim, "_CYCLES", rows)
         assert np.array_equal(
             base, walk_marginals(comb, [10, 100], 9000, seed=77, threads=2))
+
+
+# ---------------------------------------------------------------------------
+# the replica engine: chunks on forked workers, rows in chunk order
+
+
+def _pid_rows(rng, m):
+    return np.full((m, 1), os.getpid())
+
+
+@pytest.mark.skipif(walk_sim._usable_cpus() < 2,
+                    reason="needs two usable CPUs")
+def test_replicate_runs_chunks_on_forked_workers():
+    # three chunks on two workers; the closure reaches them unpickled
+    rows = walk_sim._replicate(5, 2, 1, 2, _pid_rows)
+    assert rows.shape == (5, 1)
+    assert np.any(rows != os.getpid())
+    assert len(np.unique(rows)) <= 2
+    assert multiprocessing.active_children() == []
+
+
+class _InProcessPool:
+    """A ProcessPoolExecutor stand-in that records its worker count and
+    runs the chunks in this process: no process starts."""
+
+    made = []
+
+    def __init__(self, max_workers, mp_context, initializer, initargs):
+        self.made.append(max_workers)
+        initializer(*initargs)
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+    def shutdown(self, wait=True, cancel_futures=False):
+        pass
+
+
+@pytest.mark.parametrize("cpus,want", [(64, [3]), (2, [2]), (1, [])])
+def test_replicate_workers_are_capped_by_chunks_and_cpus(monkeypatch, cpus,
+                                                         want):
+    monkeypatch.setattr(_InProcessPool, "made", [])
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        _InProcessPool)
+    monkeypatch.setattr(walk_sim, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(walk_sim, "_CHUNK", None)
+
+    def work(rng, m):
+        return rng.random((m, 2))
+
+    one = walk_sim._replicate(5, 2, 3, 1, work)
+    assert _InProcessPool.made == []        # threads = 1: no pool
+    many = walk_sim._replicate(5, 2, 3, 10**6, work)
+    assert _InProcessPool.made == want      # min(threads, 3 chunks, CPUs)
+    assert many.tobytes() == one.tobytes()
+    # a daemonic caller (a multiprocessing.Pool worker) may not start
+    # processes, and with no fork on the platform none can start: the
+    # calling process runs every chunk
+    monkeypatch.setattr(multiprocessing.current_process(), "daemon", True)
+    assert walk_sim._replicate(5, 2, 3, 10**6, work).tobytes() == one.tobytes()
+    assert _InProcessPool.made == want
+    monkeypatch.setattr(multiprocessing.current_process(), "daemon", False)
+    monkeypatch.delattr(os, "fork")
+    assert walk_sim._replicate(5, 2, 3, 10**6, work).tobytes() == one.tobytes()
+    assert _InProcessPool.made == want
+
+
+def test_a_failing_chunk_raises_here_and_leaves_no_worker():
+    # a horizon too short for the level: every chunk raises, the rest
+    # are cancelled, and the workers are gone when the call returns
+    with pytest.raises(RuntimeError, match="path did not reach the "
+                                           "requested level"):
+        sample_anomalous_ensemble(0.5, 0.0, 640, seed=1, t_max=1e-3,
+                                  threads=2)
+    assert multiprocessing.active_children() == []
+    S, _, _ = sample_anomalous_ensemble(0.5, 0.0, 200, seed=1, threads=2)
+    assert S.tobytes() == sample_anomalous_ensemble(
+        0.5, 0.0, 200, seed=1, threads=1)[0].tobytes()
+    assert multiprocessing.active_children() == []
+
+
+def test_marginals_grow_both_tables_before_the_workers_fork():
+    # a worker's table grows in its own memory only; the caller's must
+    # already cover the cap, so that no worker builds one
+    comb = power_comb(1.5, c=1.0)
+    walk_marginals(comb, [10, 3000], 5000, seed=1, threads=2)
+    for law in (comb.down_law, comb.up_law):
+        cdf, guide = law._table
+        assert guide is not None and len(cdf) >= 3000 + 2
 
 
 def _cycle_by_cycle(comb, targets, rng, batch):
