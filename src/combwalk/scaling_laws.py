@@ -89,10 +89,10 @@ def stable_skewness(alpha, m, b):
     """Skewness of the limit law from drift m and tail balance b."""
     if abs(m) >= 1.0:
         raise ValueError("skewness undefined at |drift| = 1")
+    if not -1.0 <= b <= 1.0:
+        raise ValueError(f"tail balance b = {b} must lie in [-1, 1]")
     wp = (1.0 - m) ** alpha * (1.0 + b)
     wn = (1.0 + m) ** alpha * (1.0 - b)
-    if wp + wn == 0.0:
-        raise ValueError("degenerate weights in skewness")
     return (wp - wn) / (wp + wn)
 
 

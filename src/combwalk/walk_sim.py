@@ -87,20 +87,6 @@ class Trajectory:
         """"d" or "u" for each run."""
         return _directions(0, len(self.lengths))
 
-    def position_at(self, n):
-        """S_n for integer step(s) n in [0, horizon]."""
-        n = np.asarray(n)
-        if np.any(n != np.trunc(n)):
-            raise ValueError("step must be an integer")
-        if np.any(n < 0) or np.any(n > self.horizon):
-            raise ValueError("step outside simulated horizon")
-        n = n.astype(np.int64)
-        sign = _signs(0, len(self.lengths))
-        signed = sign * self.lengths
-        start = np.cumsum(signed) - signed          # S where each run starts
-        r = np.searchsorted(self._ends, n, side="left")
-        return start[r] + sign[r] * (n - self._ends[r] + self.lengths[r])
-
     def expand(self, lo, hi):
         """X and the age of the active run after each of steps lo+1..hi
         (0 <= lo < hi <= horizon), from the runs those steps cross."""

@@ -1,6 +1,7 @@
 """Diagnostics that only the tests use: the limit process's Levy symbol,
-the empirical characteristic function and the Markov-kernel check of the
-anomalous limit's (age, excess) pair."""
+the empirical characteristic function, the Markov-kernel check of the
+anomalous limit's (age, excess) pair and the pointwise check of
+vectorized functions."""
 
 import numpy as np
 
@@ -61,3 +62,22 @@ def markov_kernel_check(pair, t, a_bin, alpha):
     a, h = A[sel], H[sel]
     ks = ks_distance(1.0 - (a / (a + h)) ** alpha, lambda u: u)
     return {"n": n, "ks": ks}
+
+
+def with_repeats(points, again):
+    """points followed by the repeats points[i % len(points)], i in again,
+    as a float array."""
+    return np.array(list(points) + [points[i % len(points)] for i in again],
+                    dtype=float)
+
+
+def assert_pointwise(f, x):
+    """f(x)[i] equals f(x[i:i+1])[0] bit for bit at every i: a vectorized
+    function gives a point the value it has alone, wherever the point
+    sits and whatever shares its call."""
+    x = np.asarray(x)
+    y = np.asarray(f(x))
+    assert y.shape == x.shape
+    for i in range(len(x)):
+        alone = np.asarray(f(x[i:i + 1]))
+        assert alone.tobytes() == y[i:i + 1].tobytes(), (i, x[i], alone, y[i])

@@ -399,6 +399,16 @@ def test_sample_limit_validation(tmp_path, capsys):
     # t_max^(1/alpha) overflows: the default jump cut is not finite
     (["--kind", "path", "--t-max", "1e300"], "jump cut"),
     (["--kind", "ensemble", "--t-max", "1e300"], "jump cut"),
+    # a subnormal alpha underflows sin(alpha th) to 0 (NaN draws); a
+    # skewed S1 law within 1e-6 of alpha = 1 loses its location
+    (["--kind", "ratio", "--alpha", "5e-324"],
+     "positive stable laws need alpha"),
+    (["--kind", "marginal", "--alpha", "5e-324"],
+     "positive stable laws need alpha"),
+    (["--kind", "positive-stable", "--alpha", "5e-324"],
+     "positive stable laws need alpha"),
+    (["--kind", "stable", "--alpha", "1.0000001", "--beta", "0.5"],
+     "alpha = 1.0000001 lies within 1e-06 of 1"),
 ])
 def test_sample_limit_rejects_bad_arguments(capsys, extra, message):
     argv = ["sample-limit", "--alpha", "0.5", "--n", "20"] + extra
@@ -406,6 +416,16 @@ def test_sample_limit_rejects_bad_arguments(capsys, extra, message):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"error: {message}")
+
+
+def test_sample_limit_writes_its_rows_to_out(tmp_path, capsys):
+    argv = ["sample-limit", "--kind", "ratio", "--alpha", "0.5", "--b",
+            "0.4", "--n", "30", "--seed", "2"]
+    _, rows = run_sample(capsys, argv[1:])
+    out = tmp_path / "ratio.csv"
+    assert cli.main(argv + ["--out", str(out)]) == 0
+    assert capsys.readouterr().out == f"wrote {out}\n"
+    assert read_rows(out)[1] == rows
 
 
 @pytest.mark.parametrize("extra, message", [
@@ -1177,6 +1197,15 @@ def test_selftest_passes(capsys):
     assert out.count("[PASS]") >= 8
     assert "FAIL" not in out
     assert out.rstrip().endswith("selftest: PASS")
+
+
+def test_selftest_counts_a_failed_check_and_exits_one(monkeypatch, capsys):
+    monkeypatch.setattr(lamperti_limit, "flt_f", lambda *args: 2.0)
+    assert cli.main(["selftest"]) == 1
+    out = capsys.readouterr().out
+    assert out.count("[FAIL]") == 1
+    assert "[FAIL] transform at zero frequency" in out
+    assert out.rstrip().endswith("selftest: 1 FAILURE(S)")
 
 
 def test_parser_errors():

@@ -23,6 +23,8 @@ from combwalk import (
     power_comb,
 )
 
+from limit_checks import assert_pointwise, with_repeats
+
 
 def brute_tail(fam, n_max):
     """T(n) = prod_{k<=n} (1 - alpha_k) from the raw hazards."""
@@ -282,6 +284,14 @@ def test_power_mean_and_divergence():
     assert np.isinf(PersistenceLaw(HazardFamily.power(0.8)).mean())
     assert np.isinf(PersistenceLaw(HazardFamily.power(1.0, c=0.5)).mean())
     assert np.isinf(PersistenceLaw(HazardFamily.power(1.7, c=1.0)).second_moment())
+    # a law with a mean but no second moment has an infinite variance
+    assert PersistenceLaw(HazardFamily.power(1.7, c=1.0)).variance() == np.inf
+
+
+def test_persistence_law_refuses_what_is_not_a_hazard_family():
+    for bad in (None, "constant", {"kind": "constant", "p": 0.5}, 0.5):
+        with pytest.raises(TypeError, match="HazardFamily"):
+            PersistenceLaw(bad)
 
 
 def test_second_moment_is_truncated_limit():
@@ -520,6 +530,21 @@ def test_tail_gf_is_the_direct_sum(fam, z):
     assert law.tail_gf(z) == pytest.approx(direct, rel=1e-13, abs=0.0)
 
 
+# ages from the prefix out past the cached table; repeated points included
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(_BASE, st.tuples(_PREFIX, _BASE).map(
+           lambda vf: HazardFamily.table(vf[0], vf[1].rule))),
+       st.lists(st.one_of(st.integers(0, 50).map(float), st.floats(0.0, 1e9)),
+                min_size=1, max_size=12),
+       st.lists(st.integers(0, 11), max_size=6))
+def test_tail_and_truncated_moments_of_a_point_do_not_depend_on_the_others(
+        fam, t, again):
+    law = PersistenceLaw(fam)
+    t = with_repeats(t, again)
+    for f in (law.tail, law.truncated_mean, law.truncated_second_moment):
+        assert_pointwise(f, t)
+
+
 def test_power_tail_ratio_at_large_n():
     # T(n) ~ C n^{-a} (1 + O(1/n)), so T(2n)/T(n) = 2^{-a} to ~1e-12 here;
     # a difference gammaln(n+1+c-a) - gammaln(n+1+c) of two values near
@@ -699,6 +724,18 @@ def test_invert_matches_a_full_table(fam, cap, first_cap, us, at, cells):
                            _full_table_inverse(law, u, cap))
         assert_array_equal(np.minimum(law.invert(u), 30_000),
                            _full_table_inverse(law, u, 30_000))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_INVERT_FAMILIES, st.none() | _CAPS,
+       st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1,
+                max_size=16),
+       st.lists(st.integers(0, 15), max_size=6))
+def test_invert_of_a_point_does_not_depend_on_the_others(fam, cap, u, again):
+    # capped and uncapped; the table the whole call grows stays for the
+    # single calls, which must not change their answers
+    law = PersistenceLaw(fam)
+    assert_pointwise(lambda v: law.invert(v, cap), with_repeats(u, again))
 
 
 @pytest.mark.parametrize("fam", [

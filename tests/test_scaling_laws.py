@@ -25,6 +25,8 @@ from combwalk import (
 )
 from combwalk.scaling_laws import _smallest_int
 
+from limit_checks import assert_pointwise, with_repeats
+
 # c tuned so the up tail constant is 7/3 times the down one (balance 0.4)
 C_BALANCED = 1.4655561545081737
 
@@ -107,6 +109,11 @@ def test_stable_skewness_formula():
     assert stable_skewness(0.7, 0.3, -1.0) == -1.0
     with pytest.raises(ValueError):
         stable_skewness(0.5, 1.0, 0.0)
+    # a tail balance outside [-1, 1] is refused by name; (1, 0.5, 2) once
+    # gave weights 1.5 and -1.5 that summed to 0
+    for bad in (2.0, -1.5, np.nan):
+        with pytest.raises(ValueError, match="tail balance"):
+            stable_skewness(1.0, 0.5, bad)
 
 
 def test_skewness_beta_of_combs():
@@ -336,6 +343,20 @@ def test_normalizers_are_nondecreasing_in_u(comb, exponents):
     u = 10.0 ** np.sort(exponents)
     for f in (ns.space, ns.time, ns.walk):
         assert np.all(np.diff(f(u)) >= 0), f.__name__
+
+
+@settings(max_examples=20, deadline=None)
+@given(_NORMALIZED_COMBS,
+       st.lists(st.floats(0.0, 9.0), min_size=1, max_size=5),
+       st.lists(st.integers(0, 4), max_size=3))
+def test_normalizers_of_a_point_do_not_depend_on_the_others(
+        comb, exponents, again):
+    # the lockstep searches answer each u as its search alone would,
+    # repeated points included (walk is space of time)
+    ns = NormalizerSet(comb)
+    u = 10.0 ** with_repeats(exponents, again)
+    for f in (ns.space, ns.time):
+        assert_pointwise(f, u)
 
 
 @pytest.mark.parametrize("method", ["space", "time", "walk", "cauchy_norm"])

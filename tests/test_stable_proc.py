@@ -98,6 +98,41 @@ def test_sampler_validation():
             sample_stable(1.5, 0.0, 10, rng, scale=scale)
 
 
+@pytest.mark.parametrize("alpha", [1.0 + 1e-7, 1.0 - 1e-9, 1.0 + 1e-12])
+@pytest.mark.parametrize("beta", [0.5, -1.0, 1e-300])
+def test_skewed_laws_next_to_alpha_one_are_refused(alpha, beta):
+    # the location beta tan(pi alpha/2) passes 6e5 scale units: at 1e-8
+    # Nolan's integral reads KS 0.08-0.37 against 20 000 draws, and at
+    # 1 + 1e-12 three draws in 20 000 were NaN
+    with pytest.raises(ValueError, match=r"alpha = .* within 1e-06 of 1"):
+        sample_stable(alpha, beta, 10, np.random.default_rng(0))
+    with pytest.raises(ValueError, match=r"alpha = .* within 1e-06 of 1"):
+        stable_cdf_interp(alpha, beta, 1.0)
+
+
+def test_laws_next_to_alpha_one_that_are_kept():
+    # symmetric laws hold there, alpha = 1 has its own form, and the band
+    # stops at 1e-6
+    rng = np.random.default_rng(0)
+    for alpha, beta in ((1.0 + 1e-9, 0.0), (1.0, 0.5), (1.0 - 2e-6, 0.5),
+                        (1.0 + 2e-6, -1.0)):
+        assert np.all(np.isfinite(sample_stable(alpha, beta, 10, rng)))
+        stable_cdf_interp(alpha, beta, 1.0)
+
+
+@pytest.mark.parametrize("alpha", [0.99, 1.01, 1.0 - 2e-6, 1.0 + 2e-6])
+@pytest.mark.parametrize("beta", [1.0, -1.0, 0.5])
+def test_skewed_draws_next_to_alpha_one_match_the_reference_grid(alpha, beta):
+    # the law's bulk sits near beta tan(pi alpha/2) scale units (-+64 at
+    # alpha = 1.01, 3e5 at 1 + 2e-6), where a grid centred on 0 has
+    # cells ~100 units wide (KS 0.02-0.25 at 0.99 and 1.01).  Seeds 1-10
+    # read KS 0.0037-0.0088 at 20 000 draws; the 1 % point is 0.0115
+    scale = stable_sigma(alpha)
+    x = sample_stable(alpha, beta, 20_000, np.random.default_rng(1),
+                      scale=scale)
+    assert ks_distance(x, stable_cdf_interp(alpha, beta, scale)) < 0.012
+
+
 # ---------------------------------------------------------------------------
 # one-sided stable
 
@@ -120,6 +155,14 @@ def test_positive_stable_validation():
     for bad in (0.0, 1.0, 1.5):
         with pytest.raises(ValueError):
             sample_positive_stable(bad, 10, rng)
+    # a subnormal alpha underflows sin(alpha th) to 0; the smallest normal
+    # one is kept
+    for bad in (5e-324, 1e-310, np.nextafter(np.finfo(float).tiny, 0.0)):
+        with pytest.raises(ValueError, match="smallest normal double"):
+            sample_positive_stable(bad, 10, rng)
+    with np.errstate(over="ignore"):
+        z = sample_positive_stable(np.finfo(float).tiny, 10, rng)
+    assert not np.any(np.isnan(z))
 
 
 # ---------------------------------------------------------------------------
@@ -224,6 +267,47 @@ _LAWS = [(1.5, 0.0), (1.9, 0.0), (1.99, 0.2), (1.2, -0.3), (1.05, 0.5),
          (1.5, 1.0), (1.5, -1.0), (1.0, 0.5), (1.0, 0.7)]
 
 
+def test_cdf_grid_is_centred_on_the_s0_location():
+    # x = scale (tan(theta) + beta tan(pi alpha/2)) for alpha != 1, so the
+    # middle node (theta = 0) sits at the S0 location; at alpha = 1 and at
+    # beta = 0 the grid is scale tan(theta)
+    theta = np.linspace(-(np.pi / 2.0 - 1e-4), np.pi / 2.0 - 1e-4, 3001)
+    for alpha, beta, scale in ((1.01, 1.0, 1.0), (0.99, -0.5, 2.7),
+                               (1.5, 0.3, 0.8), (0.5, 1.0, 1.3)):
+        cdf = stable_cdf_interp(alpha, beta, scale)
+        centre = beta * np.tan(np.pi * alpha / 2.0)
+        assert np.array_equal(cdf.grid, scale * (np.tan(theta) + centre))
+    for alpha, beta in ((1.0, 0.7), (1.5, 0.0), (0.7, 0.0)):
+        cdf = stable_cdf_interp(alpha, beta, 1.9)
+        assert np.array_equal(cdf.grid, 1.9 * np.tan(theta))
+
+
+# alpha as for _standard_cdf's properties (away from 1, and 1 itself),
+# beta anywhere in [-1, 1] with its ends, scales over six decades
+@settings(max_examples=30, deadline=None)
+@given(st.one_of(st.floats(0.1, 0.95), st.floats(1.05, 2.0), st.just(1.0)),
+       st.floats(-1.0, 1.0) | st.sampled_from([-1.0, 1.0]),
+       st.floats(-3.0, 3.0).map(lambda e: 10.0 ** e))
+# a subnormal beta at alpha = 1 overflowed Nolan's h to inf - inf: NaN
+@example(1.0, 2.2250738585e-313, 1.0)
+@example(0.12407172047364352, -1.0, 1.9983276762118578)
+def test_cdf_grid_values_reflect_under_beta_and_are_monotone(alpha, beta,
+                                                             scale):
+    # the grids of beta and -beta mirror each other only to the rounding
+    # of theta and of the centre, a few 1e-12 of a cell, so a value may
+    # move by that share of its neighbouring cells' increments (at
+    # alpha = 0.124, beta = -1 the cell next to 0 carries 0.057 of mass,
+    # and the values reflect to 2.6e-14 there)
+    with np.errstate(over="ignore", under="ignore"):
+        F = stable_cdf_interp(alpha, beta, scale, npts=601)
+        G = stable_cdf_interp(alpha, -beta, scale, npts=601)
+    step = np.diff(F.values)
+    assert np.all(step >= 0.0)
+    near = np.maximum(np.append(step, 0.0), np.insert(step, 0, 0.0))
+    assert np.all(np.abs(F.values + G.values[::-1] - 1.0)
+                  <= 1e-14 + 1e-11 * near)
+
+
 def _law_grid(alpha, beta):
     scale = np.pi / 2 if alpha == 1.0 else stable_sigma(alpha)
     cdf = stable_cdf_interp(alpha, beta, scale)
@@ -234,8 +318,8 @@ def _law_grid(alpha, beta):
 @pytest.mark.parametrize("alpha,beta", _LAWS)
 def test_cdf_grid_matches_mpmath(alpha, beta):
     cdf, z, _ = _law_grid(alpha, beta)
-    # the outermost nodes (x = -+1e4 scale), the nodes next to x = 0 and
-    # two in between
+    # the outermost nodes (1e4 scale units either side of the centre),
+    # the nodes next to the centre and two in between
     for i in (0, 800, 1499, 1501, 2200, 3000):
         assert abs(cdf.values[i] - _nolan_mp(z[i], alpha, beta)) < 1e-9, i
 

@@ -517,6 +517,10 @@ _OUT_OF_DOMAIN = {
     "generic-alpha": ("generic", power_comb(1.5, 1.0), {"alpha": 2.5},
                       "alpha"),
     "generic-beta": ("generic", power_comb(1.5, 1.0), {"beta": 3}, "beta"),
+    # a skewed S1 law within 1e-6 of alpha = 1 but not at it
+    "generic-alpha-near-1": ("generic", power_comb(1.5, 1.0),
+                             {"alpha": 1.0 + 1e-9, "beta": 0.5},
+                             "within 1e-06 of 1"),
     "generic-scale": ("generic", power_comb(1.5, 1.0), {"scale": -1},
                       "scale"),
     "cauchy-scale-0": ("cauchy", power_comb(1.0, 0.01), {"scale": 0},

@@ -52,17 +52,7 @@ def test_steps_and_positions_are_consistent():
     pos = traj.positions()
     assert pos[0] == 0
     assert np.array_equal(np.diff(pos), steps)
-    n = np.arange(0, 3001)
-    assert np.array_equal(traj.position_at(n), pos)
-    assert traj.position_at(0) == 0
-    with pytest.raises(ValueError):
-        traj.position_at(-1)
-    with pytest.raises(ValueError):
-        traj.position_at(3001)
-    assert traj.position_at(2.0) == pos[2]
-    for bad in (2.5, [1, 2.5], np.nan):
-        with pytest.raises(ValueError, match="integer"):
-            traj.position_at(bad)
+    assert len(pos) == 3001
 
 
 def test_ages_track_run_boundaries():
@@ -95,7 +85,6 @@ def test_expansion_is_the_per_step_repeat_of_the_run_record(comb, horizon):
     assert_array_equal(traj.steps(), steps)
     assert_array_equal(traj.ages(), ages)
     assert_array_equal(traj.positions(), positions)
-    assert_array_equal(traj.position_at(np.arange(horizon + 1)), positions)
     # any window lo+1..hi, including one inside a single run
     rng = np.random.default_rng(horizon)
     for lo, hi in [(0, horizon), (horizon - 1, horizon)] + [
@@ -201,7 +190,7 @@ def test_marginals_match_direct_simulation():
     n = 4000
     rec = walk_marginals(comb, [50], n, seed=31)
     assert rec.shape == (n, 1)
-    direct = np.array([simulate_prw(comb, 50, seed=10_000 + i).position_at(50)
+    direct = np.array([simulate_prw(comb, 50, seed=10_000 + i).positions()[50]
                        for i in range(n)], dtype=float)
     ks = ks_distance(rec[:, 0], direct)
     assert ks < 0.045  # two-sample 1% point is ~0.036 at n = 4000
@@ -553,7 +542,7 @@ def test_marginals_follow_the_exact_law(name):
 @pytest.mark.parametrize("name", ["constant", "power1.5", "cauchy"])
 def test_simulated_trajectories_follow_the_exact_law(name):
     comb = EXACT_LAW_COMBS[name]
-    S = np.array([simulate_prw(comb, 60, seed=20_000 + i).position_at([7, 60])
+    S = np.array([simulate_prw(comb, 60, seed=20_000 + i).positions()[[7, 60]]
                   for i in range(5000)])
     law = lamperti_recursion(comb, 60)
     for j, n in enumerate((7, 60)):
