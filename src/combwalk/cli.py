@@ -95,39 +95,23 @@ def _same_file(a, b):
 
 def _write_csv(out, preamble, names, *cols):
     """Write `preamble`, the header row `names` and the rows of the
-    equal-length columns `cols` to the stream `out` from _output,
-    _CSV_CHUNK rows at a time."""
+    equal-length float columns `cols` to the stream `out` from _output,
+    _CSV_CHUNK rows at a time.  Every field is %.17g, the text of _fmt:
+    Python's float formatter is the only repr-exact one."""
     cols = [np.asarray(c) for c in cols]
     _write_header(out, preamble, names)
+    row = ",".join(["%.17g"] * len(cols)) + "\n"
     for lo in range(0, len(cols[0]), _CSV_CHUNK):
-        _write_chunk(out, [c[lo:lo + _CSV_CHUNK] for c in cols])
+        chunk = [c[lo:lo + _CSV_CHUNK].tolist() for c in cols]
+        out.write(row * len(chunk[0])
+                  % tuple(itertools.chain.from_iterable(zip(*chunk))))
+        del chunk       # its floats go before the next chunk's are made
 
 
 def _write_header(out, preamble, names):
     """Start the output `out` from _output with `preamble` and the header
     row `names`."""
     _rewound(out).write(preamble + ",".join(names) + "\n")
-
-
-def _write_chunk(out, chunk):
-    """Write the rows of the equal-length columns `chunk` to `out`.
-    Integer columns are written as %d, floats as %.17g (the text of _fmt)
-    and the rest as %s.
-
-    When every column is an integer or one-character ASCII text
-    (simulate's files), _text_rows builds the text with numpy; otherwise
-    one % string formats it (Python's float formatter is the only
-    repr-exact one)."""
-    if all(c.dtype.kind in "iu" or c.dtype == "U1"
-           and c.view(np.uint32).max(initial=0) < 128 for c in chunk):
-        out.write(_text_rows(chunk))
-        return
-    row = ",".join("%d" if c.dtype.kind in "iu" else
-                   "%.17g" if c.dtype.kind == "f" else "%s"
-                   for c in chunk) + "\n"
-    chunk = [c.tolist() for c in chunk]
-    out.write(row * len(chunk[0])
-              % tuple(itertools.chain.from_iterable(zip(*chunk))))
 
 
 # r = 0..99 as two ASCII digits where more digits follow on the left;
@@ -141,25 +125,22 @@ _PAIRS = _PAIRS.view(np.uint16).reshape(-1)     # one pair per uint16
 
 
 def _text_rows(chunk):
-    """The CSV text of the rows of integer and one-character ASCII
-    columns, built in one uint8 matrix.  A field is a separator byte
-    (none before the first), a head byte (the character, or the sign of
-    an integer) and the integer's digits right-aligned in pairs, one per
-    uint16; "\n" and a 0 end the row.  The bytes that no character
-    fills stay 0 and are dropped."""
+    """The CSV text of the rows (one or more) of the equal-length columns
+    `chunk`, each of signed integers or of the one-character text "u"/"d"
+    (simulate's tables), built in one uint8 matrix.  A field is a
+    separator byte (none before the first), a head byte (the character,
+    or the sign of an integer) and the integer's digits right-aligned in
+    pairs, one per uint16; "\n" and a 0 end the row.  The bytes that no
+    character fills stay 0 and are dropped."""
     fields = []
     for c in chunk:
         if c.dtype.kind == "U":
             fields.append((c.view(np.uint32), None, 0))
             continue
-        head = 0
-        if c.dtype.kind == "i":
-            head = (c < 0) * np.uint8(ord("-"))
-            # abs wraps -2^63 to itself, whose uint64 bits are 2^63
-            mag = np.abs(c, dtype=np.int64).view(np.uint64)
-        else:
-            mag = c.astype(np.uint64)
-        fields.append((head, mag, len(str(mag.max())) + 1 >> 1))
+        # abs wraps -2^63 to itself, whose uint64 bits are 2^63
+        mag = np.abs(c, dtype=np.int64).view(np.uint64)
+        fields.append(((c < 0) * np.uint8(ord("-")), mag,
+                       len(str(mag.max())) + 1 >> 1))
     M = np.zeros((len(chunk[0]), 2 + sum(2 + 2 * n for _, _, n in fields)),
                  dtype=np.uint8)
     M16 = M.view(np.uint16)
@@ -218,13 +199,13 @@ def cmd_simulate(args):
                 pos = np.cumsum(steps)
                 pos += s
                 s = pos[-1]
-                _write_chunk(traj_out, [np.arange(t + lo + 1, t + hi + 1),
-                                        pos, steps, ages])
+                traj_out.write(_text_rows([np.arange(t + lo + 1, t + hi + 1),
+                                           pos, steps, ages]))
             for lo in range(0, len(runs), _CSV_CHUNK):
                 hi = min(lo + _CSV_CHUNK, len(runs))
-                _write_chunk(runs_out, [np.arange(k + lo, k + hi),
-                                        _directions(k + lo, k + hi),
-                                        runs[lo:hi]])
+                runs_out.write(_text_rows([np.arange(k + lo, k + hi),
+                                           _directions(k + lo, k + hi),
+                                           runs[lo:hi]]))
             k += len(runs)
             t += span
     print(f"steps: {n}")

@@ -202,9 +202,12 @@ class _NolanIntegral:
         d = 1.0 if self.rising else -1.0    # y-direction in which h grows
         # h at its lower end: 0, or the floor of a light tail (|beta| = 1)
         h_end = np.exp(np.minimum(self.log_h(-d * _Y, u), 700.0))
-        # y* where h - h_end = 1, then how far each side reaches from it
+        # y* where h - h_end = 1, then how far each side reaches from it;
+        # at alpha = 1 and a tiny beta exp(-h) is a near-step in theta,
+        # whose integral is its position, so y* is bisected to the ulp
         ys = _bisect(lambda y: d * self.log_h(y, u), np.full(u.shape, -_Y),
-                     np.full(u.shape, _Y), d * np.log1p(h_end), 30)
+                     np.full(u.shape, _Y), d * np.log1p(h_end),
+                     52 if self.alpha == 1.0 else 30)
         room0, room1 = _Y - d * ys, _Y + d * ys
         # a reach is room * e^-r, r in [0, 40]
         r = _bisect(lambda r: -self.log_h(ys + d * room0 * np.exp(-r), u),

@@ -482,43 +482,38 @@ def test_limit_outputs_are_opened_before_the_run(tmp_path, monkeypatch,
 def written_csv(*cols):
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf), cli._output(None) as out:
-        cli._write_csv(out, "# pre\n", ["i", "x", "dir"], *cols)
+        cli._write_csv(out, "# pre\n", ["x", "y"], *cols)
     return buf.getvalue()
 
 
-def per_row_csv(ints, floats, dirs):
-    return "# pre\ni,x,dir\n" + "".join(
-        f"{int(i)},{format(float(x), '.17g')},{d}\n"
-        for i, x, d in zip(ints, floats, dirs))
+def per_row_csv(xs, ys):
+    return "# pre\nx,y\n" + "".join(
+        f"{format(float(x), '.17g')},{format(float(y), '.17g')}\n"
+        for x, y in zip(xs, ys))
 
 
-_I64 = st.integers(-(2**63 - 1), 2**63 - 1)
 _F64 = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.lists(st.tuples(_I64, _F64, st.sampled_from("ud")), max_size=40))
-@example([(2**63 - 1, 0.0, "u"), (-(2**63 - 1), -0.0, "d"),
-          (0, float("inf"), "u"), (1, -float("inf"), "d"),
-          (-1, float("nan"), "u"), (7, 5e-324, "d"), (8, -5e-324, "u"),
-          (9, 2.2250738585072009e-308, "d"), (10, 1e308, "u"),
-          (11, -1e308, "d"), (12, 0.1, "u")])
+@given(st.lists(st.tuples(_F64, _F64), max_size=40))
+@example([(0.0, -0.0), (-0.0, 0.0), (float("inf"), -float("inf")),
+          (float("nan"), 1.0), (5e-324, -5e-324),
+          (2.2250738585072009e-308, -2.2250738585072009e-308),
+          (1e308, -1e308), (0.1, 1 / 3)])
 def test_writer_matches_per_row_text(rows):
-    ints = np.array([r[0] for r in rows], dtype=np.int64)
-    floats = np.array([r[1] for r in rows], dtype=float)
-    dirs = np.array([r[2] for r in rows], dtype="<U1")
-    assert written_csv(ints, floats, dirs) == per_row_csv(ints, floats, dirs)
+    xs = np.array([r[0] for r in rows], dtype=float)
+    ys = np.array([r[1] for r in rows], dtype=float)
+    assert written_csv(xs, ys) == per_row_csv(xs, ys)
 
 
 def test_writer_across_a_chunk_edge_and_with_no_rows():
-    n = cli._CSV_CHUNK + 3
-    rng = np.random.default_rng(0)
-    ints = rng.integers(-10**12, 10**12, n)
-    floats = rng.standard_cauchy(n)
-    dirs = np.where(rng.random(n) < 0.5, "u", "d")
-    assert written_csv(ints, floats, dirs) == per_row_csv(ints, floats, dirs)
-    empty = np.zeros(0, dtype=np.int64)
-    assert written_csv(empty, empty, empty) == "# pre\ni,x,dir\n"
+    for n in (0, cli._CSV_CHUNK - 1, cli._CSV_CHUNK, cli._CSV_CHUNK + 3):
+        rng = np.random.default_rng(n)
+        xs = rng.standard_cauchy(n)
+        ys = rng.standard_normal(n) * 10.0**rng.integers(-300, 300, n)
+        assert written_csv(xs, ys) == per_row_csv(xs, ys)
+    assert written_csv(xs[:0], ys[:0]) == "# pre\nx,y\n"
 
 
 def per_row_text(*cols):
@@ -526,28 +521,18 @@ def per_row_text(*cols):
                    for row in zip(*(c.tolist() for c in cols)))
 
 
-def written_int_csv(*cols):
-    buf = io.StringIO()
-    with contextlib.redirect_stdout(buf), cli._output(None) as out:
-        cli._write_csv(out, "# pre\n", [f"c{j}" for j in range(len(cols))],
-                       *cols)
-    head = "# pre\n" + ",".join(f"c{j}" for j in range(len(cols))) + "\n"
-    text = buf.getvalue()
-    assert text.startswith(head)
-    return text[len(head):]
-
-
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.tuples(st.integers(-2**63, 2**63 - 1), st.sampled_from("ud"),
-                          st.integers(-9, 10**6)), max_size=40))
+                          st.integers(-9, 10**6)), min_size=1, max_size=40))
 @example([(-2**63, "u", 0), (2**63 - 1, "d", -1), (0, "u", 10**6),
           (-1, "d", 9), (10, "u", -9), (-100, "d", 100)])
 def test_integer_rows_match_per_row_text(rows):
-    # integer and one-character columns only: the rows are built as bytes
+    # simulate's columns: signed integers and "u"/"d", built as bytes
     ints = np.array([r[0] for r in rows], dtype=np.int64)
     dirs = np.array([r[1] for r in rows], dtype="<U1")
     small = np.array([r[2] for r in rows], dtype=np.int32)
-    assert written_int_csv(ints, dirs, small) == per_row_text(ints, dirs, small)
+    assert (cli._text_rows([ints, dirs, small])
+            == per_row_text(ints, dirs, small))
 
 
 def test_integer_rows_of_every_digit_count_and_sign():
@@ -555,25 +540,9 @@ def test_integer_rows_of_every_digit_count_and_sign():
     ints = np.array([0, -2**63] + [s * min(m, 2**63 - 1)
                                    for m in mags for s in (1, -1)])
     dirs = np.resize(np.array(["u", "d"]), len(ints))
-    assert written_int_csv(ints, dirs) == per_row_text(ints, dirs)
-    big = np.array([0, 9, 10, 2**63, 2**64 - 1], dtype=np.uint64)
-    assert written_int_csv(big) == per_row_text(big)
+    assert cli._text_rows([ints, dirs]) == per_row_text(ints, dirs)
     tiny = np.array([-128, 127, -1, 0], dtype=np.int8)
-    assert written_int_csv(tiny) == per_row_text(tiny)
-    # text that is not one ASCII character goes through the % string
-    wide = np.array(["\u00e9", "u"])
-    assert written_int_csv(ints[:2], wide) == per_row_text(ints[:2], wide)
-
-
-@pytest.mark.parametrize("n", [0, cli._CSV_CHUNK - 1, cli._CSV_CHUNK,
-                               cli._CSV_CHUNK + 3])
-def test_integer_rows_across_chunk_edges(n):
-    rng = np.random.default_rng(n)
-    ints = rng.integers(-10**12, 10**12, n)
-    dirs = np.where(rng.random(n) < 0.5, "u", "d")
-    steps = rng.integers(-1, 2, n, dtype=np.int8)
-    assert (written_int_csv(ints, dirs, steps)
-            == per_row_text(ints, dirs, steps))
+    assert cli._text_rows([tiny]) == per_row_text(tiny)
 
 
 def test_simulate_trajectory_to_stdout(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 import mpmath
@@ -30,6 +32,7 @@ from combwalk.lamperti_limit import default_t_max, subordinator_jumps
 from combwalk.walk_sim import _replicate
 
 from limit_checks import assert_pointwise, markov_kernel_check, with_repeats
+from test_acceptance import enum_occupation
 
 
 # ---------------------------------------------------------------------------
@@ -427,31 +430,6 @@ def test_transform_matches_numeric_double_transform():
 
 # ---------------------------------------------------------------------------
 # occupation recursion
-
-
-def enum_occupation(comb, n):
-    """Exact up-step-count law over all 2^n step sequences."""
-    masks = np.arange(2 ** n, dtype=np.int64)
-    prob = np.ones(2 ** n)
-    dirn = np.zeros(2 ** n, dtype=np.int64)
-    age = np.zeros(2 ** n, dtype=np.int64)
-    ups = np.zeros(2 ** n, dtype=np.int64)
-    for j in range(n):
-        step = (masks >> j) & 1
-        ups += step
-        stay = step == dirn
-        haz_u = comb.up.hazard(np.maximum(age, 1)).astype(float)
-        haz_d = comb.down.hazard(np.maximum(age, 1)).astype(float)
-        haz = np.where(dirn == 1, haz_u, haz_d)
-        new = age == 0
-        p_step = np.where(new, np.where(step == 0, 1.0, 0.0),
-                          np.where(stay, 1.0 - haz, haz))
-        prob *= p_step
-        age = np.where(stay & ~new, age + 1, 1)
-        dirn = step
-    out = np.zeros(n + 1)
-    np.add.at(out, ups, prob)
-    return out
 
 
 @pytest.mark.parametrize("comb", [
@@ -998,6 +976,45 @@ def test_renewal_laws_at_fixed_level():
     assert ks_distance(R, lambda r: np.clip(r, 0, 1) ** 0.5) < 0.02
     assert ks_distance(A[straddle],
                        lambda a: special.betainc(0.5, 0.5, np.clip(a, 0, 1))) < 0.02
+
+
+@functools.lru_cache(maxsize=None)
+def ensemble_ks(alpha, n_rep, seed):
+    """KS distances of one ensemble at level 1 to its exact laws: S to
+    the marginal cdf_f, and 1 - age (the last range point G) and 1 / (1 +
+    excess) (one over the first range point H) to Beta(alpha, 1 - alpha)."""
+    S, A, H = sample_anomalous_ensemble(alpha, 0.0, n_rep, seed)
+
+    def beta(v):
+        return special.betainc(alpha, 1.0 - alpha, np.clip(v, 0.0, 1.0))
+
+    return {"S": ks_distance(S, lambda v: cdf_f(alpha, 0.0, 1.0, v)),
+            "age": ks_distance(1.0 - A, beta),
+            "excess": ks_distance(1.0 / (1.0 + H), beta)}
+
+
+# the drift that stands in for the jumps below the cut takes a share of
+# the level, which biases S and age at small alpha: 0.038-0.045 at
+# alpha = 0.3 on seeds 1-12, against a 95 % KS level of 0.019 at 5000
+# paths
+_SMALL_ALPHA_EDGE = pytest.mark.xfail(
+    strict=True, reason="the jump cut's drift biases small alpha")
+
+
+# Seeds 1-12 gave KS distances at alpha = 0.5 (20 000 paths, ~0.7 s) of
+# 0.0031-0.0129 (S), 0.0044-0.0071 (age) and 0.0033-0.0081 (excess), and
+# at alpha = 0.3 (5000 paths) of 0.0082-0.0186 (excess).  alpha near 1 is
+# left out: 20 000 paths cost 5-100 s there
+@pytest.mark.parametrize("alpha, n_rep, law, tol", [
+    (0.5, 20_000, "S", 0.015),
+    (0.5, 20_000, "age", 0.012),
+    (0.5, 20_000, "excess", 0.012),
+    (0.3, 5000, "excess", 0.025),
+    pytest.param(0.3, 5000, "S", 0.025, marks=_SMALL_ALPHA_EDGE),
+    pytest.param(0.3, 5000, "age", 0.025, marks=_SMALL_ALPHA_EDGE),
+])
+def test_ensemble_at_level_one_follows_the_exact_laws(alpha, n_rep, law, tol):
+    assert ensemble_ks(alpha, n_rep, 5)[law] < tol
 
 
 # ---------------------------------------------------------------------------

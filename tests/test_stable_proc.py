@@ -186,6 +186,18 @@ def test_cdf_interp_cauchy_is_the_arctangent():
                     rtol=0, atol=1e-5)
 
 
+@pytest.mark.parametrize("beta", [1e-20, 1e-300, 5e-324, -1e-20])
+def test_standard_cdf_at_alpha_one_and_a_tiny_beta_is_the_arctangent(beta):
+    # the law is Cauchy's to far below 1e-16, and exp(-h) a near-step in
+    # theta whose integral is the step's position: y* must be found to the
+    # ulp
+    half = np.pi / 2.0 - 1e-4
+    z = np.tan(np.linspace(-half, half, 3001))
+    with np.errstate(over="ignore", under="ignore"):
+        F = _standard_cdf(z, 1.0, beta)
+    assert_allclose(F, 0.5 + np.arctan(z) / np.pi, rtol=0, atol=1e-15)
+
+
 @pytest.mark.parametrize("scale", [0.3, 1.0, 2.5])
 def test_cdf_interp_one_sided_levy(scale):
     # alpha = 1/2, beta = +-1 is Levy's law on one half-line:
