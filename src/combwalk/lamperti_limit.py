@@ -7,15 +7,18 @@ to the label across each jump interval and with slope m (the label
 mean) across the leftover drift time of the epsilon-approximation, so
 it is 1-Lipschitz by construction.
 
-The single-time marginal of S(t)/t has the closed-form density
+The single-time marginal of S(t)/t is Lamperti's law (Lamperti 1958).
+On (-1, 1), with r = (1+m)/(1-m) and the ratio coordinate
+rho = ((1-x)/(1+x))^a, which falls from inf at x = -1 to 0 at x = 1,
 
-    f(x) = (2 sin(pi a)/pi) (1-x)^{a-1}(1+x)^{a-1} /
-           [r (1-x)^{2a} + 2 cos(pi a)(1-x)^a (1+x)^a + (1+x)^{2a}/r]
+    (1-x)(1+x) f(x) = (2 sin(pi a)/pi) rho / (r rho^2 + 2 cos(pi a) rho + 1/r)
 
-on (-1, 1) with r = (1+m)/(1-m), reducing to the arcsine law at
-a = 1/2, m = 0.  Its antiderivative is the closed-form CDF (Lamperti 1958)
+    F(x) = atan2(sin(pi a), r rho + cos(pi a)) / (pi a),
 
-    F(x) = atan2(sin(pi a) (1+x)^a, r (1-x)^a + cos(pi a) (1+x)^a) / (pi a).
+the arcsine law at a = 1/2, m = 0.  _kernel is the right-hand side of
+the density line; density_f, cdf_f and DensityEvaluator all evaluate
+the law through rho, which one power of one quotient forms, so F is
+monotone after rounding.
 
 The (1 -+ x)^{a-1} endpoint singularities carry real mass: the
 quadrature check of the density's mass and mean runs in the substituted
@@ -253,54 +256,39 @@ def _check_time(t):
         raise ValueError("t must be positive and finite")
 
 
+def _kernel(alpha, m, rho):
+    """(1-z)(1+z) times the density of S(1) at z, a function of the ratio
+    coordinate rho = ((1-z)/(1+z))^alpha alone (module docstring)."""
+    r = (1.0 + m) / (1.0 - m)
+    return (2.0 * np.sin(np.pi * alpha) / np.pi * rho
+            / (r * rho * rho + 2.0 * np.cos(np.pi * alpha) * rho + 1.0 / r))
+
+
 def density_f(alpha, m, t, x):
-    """Density of S(t): supported on (-t, t), self-similar of index 1."""
+    """Density of S(t): supported on (-t, t), self-similar of index 1.
+    It forms the edge distances t -+ x, exact next to the edges, as
+    cdf_f does."""
     _check_law(alpha, m)
     _check_time(t)
     scalar = np.ndim(x) == 0
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if np.any(np.abs(x) >= t):
         raise ValueError("density supported on (-t, t)")
-    z = x / t
-    r = (1.0 + m) / (1.0 - m)
-    tm = (1.0 - z) ** alpha
-    tp = (1.0 + z) ** alpha
-    den = r * tm * tm + 2.0 * np.cos(np.pi * alpha) * tm * tp + tp * tp / r
-    out = (2.0 * np.sin(np.pi * alpha) / (np.pi * t)
-           * (1.0 - z) ** (alpha - 1.0) * (1.0 + z) ** (alpha - 1.0) / den)
+    out = (_kernel(alpha, m, ((t - x) / (t + x)) ** alpha)
+           / ((t - x) * ((t + x) / t)))
     return float(out[0]) if scalar else out
 
 
 _GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(24)
 
 
-def _edge_integrand(alpha, m, y, side):
-    """Density of S(1) in the substituted coordinate y = (1 -+ x)^alpha
-    of the nearer endpoint (side -1: x = y^(1/a) - 1, side +1 mirrored).
-    The edge singularity cancels against the Jacobian:
-
-        g(y) = (2 sin(pi a)/(pi a)) (2 - y^(1/a))^(a-1) / den(y)
-
-    which is bounded on (0, 1] -- no underflow from forming 1 + x.
-    """
-    r = (1.0 + m) / (1.0 - m)
-    far = (2.0 - y ** (1.0 / alpha)) ** alpha
-    if side < 0:
-        tm, tp = far, y
-    else:
-        tm, tp = y, far
-    den = r * tm * tm + 2.0 * np.cos(np.pi * alpha) * tm * tp + tp * tp / r
-    num = (2.0 * np.sin(np.pi * alpha) / (np.pi * alpha)
-           * (2.0 - y ** (1.0 / alpha)) ** (alpha - 1.0))
-    return num / den
-
-
 class DensityEvaluator:
     """Quadrature check of density_f for one (alpha, m): its mass and mean.
 
-    Panels are uniform in the edge coordinate y = (1 -+ x)^alpha of the
-    nearer endpoint, where the integrand is bounded, so the edge mass is
-    resolved (plain x-space grids lose ~1e-1 of it at alpha = 0.3).
+    It integrates the kernel that density_f evaluates, on panels uniform
+    in the edge coordinate y = (1 -+ x)^alpha of the nearer endpoint,
+    where the integrand is bounded, so the edge mass is resolved (plain
+    x-space grids lose ~1e-1 of it at alpha = 0.3).
     """
 
     def __init__(self, alpha, m, nhalf=2500):
@@ -311,35 +299,38 @@ class DensityEvaluator:
         half = 0.5 * (yb[1:] - yb[:-1])
         ynod = mid[:, None] + half[:, None] * _GAUSS_X[None, :]
         wnod = half[:, None] * _GAUSS_W[None, :]
-        inv = 1.0 / alpha
-        # side -1 (left), +1 (right): x = side (1 - y^(1/a)), |dx| =
-        # (1/a) y^(1/a - 1) dy; a side's mass is the running sum of its
-        # panels (np.sum's pairwise order would move the last bits)
+        # side -1 (left): 1 + x = w = y^(1/a), 1 - x = 2 - w, so rho =
+        # (2 - w)^a / y; side +1 mirrors it.  |dx| = w dy / (a y) cancels
+        # the edge factor w of the density; a side's mass is the running
+        # sum of its panels (np.sum's pairwise order would move the last
+        # bits)
+        w = ynod ** (1.0 / alpha)
+        far = (2.0 - w) ** alpha
         mass, mean = [], []
         for side in (-1, +1):
-            g = _edge_integrand(alpha, m, ynod, side)
+            rho = far / ynod if side < 0 else ynod / far
+            g = _kernel(alpha, m, rho) / (alpha * ynod * (2.0 - w))
             mass.append(np.cumsum(np.sum(g * wnod, axis=1))[-1])
-            x = side * (1.0 - ynod ** inv)
-            mean.append(float(np.sum(x * g * wnod)))
+            mean.append(float(np.sum(side * (1.0 - w) * g * wnod)))
         self.mass = float(mass[0] + mass[1])
         self.mean = mean[0] + mean[1]
 
 
 def cdf_f(alpha, m, t, x):
     """CDF of S(t): Lamperti's arctangent (module docstring) at z = x/t,
-    the antiderivative of density_f; 0 below -t and 1 above t.  1 +- z
-    is formed as (t +- x)/t after clipping x to [-t, t], which is exact
-    next to the edges."""
+    the antiderivative of density_f; 0 below -t and 1 above t.  rho is
+    formed as ((t - x)/(t + x))^alpha after clipping x to [-t, t], which
+    is exact next to the edges; at x = -t it is inf and F is 0."""
     _check_law(alpha, m)
     _check_time(t)
     scalar = np.ndim(x) == 0
     x = np.atleast_1d(np.asarray(x, dtype=float))
     xc = np.clip(x, -t, t)
-    tp = ((t + xc) / t) ** alpha
-    tm = ((t - xc) / t) ** alpha
+    with np.errstate(divide="ignore"):
+        rho = ((t - xc) / (t + xc)) ** alpha
     r = (1.0 + m) / (1.0 - m)
-    out = np.arctan2(np.sin(np.pi * alpha) * tp,
-                     r * tm + np.cos(np.pi * alpha) * tp) / (np.pi * alpha)
+    out = np.arctan2(np.sin(np.pi * alpha),
+                     r * rho + np.cos(np.pi * alpha)) / (np.pi * alpha)
     out[x >= t] = 1.0
     return float(out[0]) if scalar else out
 
